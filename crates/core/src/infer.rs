@@ -11,7 +11,8 @@
 //!   from a free list, `reset()` once per request, and reaches a
 //!   steady-state capacity after the first request;
 //! - the full item-embedding table is pre-transposed and packed so
-//!   catalog ranking is **one** GEMM over all items instead of a
+//!   catalog ranking is **one** fused pass over all items — score, max
+//!   over interests and top-n admission per strip — instead of a
 //!   re-encoded forward per candidate chunk;
 //! - optionally the catalog scorer runs against an i8 (per-row scale) or
 //!   bf16 copy of the item table ([`QuantMode`], opt-in via
@@ -41,7 +42,7 @@
 //! # Two-stage retrieval
 //!
 //! Attaching an [`IvfIndex`] ([`InferenceModel::attach_index`]) switches
-//! `recommend_catalog` from the exhaustive full-catalog GEMM to
+//! `recommend_catalog` from the exhaustive full-catalog pass to
 //! retrieve-then-rerank (DESIGN.md §14): each interest vector probes the
 //! index (`index.probe` span), and the candidate union is re-ranked by the
 //! same gather-based scoring as [`InferenceModel::score_candidates`]
@@ -51,14 +52,16 @@
 //! approximation. `MBSSL_ANN=off` ignores any attached index.
 
 use std::cell::{Cell, UnsafeCell};
-use std::collections::HashSet;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashSet};
+use std::ops::Range;
 use std::sync::{Mutex, OnceLock};
 
 use mbssl_data::sampler::Batch;
 use mbssl_data::{Behavior, ItemId, Sequence};
 use mbssl_hypergraph::{build_batch_incidence, BatchIncidence, HypergraphConfig};
 use mbssl_telemetry as telemetry;
-use mbssl_tensor::kernels::{self, PackedB};
+use mbssl_tensor::kernels::{self, PackedB, PackedBView, NR};
 use mbssl_tensor::quant::{Bf16Rows, QuantMode, QuantizedRows};
 
 use crate::ann::{self, AnnError, IvfIndex};
@@ -661,7 +664,8 @@ impl ExtractorWeights {
 }
 
 /// The catalog-scoring table: the f32 item table pre-transposed and
-/// packed for one big GEMM, or a quantized copy scored by row dots.
+/// packed for the fused catalog pass, or a quantized copy scored by row
+/// dots.
 enum CatalogTable {
     F32(PackedB),
     I8(QuantizedRows),
@@ -695,19 +699,93 @@ pub struct RankedQuery {
     pub used_ann: bool,
 }
 
-/// Heap push for bounded top-`n` retention, shared by every ranking path
-/// so tie-breaking can never diverge between them.
-#[inline]
-fn push_top(
-    heap: &mut std::collections::BinaryHeap<std::cmp::Reverse<RankKey>>,
+/// Bounded top-`n` retention, shared by every ranking path so
+/// tie-breaking can never diverge between them.
+struct TopN<'a> {
+    heap: BinaryHeap<Reverse<RankKey>>,
     n: usize,
-    item: ItemId,
-    score: f32,
-) {
-    heap.push(std::cmp::Reverse(RankKey { score, item }));
-    if heap.len() > n {
-        heap.pop();
+    exclude: &'a HashSet<ItemId>,
+    /// The n-th best score once the heap is full, `-inf` before.
+    floor: f32,
+}
+
+impl<'a> TopN<'a> {
+    fn new(q: &CatalogQuery<'a>) -> TopN<'a> {
+        assert!(q.n > 0);
+        let heap = BinaryHeap::with_capacity(q.n);
+        TopN { heap, n: q.n, exclude: q.exclude, floor: f32::NEG_INFINITY }
     }
+
+    /// Offers a run of columns: `scores[i]` is item `id(col0 + i)`'s score.
+    /// Once the heap is full, an item is **admitted** only if its key beats
+    /// the n-th best, and only then is the exclude set consulted; ids are
+    /// distinct, so this keeps what push-then-pop keeps (DESIGN.md §13). A
+    /// run wholly below the floor (`s < floor` is false for NaN) costs one
+    /// compare per score.
+    #[inline]
+    fn offer(&mut self, col0: usize, scores: &[f32], id: impl Fn(usize) -> ItemId) {
+        if scores.iter().fold(true, |below, &s| below & (s < self.floor)) {
+            return;
+        }
+        for (col, &score) in (col0..).zip(scores) {
+            let key = RankKey { score, item: id(col) };
+            let full = self.heap.len() == self.n;
+            let beaten = full && key <= self.heap.peek().expect("n > 0").0;
+            if beaten || self.exclude.contains(&key.item) {
+                continue;
+            }
+            if full {
+                *self.heap.peek_mut().expect("n > 0") = Reverse(key);
+            } else {
+                self.heap.push(Reverse(key));
+            }
+            if self.heap.len() == self.n {
+                self.floor = self.heap.peek().expect("n > 0").0.score;
+            }
+        }
+    }
+
+    /// The retained items, score descending, ties toward the lower id
+    /// (the descending `RankKey` order).
+    fn into_sorted(self) -> Vec<Recommendation> {
+        let keys = self.heap.into_sorted_vec().into_iter();
+        keys.map(|Reverse(key)| Recommendation { item: key.item, score: key.score }).collect()
+    }
+}
+
+/// The fused f32 catalog pass (DESIGN.md §13): streams `panel` one NR-wide
+/// strip at a time, reduces each query's `k` interest rows of the strip to
+/// a strict-`>` max in ascending interest order, and hands `visit(query,
+/// col0, scores)` the scores of the strip's columns that fall in `cols`,
+/// starting at column `col0`. `z` holds the queries' interests back to back
+/// (`queries × k × d`). Scores are bit-identical to a full GEMM followed by
+/// the max loop, without the `queries·k × columns` score matrix.
+fn stream_max_scores(
+    z: &[f32],
+    k: usize,
+    panel: PackedBView<'_>,
+    cols: Range<usize>,
+    arena: &Arena,
+    mut visit: impl FnMut(usize, usize, &[f32]),
+) {
+    let m = z.len() / panel.k();
+    let scratch = arena.alloc(kernels::strips_scratch_len(m, panel.k()));
+    let strips = cols.start / NR..cols.end.div_ceil(NR);
+    kernels::gemm_nn_prepacked_strips(z, panel, m, strips, scratch, |s, block| {
+        let j0 = s * NR;
+        let lanes = cols.start.max(j0) - j0..(cols.end - j0).min(NR);
+        for (qi, rows) in block.chunks_exact(k * NR).enumerate() {
+            let mut best = [f32::NEG_INFINITY; NR];
+            for row in rows.chunks_exact(NR) {
+                for (b, &v) in best.iter_mut().zip(row) {
+                    if v > *b {
+                        *b = v;
+                    }
+                }
+            }
+            visit(qi, j0 + lanes.start, &best[lanes.clone()]);
+        }
+    });
 }
 
 /// An immutable, graph-free compilation of a trained [`Mbmissl`].
@@ -717,8 +795,6 @@ fn push_top(
 pub struct InferenceModel {
     config: ModelConfig,
     num_items: usize,
-    /// Item-table rows, `num_items + 1` (row 0 = padding).
-    item_rows: usize,
     dim: usize,
     num_interests: usize,
     item_table: Vec<f32>,
@@ -875,7 +951,7 @@ impl InferenceModel {
         // Loose serving-shape (B=1) estimate; the arena self-sizes to the
         // true high-water mark after the first request anyway.
         let arena_capacity =
-            32 * l * dim * (config.num_layers + 1) + k * item_rows + 8 * PackedB::SCRATCH_LEN + 1024;
+            32 * l * dim * (config.num_layers + 1) + 8 * PackedB::SCRATCH_LEN + 1024;
 
         let name = format!(
             "MBMISSL-infer(dim={}, K={}, {:?}, {:?}, quant={:?})",
@@ -883,7 +959,6 @@ impl InferenceModel {
         );
         InferenceModel {
             num_items,
-            item_rows,
             dim,
             num_interests: k,
             item_table,
@@ -961,79 +1036,81 @@ impl InferenceModel {
             return Vec::new();
         }
         let arena = self.rent_arena();
-        let out = {
+        let mut out = vec![0.0f32; candidates.len()];
+        {
             let (_batch, z) = self.interests_for(&[history], &arena);
-            self.rerank_candidates(z, candidates, &arena).to_vec()
-        };
+            self.candidate_scores(z, candidates, &arena, |j, s| {
+                out[j..][..s.len()].copy_from_slice(s)
+            });
+        }
         self.return_arena(arena);
         out
     }
 
-    /// Gather-based candidate scoring: max-over-interest scores for
-    /// `candidates` given interests `z [k, d]`, through whichever catalog
-    /// table the engine was compiled with. The f32 path packs the
-    /// candidate rows with `PackedB::pack_select_into` (arena-backed) and
-    /// runs the same prepacked GEMM as exhaustive catalog scoring;
-    /// quantized paths run
-    /// the same per-row dots as the exhaustive loop — all bit-identical
-    /// to exhaustive scoring.
-    fn rerank_candidates<'a>(
+    /// Gather-based candidate scoring: hands `visit(j0, scores)` runs of
+    /// max-over-interest scores, `scores[i]` for `candidates[j0 + i]` given
+    /// interests `z [k, d]`, in candidate order, through whichever catalog
+    /// table the engine was compiled with; returns the catalog bytes it
+    /// streamed. Quantized paths run the same per-row dots as exhaustive
+    /// ranking, so every path is bit-identical to exhaustive scoring.
+    fn candidate_scores(
         &self,
         z: &[f32],
         candidates: &[ItemId],
-        arena: &'a Arena,
-    ) -> &'a [f32] {
-        let (d, k, c) = (self.dim, self.num_interests, candidates.len());
-        let out = arena.alloc(c);
-        match &self.catalog {
-            CatalogTable::F32(_) => {
-                let skc = arena.alloc(k * c);
-                let scratch = arena.alloc(PackedB::SCRATCH_LEN);
-                // Fused gather+pack straight off the item table, into the
-                // request arena (recycled global buffers cost ~30% here in
-                // cache locality); feeds the same microkernel as the
-                // prepacked exhaustive GEMM, so scores stay bit-identical
-                // to exhaustive ranking.
-                let panel = arena.alloc(PackedB::packed_len(d, c));
-                let packed = PackedB::pack_select_into(&self.item_table, d, candidates, panel);
-                kernels::gemm_nn_prepacked_scratch(&z[..k * d], packed, skc, k, scratch);
-                for j in 0..c {
-                    let mut best = f32::NEG_INFINITY;
-                    for kk in 0..k {
-                        let v = skc[kk * c + j];
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                    out[j] = best;
-                }
+        arena: &Arena,
+        mut visit: impl FnMut(usize, &[f32]),
+    ) -> u64 {
+        if !matches!(self.catalog, CatalogTable::F32(_)) {
+            for (j, &id) in candidates.iter().enumerate() {
+                visit(j, &[self.quant_score(id as usize, z)]);
             }
-            CatalogTable::I8(q) => {
-                for (j, &id) in candidates.iter().enumerate() {
-                    let mut best = f32::NEG_INFINITY;
-                    for kk in 0..k {
-                        let v = q.dot(id as usize, &z[kk * d..][..d]);
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                    out[j] = best;
-                }
-            }
-            CatalogTable::Bf16(q) => {
-                for (j, &id) in candidates.iter().enumerate() {
-                    let mut best = f32::NEG_INFINITY;
-                    for kk in 0..k {
-                        let v = q.dot(id as usize, &z[kk * d..][..d]);
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                    out[j] = best;
-                }
-            }
+            return (candidates.len() * self.quant_row_bytes()) as u64;
         }
-        out
+        // The panel lives in the request arena: recycled global buffers
+        // cost ~30% here in cache locality.
+        let panel = arena.alloc(PackedB::packed_len(self.dim, candidates.len()));
+        let bytes = std::mem::size_of_val(panel) as u64;
+        self.packed_scores(z, candidates, panel, arena, visit);
+        bytes
+    }
+
+    /// Exact f32 candidate scoring: packs the `candidates` rows straight
+    /// off the item table into `panel` (`PackedB::packed_len(d, c)` long,
+    /// stale contents are fine) and runs the fused pass over it. The same
+    /// values meet the same tile kernel as in exhaustive ranking, so the
+    /// scores are bit-identical to it and to the autograd `bmm(z, candᵀ)`
+    /// + strict-`>` max of `Mbmissl::score_against`.
+    fn packed_scores(
+        &self,
+        z: &[f32],
+        candidates: &[ItemId],
+        panel: &mut [f32],
+        arena: &Arena,
+        mut visit: impl FnMut(usize, &[f32]),
+    ) {
+        let packed = PackedB::pack_select_into(&self.item_table, self.dim, candidates, panel);
+        let cols = 0..candidates.len();
+        stream_max_scores(z, self.num_interests, packed, cols, arena, |_, j0, s| visit(j0, s));
+    }
+
+    /// Max-over-interest score of catalog row `item` for interests
+    /// `z [k, d]` through a quantized catalog table.
+    fn quant_score(&self, item: usize, z: &[f32]) -> f32 {
+        let dot = |zk: &[f32]| match &self.catalog {
+            CatalogTable::I8(q) => q.dot(item, zk),
+            CatalogTable::Bf16(q) => q.dot(item, zk),
+            CatalogTable::F32(_) => unreachable!("f32 catalogs take the fused pass"),
+        };
+        let strict_max = |best: f32, v: f32| if v > best { v } else { best };
+        z.chunks_exact(self.dim).map(dot).fold(f32::NEG_INFINITY, strict_max)
+    }
+
+    /// Bytes of one quantized catalog row.
+    fn quant_row_bytes(&self) -> usize {
+        match self.catalog {
+            CatalogTable::I8(_) => self.dim + std::mem::size_of::<f32>(),
+            _ => 2 * self.dim,
+        }
     }
 
     fn rent_arena(&self) -> Arena {
@@ -1176,10 +1253,10 @@ impl InferenceModel {
     /// Per query this is **bit-identical** to
     /// [`recommend_catalog`](SequentialRecommender::recommend_catalog)
     /// given the same interests (which itself delegates here): the
-    /// exhaustive f32 path runs one GEMM over all queries' interest rows,
-    /// and every output element of the packed GEMM accumulates
-    /// independently per row, so batching changes nothing. The ANN path
-    /// probes per query with arena-rented scratch.
+    /// exhaustive f32 path streams the catalog once for all queries'
+    /// interest rows, and every score accumulates independently per row,
+    /// so batching changes nothing. The ANN path probes per query with
+    /// arena-rented scratch.
     ///
     /// `nprobe_override` narrows the attached probe width for this batch
     /// (the serving latency-budget hook, `MBSSL_ANN_BUDGET_US`); `None`
@@ -1205,10 +1282,7 @@ impl InferenceModel {
         nprobe_override: Option<usize>,
         arena: &Arena,
     ) -> Vec<RankedQuery> {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        let (d, k, rows) = (self.dim, self.num_interests, self.item_rows);
+        let (d, k) = (self.dim, self.num_interests);
         assert!(
             num_items <= self.num_items,
             "catalog larger than the compiled item table"
@@ -1217,148 +1291,84 @@ impl InferenceModel {
         if queries.is_empty() {
             return Vec::new();
         }
-        let r = queries.len();
         let mut score_sp = telemetry::span("infer.score_catalog");
-        score_sp.add_bytes((r * k * rows * std::mem::size_of::<f32>()) as u64);
-        let ann_active = self.ann.as_ref().filter(|_| ann::enabled());
-        // With no index, exhaustive f32 scoring amortizes: one prepacked
-        // GEMM over all r*k interest rows instead of r separate ones.
-        // Each query then reads only its own k rows, which are
-        // bit-identical to a solo GEMM's.
-        let batch_scores: Option<&[f32]> = match (&self.catalog, ann_active) {
-            (CatalogTable::F32(packed), None) => {
-                let scores = arena.alloc(r * k * rows);
-                let scratch = arena.alloc(PackedB::SCRATCH_LEN);
-                kernels::gemm_nn_prepacked_scratch(z_all, packed, scores, r * k, scratch);
-                Some(scores)
-            }
-            _ => None,
-        };
-        let mut results = Vec::with_capacity(r);
-        for (qi, q) in queries.iter().enumerate() {
-            assert!(q.n > 0);
-            let z = &z_all[qi * k * d..][..k * d];
-            let mut heap: BinaryHeap<Reverse<RankKey>> = BinaryHeap::with_capacity(q.n + 1);
-            // Two-stage route: probe the attached index per interest and
-            // re-rank only the candidate union. If the probe retrieves
-            // fewer than `n` rankable items, fall through to exhaustive —
-            // an ANN result must never be shorter than the exhaustive one.
-            let mut used_ann = false;
-            if let Some(st) = ann_active {
-                let nlist = st.index.nlist();
-                let nprobe = nprobe_override.unwrap_or(st.nprobe).clamp(1, nlist);
-                let mut cands: Vec<ItemId> = Vec::new();
-                {
-                    let mut probe_sp = telemetry::span("index.probe");
-                    let cscores = arena.alloc(k * nlist);
-                    let cscratch = arena.alloc(PackedB::SCRATCH_LEN);
-                    st.index.probe_with(z, k, nprobe, cscores, cscratch, &mut cands);
-                    cands.retain(|id| *id as usize <= num_items && !q.exclude.contains(id));
-                    probe_sp.add_bytes((cands.len() * std::mem::size_of::<ItemId>()) as u64);
-                }
-                let rankable =
-                    num_items - q.exclude.iter().filter(|id| **id as usize <= num_items).count();
-                if cands.len() >= q.n.min(rankable) {
-                    let mut rerank_sp = telemetry::span("index.rerank");
-                    rerank_sp.add_bytes((cands.len() * d * std::mem::size_of::<f32>()) as u64);
-                    let scores = self.rerank_candidates(z, &cands, arena);
-                    for (&id, &s) in cands.iter().zip(scores.iter()) {
-                        push_top(&mut heap, q.n, id, s);
-                    }
-                    used_ann = true;
-                }
-            }
-            if !used_ann {
-                match (&self.catalog, batch_scores) {
-                    (CatalogTable::F32(_), Some(scores)) => {
-                        // One GEMM over the whole catalog (shared across
-                        // the batch above). Column v of the packed
-                        // transpose is item v's embedding, and each output
-                        // element accumulates independently, so these
-                        // scores are bit-identical to the chunked
-                        // reference.
-                        let mine = &scores[qi * k * rows..][..k * rows];
-                        for item in 1..=num_items {
-                            let id = item as ItemId;
-                            if q.exclude.contains(&id) {
-                                continue;
-                            }
-                            let mut best = f32::NEG_INFINITY;
-                            for kk in 0..k {
-                                let v = mine[kk * rows + item];
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                            push_top(&mut heap, q.n, id, best);
-                        }
-                    }
-                    (CatalogTable::F32(packed), None) => {
-                        // Short-probe fallback with an index attached:
-                        // score this query's interests exhaustively.
-                        let scores = arena.alloc(k * rows);
-                        let scratch = arena.alloc(PackedB::SCRATCH_LEN);
-                        kernels::gemm_nn_prepacked_scratch(z, packed, scores, k, scratch);
-                        for item in 1..=num_items {
-                            let id = item as ItemId;
-                            if q.exclude.contains(&id) {
-                                continue;
-                            }
-                            let mut best = f32::NEG_INFINITY;
-                            for kk in 0..k {
-                                let v = scores[kk * rows + item];
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                            push_top(&mut heap, q.n, id, best);
-                        }
-                    }
-                    (CatalogTable::I8(qt), _) => {
-                        for item in 1..=num_items {
-                            let id = item as ItemId;
-                            if q.exclude.contains(&id) {
-                                continue;
-                            }
-                            let mut best = f32::NEG_INFINITY;
-                            for kk in 0..k {
-                                let v = qt.dot(item, &z[kk * d..][..d]);
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                            push_top(&mut heap, q.n, id, best);
-                        }
-                    }
-                    (CatalogTable::Bf16(qt), _) => {
-                        for item in 1..=num_items {
-                            let id = item as ItemId;
-                            if q.exclude.contains(&id) {
-                                continue;
-                            }
-                            let mut best = f32::NEG_INFINITY;
-                            for kk in 0..k {
-                                let v = qt.dot(item, &z[kk * d..][..d]);
-                                if v > best {
-                                    best = v;
-                                }
-                            }
-                            push_top(&mut heap, q.n, id, best);
-                        }
+        let mut tops: Vec<TopN<'_>> = queries.iter().map(TopN::new).collect();
+        let mut used_ann = vec![false; queries.len()];
+        match self.ann.as_ref().filter(|_| ann::enabled()) {
+            // One fused pass over the catalog for the whole batch.
+            None => score_sp.add_bytes(self.rank_exhaustive(z_all, &mut tops, num_items, arena)),
+            Some(st) => {
+                let nprobe = nprobe_override.unwrap_or(st.nprobe).clamp(1, st.index.nlist());
+                for (qi, (z, top)) in z_all.chunks_exact(k * d).zip(&mut tops).enumerate() {
+                    used_ann[qi] = self.rank_by_probe(st, z, num_items, nprobe, top, arena);
+                    if !used_ann[qi] {
+                        let top = std::slice::from_mut(top);
+                        score_sp.add_bytes(self.rank_exhaustive(z, top, num_items, arena));
                     }
                 }
             }
-            let mut recs: Vec<Recommendation> = heap
-                .into_iter()
-                .map(|Reverse(key)| Recommendation {
-                    item: key.item,
-                    score: key.score,
-                })
-                .collect();
-            recs.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.item.cmp(&b.item)));
-            results.push(RankedQuery { recs, used_ann });
         }
-        results
+        let recs = tops.into_iter().map(TopN::into_sorted);
+        recs.zip(used_ann).map(|(recs, used_ann)| RankedQuery { recs, used_ann }).collect()
+    }
+
+    /// Ranks items `1..=num_items` into `tops`, one query per `k × d` block
+    /// of `z`, and returns the catalog bytes streamed.
+    fn rank_exhaustive(
+        &self,
+        z: &[f32],
+        tops: &mut [TopN<'_>],
+        num_items: usize,
+        arena: &Arena,
+    ) -> u64 {
+        let CatalogTable::F32(packed) = &self.catalog else {
+            for (z, top) in z.chunks_exact(self.num_interests * self.dim).zip(&mut *tops) {
+                for item in 1..=num_items {
+                    top.offer(item, &[self.quant_score(item, z)], |v| v as ItemId);
+                }
+            }
+            return (tops.len() * num_items * self.quant_row_bytes()) as u64;
+        };
+        // Column v of the packed transpose is item v's embedding.
+        let cols = 1..num_items + 1;
+        stream_max_scores(z, self.num_interests, packed.view(), cols, arena, |qi, v0, s| {
+            tops[qi].offer(v0, s, |v| v as ItemId)
+        });
+        (PackedB::packed_len(self.dim, num_items + 1) * std::mem::size_of::<f32>()) as u64
+    }
+
+    /// Two-stage route for one query: probe the attached index per
+    /// interest and re-rank only the candidate union into `top`. Returns
+    /// `false`, leaving `top` untouched, if the probe retrieves fewer than
+    /// `n` rankable items — an ANN result must never be shorter than the
+    /// exhaustive one.
+    fn rank_by_probe(
+        &self,
+        st: &AnnState,
+        z: &[f32],
+        num_items: usize,
+        nprobe: usize,
+        top: &mut TopN<'_>,
+        arena: &Arena,
+    ) -> bool {
+        let mut cands: Vec<ItemId> = Vec::new();
+        {
+            let mut probe_sp = telemetry::span("index.probe");
+            let cscores = arena.alloc(self.num_interests * st.index.nlist());
+            let cscratch = arena.alloc(PackedB::SCRATCH_LEN);
+            st.index.probe_with(z, self.num_interests, nprobe, cscores, cscratch, &mut cands);
+            cands.retain(|id| *id as usize <= num_items && !top.exclude.contains(id));
+            probe_sp.add_bytes((cands.len() * std::mem::size_of::<ItemId>()) as u64);
+        }
+        // Only ids in `1..=num_items` can shrink the rankable catalog.
+        let in_catalog = |id: &&ItemId| (1..=num_items).contains(&(**id as usize));
+        if cands.len() < top.n.min(num_items - top.exclude.iter().filter(in_catalog).count()) {
+            return false;
+        }
+        let mut rerank_sp = telemetry::span("index.rerank");
+        let bytes = self.candidate_scores(z, &cands, arena, |j0, s| top.offer(j0, s, |j| cands[j]));
+        rerank_sp.add_bytes(bytes);
+        true
     }
 }
 
@@ -1397,30 +1407,14 @@ impl SequentialRecommender for InferenceModel {
         let arena = self.rent_arena();
         {
             let (_batch, z) = self.interests_for(histories, &arena);
-            let (d, k) = (self.dim, self.num_interests);
-            let cand = arena.alloc(c * d);
-            let candt = arena.alloc(d * c);
-            let skc = arena.alloc(k * c);
-            for (bi, list) in candidates.iter().enumerate() {
-                for (j, &id) in list.iter().enumerate() {
-                    cand[j * d..][..d]
-                        .copy_from_slice(&self.item_table[id as usize * d..][..d]);
-                }
-                // Same bmm(z, candᵀ) + strict-> max over interests as
-                // `Mbmissl::score_against`.
-                kernels::transpose(cand, candt, c, d);
-                skc.fill(0.0);
-                kernels::gemm_nn(&z[bi * k * d..][..k * d], candt, skc, k, d, c);
-                for j in 0..c {
-                    let mut best = f32::NEG_INFINITY;
-                    for kk in 0..k {
-                        let v = skc[kk * c + j];
-                        if v > best {
-                            best = v;
-                        }
-                    }
-                    out[bi * c + j] = best;
-                }
+            let panel = arena.alloc(PackedB::packed_len(self.dim, c));
+            // Always the exact f32 table, whatever the catalog's QuantMode.
+            let kd = self.num_interests * self.dim;
+            let rows = z.chunks_exact(kd).zip(candidates).zip(out.chunks_exact_mut(c));
+            for ((zb, list), row) in rows {
+                self.packed_scores(zb, list, panel, &arena, |j, s| {
+                    row[j..][..s.len()].copy_from_slice(s)
+                });
             }
         }
         self.return_arena(arena);

@@ -252,6 +252,12 @@ pub fn recommend_top_n<R: SequentialRecommender + ?Sized>(
 /// The chunked `score_batch` top-n path, bypassing any compiled engine or
 /// catalog specialization. This is the parity reference for the engine's
 /// one-pass catalog ranking.
+///
+/// It is the naive oracle on purpose: exclusions are filtered up front and
+/// every other item is pushed and then popped off a bounded heap. It must
+/// stay independent of the engine's admission logic (threshold skipping,
+/// exclusion checked only on admission), so that a bug there cannot hide
+/// in both paths at once.
 pub fn recommend_top_n_reference<R: SequentialRecommender + ?Sized>(
     model: &R,
     history: &Sequence,

@@ -10,8 +10,8 @@
 //!    [`InferenceModel::encode_interests`],
 //! 3. **one catalog-ranking call** for the whole batch
 //!    ([`InferenceModel::rank_from_interests`]: single arena rental, one
-//!    fused GEMM on the exhaustive path, arena-scratch probes on the ANN
-//!    path),
+//!    fused score-and-select pass over the catalog on the exhaustive path,
+//!    arena-scratch probes on the ANN path),
 //! 4. the re-rank chain and the per-request response sends
 //!    (`serve.rerank` span).
 //!

@@ -424,6 +424,67 @@ pub fn gemm_nn_prepacked_scratch<'p>(
     gemm_nn_packed_panel_with(a, b.data, c, b.k, b.n, apack);
 }
 
+/// Scratch length (in f32s) [`gemm_nn_prepacked_strips`] needs for `m`
+/// rows of A with inner dimension `k`: the repacked A tiles plus one
+/// `m × NR` output block, both rounded up to whole MR-row tiles.
+pub fn strips_scratch_len(m: usize, k: usize) -> usize {
+    m.div_ceil(MR) * MR * (k + NR)
+}
+
+/// A(m×k) · B streamed one NR-wide column strip of the packed B at a
+/// time, for consumers that reduce each strip as soon as it exists (the
+/// inference engine's fused catalog top-n) instead of materialising the
+/// `m × n` product.
+///
+/// A is repacked once into MR-row tiles. Then, for each strip `s` in
+/// `strips`, every tile's MR×NR block is accumulated from zero over the
+/// KC blocks in ascending order through [`simd::gemm_tile`], and
+/// `visit(s, block)` receives the `m × NR` result (row-major; lanes past
+/// `n` are pad). Each real element is bit-identical to the same element
+/// of [`gemm_nn_prepacked_scratch`] into a zeroed C: the same tile
+/// kernel adds the same terms in the same order, and the zero-padded A
+/// rows and B lanes never touch a real element. Always sequential;
+/// `scratch` needs [`strips_scratch_len`]`(m, k)` elements (stale
+/// contents are fine).
+pub fn gemm_nn_prepacked_strips<'p>(
+    a: &[f32],
+    b: impl Into<PackedBView<'p>>,
+    m: usize,
+    strips: std::ops::Range<usize>,
+    scratch: &mut [f32],
+    mut visit: impl FnMut(usize, &[f32]),
+) {
+    let b = b.into();
+    let k = b.k;
+    debug_assert_eq!(a.len(), m * k);
+    let n_round = b.n.div_ceil(NR) * NR;
+    assert!(strips.end * NR <= n_round, "strip range past the packed B");
+    let tiles = m.div_ceil(MR);
+    let (apack, block) = scratch[..strips_scratch_len(m, k)].split_at_mut(tiles * MR * k);
+    // apack[t*MR*k + pc0*MR + p*MR + r] = A[t*MR + r][pc0 + p]: tile t's
+    // KC blocks back to back, each in the layout `microkernel` reads.
+    apack.fill(0.0);
+    for (i, row) in a.chunks_exact(k).enumerate() {
+        let tile = &mut apack[(i / MR) * MR * k..][..MR * k];
+        for (p, &v) in row.iter().enumerate() {
+            tile[p * MR + i % MR] = v;
+        }
+    }
+    let mut sp = telemetry::span("kernel.gemm_nn");
+    sp.add_bytes(4 * (m * k + strips.len() * NR * k + m * strips.len() * NR) as u64);
+    for s in strips {
+        for (t, acc) in block.chunks_exact_mut(MR * NR).enumerate() {
+            acc.fill(0.0);
+            for pc0 in (0..k).step_by(KC) {
+                let kc = KC.min(k - pc0);
+                let strip = &b.data[pc0 * n_round + s * kc * NR..][..kc * NR];
+                simd::gemm_tile(&apack[t * MR * k + pc0 * MR..], strip, acc, kc);
+            }
+        }
+        visit(s, &block[..m * NR]);
+    }
+}
+
 /// Packed driver for one row panel of [`gemm_nn`]:
 /// C(rows×n) += A(rows×k) · B, with B already packed by [`pack_b_panels`].
 /// A is repacked per (KC-block × MR-strip) into a small p-major buffer so

@@ -22,7 +22,11 @@
 #                             path, under MBSSL_INFER=off (the autograd
 #                             escape hatch must restore the old serving path
 #                             exactly), under MBSSL_SIMD=off (scalar
-#                             microkernels must not change a bit), and the
+#                             microkernels must not change a bit), the fused
+#                             catalog top-n suite (tests/catalog_topn.rs)
+#                             under MBSSL_SIMD=off and MBSSL_THREADS=1 (the
+#                             fused pass must match the naive oracle through
+#                             the scalar tile kernel too), and the
 #                             quantized-catalog drift gates under
 #                             MBSSL_QUANT=i8 and MBSSL_QUANT=bf16 (the
 #                             exact-parity top-n test is skipped there: a
@@ -156,6 +160,10 @@ MBSSL_INFER=off cargo test --release -p mbssl-core --test infer_parity -q
 echo "==> SIMD escape hatch (MBSSL_SIMD=off, scalar microkernels)"
 MBSSL_SIMD=off cargo test --release -p mbssl-tensor --test simd_parity -q
 MBSSL_SIMD=off cargo test --release -p mbssl-core --test infer_parity -q
+
+echo "==> fused catalog top-n (scalar tile kernel, single thread)"
+MBSSL_SIMD=off cargo test --release --test catalog_topn -q
+MBSSL_THREADS=1 cargo test --release --test catalog_topn -q
 
 # The exact-parity top-n test is skipped under ambient i8/bf16: a quantized
 # catalog intentionally reorders near-ties; the drift gate below bounds it.
