@@ -14,6 +14,10 @@
 //!   catalog ranking is **one** fused pass over all items — score, max
 //!   over interests and top-n admission per strip — instead of a
 //!   re-encoded forward per candidate chunk;
+//! - exhaustive ranking of a finite f32 table runs through an exact i8
+//!   screen ([`crate::screen`]): integer upper bounds skip the items that
+//!   cannot reach the top-n, and only the survivors are scored in f32, so
+//!   replies stay bit-identical while the pass reads 4× fewer bytes;
 //! - optionally the catalog scorer runs against an i8 (per-row scale) or
 //!   bf16 copy of the item table ([`QuantMode`], opt-in via
 //!   `MBSSL_QUANT`).
@@ -37,7 +41,9 @@
 //!
 //! Telemetry: compilation runs under `infer.pack`, each forward under
 //! `infer.forward`, and catalog ranking under `infer.score_catalog`
-//! (nested in the usual `serve.top_n`).
+//! (nested in the usual `serve.top_n`). The counters
+//! `infer.screen_survivors` and `infer.screen_fallbacks` count the items
+//! the screen leaves to exact scoring and the queries it cannot take.
 //!
 //! # Two-stage retrieval
 //!
@@ -70,6 +76,7 @@ use crate::encoder::Backbone;
 use crate::interest::InterestExtractor;
 use crate::model::Mbmissl;
 use crate::recommender::{RankKey, Recommendation, SequentialRecommender};
+use crate::screen::CatalogScreen;
 use crate::trainer::TrainableRecommender;
 
 /// The value masked-out attention logits are filled with, matching the
@@ -170,6 +177,16 @@ impl Arena {
         // previously returned overflow slices stay valid.
         unsafe { (*self.overflow.get()).push(boxed) };
         unsafe { std::slice::from_raw_parts_mut(ptr, n) }
+    }
+
+    /// [`Arena::alloc`] as `n` zeroed i32 words, for integer scratch.
+    #[allow(clippy::mut_from_ref)] // bump arena: disjoint windows per call
+    pub fn alloc_i32(&self, n: usize) -> &mut [i32] {
+        let words = self.alloc(n);
+        // SAFETY: f32 and i32 share size and alignment, every bit pattern
+        // is a valid i32, and `+0.0` is all-zero bits; the window is
+        // exclusively ours until the next reset, as in `alloc`.
+        unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<i32>(), n) }
     }
 
     /// Invalidates all outstanding allocations (enforced by `&mut self`)
@@ -664,10 +681,13 @@ impl ExtractorWeights {
 }
 
 /// The catalog-scoring table: the f32 item table pre-transposed and
-/// packed for the fused catalog pass, or a quantized copy scored by row
-/// dots.
+/// packed for the fused catalog pass, with the exact i8 screen of a finite
+/// table, or a quantized copy scored by row dots.
 enum CatalogTable {
-    F32(PackedB),
+    F32 {
+        packed: PackedB,
+        screen: Option<CatalogScreen>,
+    },
     I8(QuantizedRows),
     Bf16(Bf16Rows),
 }
@@ -786,6 +806,25 @@ fn stream_max_scores(
             visit(qi, j0 + lanes.start, &best[lanes.clone()]);
         }
     });
+}
+
+/// Item `row`'s max-over-interests score for interests `z` (`k × d`) by
+/// the tile kernel's arithmetic: per interest from +0.0 in ascending p,
+/// each term a separate mul then add, zero interest entries skipped; then
+/// a strict-`>` max in interest order. Bit-identical to the score the
+/// fused pass gives the same item.
+fn exact_score(z: &[f32], row: &[f32]) -> f32 {
+    let dot = |zk: &[f32]| {
+        let mut acc = 0.0f32;
+        for (&a, &b) in zk.iter().zip(row) {
+            if a != 0.0 {
+                acc += a * b;
+            }
+        }
+        acc
+    };
+    let strict_max = |best: f32, s: f32| if s > best { s } else { best };
+    z.chunks_exact(row.len()).map(dot).fold(f32::NEG_INFINITY, strict_max)
 }
 
 /// An immutable, graph-free compilation of a trained [`Mbmissl`].
@@ -936,7 +975,10 @@ impl InferenceModel {
             QuantMode::Off => {
                 let mut t = vec![0.0f32; item_table.len()];
                 kernels::transpose(&item_table, &mut t, item_rows, dim);
-                CatalogTable::F32(PackedB::pack(&t, dim, item_rows))
+                CatalogTable::F32 {
+                    packed: PackedB::pack(&t, dim, item_rows),
+                    screen: CatalogScreen::build(&item_table, dim),
+                }
             }
             QuantMode::I8 => CatalogTable::I8(QuantizedRows::quantize(
                 &item_table,
@@ -950,8 +992,16 @@ impl InferenceModel {
         let l = config.max_seq_len;
         // Loose serving-shape (B=1) estimate; the arena self-sizes to the
         // true high-water mark after the first request anyway.
-        let arena_capacity =
-            32 * l * dim * (config.num_layers + 1) + 8 * PackedB::SCRATCH_LEN + 1024;
+        let screen_scratch = match &catalog {
+            CatalogTable::F32 {
+                screen: Some(s), ..
+            } => s.query_len(k) + CatalogScreen::acc_len(k) + CatalogScreen::BOUNDS_LEN,
+            _ => 0,
+        };
+        let arena_capacity = 32 * l * dim * (config.num_layers + 1)
+            + 8 * PackedB::SCRATCH_LEN
+            + screen_scratch
+            + 1024;
 
         let name = format!(
             "MBMISSL-infer(dim={}, K={}, {:?}, {:?}, quant={:?})",
@@ -1060,7 +1110,7 @@ impl InferenceModel {
         arena: &Arena,
         mut visit: impl FnMut(usize, &[f32]),
     ) -> u64 {
-        if !matches!(self.catalog, CatalogTable::F32(_)) {
+        if !matches!(self.catalog, CatalogTable::F32 { .. }) {
             for (j, &id) in candidates.iter().enumerate() {
                 visit(j, &[self.quant_score(id as usize, z)]);
             }
@@ -1099,7 +1149,7 @@ impl InferenceModel {
         let dot = |zk: &[f32]| match &self.catalog {
             CatalogTable::I8(q) => q.dot(item, zk),
             CatalogTable::Bf16(q) => q.dot(item, zk),
-            CatalogTable::F32(_) => unreachable!("f32 catalogs take the fused pass"),
+            CatalogTable::F32 { .. } => unreachable!("f32 catalogs take the fused pass"),
         };
         let strict_max = |best: f32, v: f32| if v > best { v } else { best };
         z.chunks_exact(self.dim).map(dot).fold(f32::NEG_INFINITY, strict_max)
@@ -1253,10 +1303,10 @@ impl InferenceModel {
     /// Per query this is **bit-identical** to
     /// [`recommend_catalog`](SequentialRecommender::recommend_catalog)
     /// given the same interests (which itself delegates here): the
-    /// exhaustive f32 path streams the catalog once for all queries'
-    /// interest rows, and every score accumulates independently per row,
-    /// so batching changes nothing. The ANN path probes per query with
-    /// arena-rented scratch.
+    /// exhaustive f32 path screens the catalog query by query (or, without
+    /// a screen, streams it once for all queries' interest rows), and
+    /// every score accumulates independently per row, so batching changes
+    /// nothing. The ANN path probes per query with arena-rented scratch.
     ///
     /// `nprobe_override` narrows the attached probe width for this batch
     /// (the serving latency-budget hook, `MBSSL_ANN_BUDGET_US`); `None`
@@ -1295,7 +1345,7 @@ impl InferenceModel {
         let mut tops: Vec<TopN<'_>> = queries.iter().map(TopN::new).collect();
         let mut used_ann = vec![false; queries.len()];
         match self.ann.as_ref().filter(|_| ann::enabled()) {
-            // One fused pass over the catalog for the whole batch.
+            // One exhaustive call for the whole batch.
             None => score_sp.add_bytes(self.rank_exhaustive(z_all, &mut tops, num_items, arena)),
             Some(st) => {
                 let nprobe = nprobe_override.unwrap_or(st.nprobe).clamp(1, st.index.nlist());
@@ -1313,7 +1363,9 @@ impl InferenceModel {
     }
 
     /// Ranks items `1..=num_items` into `tops`, one query per `k × d` block
-    /// of `z`, and returns the catalog bytes streamed.
+    /// of `z`, and returns the catalog bytes read. An f32 catalog with a
+    /// screen ranks each query through it; a query the screen cannot take,
+    /// or a catalog without one, takes the fused pass.
     fn rank_exhaustive(
         &self,
         z: &[f32],
@@ -1321,14 +1373,84 @@ impl InferenceModel {
         num_items: usize,
         arena: &Arena,
     ) -> u64 {
-        let CatalogTable::F32(packed) = &self.catalog else {
-            for (z, top) in z.chunks_exact(self.num_interests * self.dim).zip(&mut *tops) {
-                for item in 1..=num_items {
-                    top.offer(item, &[self.quant_score(item, z)], |v| v as ItemId);
+        let kd = self.num_interests * self.dim;
+        let (packed, screen) = match &self.catalog {
+            CatalogTable::F32 { packed, screen } => (packed, screen),
+            _ => {
+                for (z, top) in z.chunks_exact(kd).zip(&mut *tops) {
+                    for item in 1..=num_items {
+                        top.offer(item, &[self.quant_score(item, z)], |v| v as ItemId);
+                    }
                 }
+                return (tops.len() * num_items * self.quant_row_bytes()) as u64;
             }
-            return (tops.len() * num_items * self.quant_row_bytes()) as u64;
         };
+        let Some(screen) = screen else {
+            telemetry::counter_add("infer.screen_fallbacks", tops.len() as u64);
+            return self.rank_fused(z, tops, packed, num_items, arena);
+        };
+        let acc = arena.alloc_i32(CatalogScreen::acc_len(self.num_interests));
+        let ub = arena.alloc(CatalogScreen::BOUNDS_LEN);
+        let mut bytes = 0;
+        for (z, top) in z.chunks_exact(kd).zip(tops) {
+            bytes += match screen.prepare(z, arena) {
+                Some(query) => {
+                    let mut survivors = 0;
+                    let read = screen.scan(&query, num_items + 1, acc, ub, |row0, ub| {
+                        survivors += self.admit_survivors(z, row0, ub, top, num_items);
+                    });
+                    telemetry::counter_add("infer.screen_survivors", survivors);
+                    read + survivors * (self.dim * std::mem::size_of::<f32>()) as u64
+                }
+                None => {
+                    telemetry::counter_add("infer.screen_fallbacks", 1);
+                    self.rank_fused(z, std::slice::from_mut(top), packed, num_items, arena)
+                }
+            };
+        }
+        bytes
+    }
+
+    /// One screen block (DESIGN.md §13): item `row0 + j` is skipped iff its
+    /// upper bound `ub[j]` lies strictly below the heap's n-th best exact
+    /// score, so `TopN::offer` would reject it anyway (NaN never skips);
+    /// every other item of `1..=num_items` is scored exactly and offered.
+    /// Returns how many were scored.
+    #[inline]
+    fn admit_survivors(
+        &self,
+        z: &[f32],
+        row0: usize,
+        ub: &[f32],
+        top: &mut TopN<'_>,
+        num_items: usize,
+    ) -> u64 {
+        if ub.iter().fold(true, |below, &u| below & (u < top.floor)) {
+            return 0;
+        }
+        let mut scored = 0;
+        for (v, &u) in (row0..).zip(ub) {
+            if u < top.floor || v == 0 || v > num_items {
+                continue;
+            }
+            scored += 1;
+            let score = exact_score(z, &self.item_table[v * self.dim..][..self.dim]);
+            top.offer(v, &[score], |v| v as ItemId);
+        }
+        scored
+    }
+
+    /// The fused f32 pass over items `1..=num_items` for the queries of
+    /// `z` (the catalog is streamed once for all of them); returns the
+    /// catalog bytes streamed.
+    fn rank_fused(
+        &self,
+        z: &[f32],
+        tops: &mut [TopN<'_>],
+        packed: &PackedB,
+        num_items: usize,
+        arena: &Arena,
+    ) -> u64 {
         // Column v of the packed transpose is item v's embedding.
         let cols = 1..num_items + 1;
         stream_max_scores(z, self.num_interests, packed.view(), cols, arena, |qi, v0, s| {

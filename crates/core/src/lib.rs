@@ -15,6 +15,8 @@
 //!   leave-one-out evaluator every model in the workspace runs through;
 //! - [`infer`]: the graph-free serving engine ([`infer::InferenceModel`])
 //!   `evaluate` / `recommend_top_n` compile trained models into;
+//! - [`screen`]: the exact i8 screen that lets exhaustive ranking skip
+//!   the items whose integer upper bound cannot reach the top-n;
 //! - [`ann`]: the IVF-Flat approximate-retrieval index ([`ann::IvfIndex`])
 //!   that turns full-catalog ranking into retrieve-then-rerank;
 //! - [`serve`]: the micro-batched online serving engine (`mbssl serve`)
@@ -34,6 +36,7 @@ pub mod interest;
 pub mod ledger;
 pub mod model;
 pub mod recommender;
+pub mod screen;
 pub mod serve;
 pub mod ssl;
 pub mod trainer;

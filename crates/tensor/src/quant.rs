@@ -10,6 +10,13 @@
 //! unless it is set. Accuracy is guarded by an HR@K/NDCG@K drift gate
 //! (tolerance `MBSSL_QUANT_TOL`) rather than bit-equality.
 //!
+//! The default exact path reads fewer bytes too, without changing a reply
+//! bit: the engine keeps an i8 copy of the f32 catalog in this scheme as
+//! an *exact screen* (`mbssl_core::screen`, DESIGN.md §13). Integer dots
+//! give each item an upper bound on its exact f32 score; only items whose
+//! bound can reach the top-n are scored in f32. The `MBSSL_QUANT` modes
+//! below stay what they were: lossy and opt-in.
+//!
 //! ## i8 scheme
 //!
 //! Per row `r`: `scale_r = max_abs(row) / 127`, `q = round(w / scale_r)`
@@ -64,6 +71,35 @@ pub fn drift_tol() -> f64 {
     })
 }
 
+/// Quantizes one row by the i8 scheme above into `codes` and returns its
+/// scale (`0` for an all-zero row, whose codes are all zero).
+pub fn quantize_row(row: &[f32], codes: &mut [i8]) -> f32 {
+    debug_assert_eq!(row.len(), codes.len());
+    let max_abs = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
+    if max_abs == 0.0 {
+        codes.fill(0);
+        return 0.0;
+    }
+    let scale = max_abs / 127.0;
+    for (q, &v) in codes.iter_mut().zip(row) {
+        *q = round_code(v / scale);
+    }
+    scale
+}
+
+/// `x.round().clamp(-127.0, 127.0) as i8` (half away from zero, NaN → 0)
+/// without a libm call: `|x| + 0.5` is exact in f64, so truncating it
+/// rounds the magnitude.
+#[inline]
+pub fn round_code(x: f32) -> i8 {
+    let magnitude = ((x.abs() as f64 + 0.5) as i64).min(127) as i8;
+    if x < 0.0 {
+        -magnitude
+    } else {
+        magnitude
+    }
+}
+
 /// An f32 row-major matrix quantized to i8 with one scale per row.
 pub struct QuantizedRows {
     data: Vec<i8>,
@@ -77,19 +113,11 @@ impl QuantizedRows {
     pub fn quantize(w: &[f32], rows: usize, cols: usize) -> QuantizedRows {
         assert_eq!(w.len(), rows * cols, "quantize shape mismatch");
         let mut data = vec![0i8; rows * cols];
-        let mut scales = vec![0.0f32; rows];
-        for r in 0..rows {
-            let row = &w[r * cols..(r + 1) * cols];
-            let max_abs = row.iter().fold(0.0f32, |m, &v| m.max(v.abs()));
-            if max_abs == 0.0 {
-                continue; // scale 0, all-zero codes
-            }
-            let scale = max_abs / 127.0;
-            scales[r] = scale;
-            for (q, &v) in data[r * cols..(r + 1) * cols].iter_mut().zip(row.iter()) {
-                *q = (v / scale).round().clamp(-127.0, 127.0) as i8;
-            }
-        }
+        let scales = w
+            .chunks_exact(cols)
+            .zip(data.chunks_exact_mut(cols))
+            .map(|(row, codes)| quantize_row(row, codes))
+            .collect();
         QuantizedRows {
             data,
             scales,
@@ -208,6 +236,19 @@ mod tests {
                     (orig - dec).abs() <= bound,
                     "row {r} col {j}: |{orig} - {dec}| > {bound}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn round_code_matches_round_then_clamp() {
+        let halfway = [0.5f32, 1.5, 2.5, 126.5, 127.5, 0.49999997, 0.50000006];
+        let edges = [0.0f32, -0.0, 3.7, 127.0, 128.0, 1e30, f32::INFINITY, f32::NAN];
+        let steps = (0..4000).map(|i| i as f32 * 0.0625 - 125.0);
+        for x in halfway.into_iter().chain(edges).chain(steps) {
+            for x in [x, -x] {
+                let want = x.round().clamp(-127.0, 127.0) as i8;
+                assert_eq!(round_code(x), want, "{x}");
             }
         }
     }

@@ -27,6 +27,12 @@
 //! `tests/simd_parity.rs` pins the contract with proptests; the kernels are
 //! public so the tests can drive both variants directly regardless of the
 //! ambient `MBSSL_SIMD` setting.
+//!
+//! The two kernels of the exact catalog screen (DESIGN.md §13) have
+//! AVX-512 variants under the same gate: [`screen_dots`] is exact i32
+//! arithmetic, and [`screen_bounds`] runs the same IEEE operations per
+//! lane as its scalar twin, so both agree to the bit.
+//! `tests/catalog_screen.rs` at the workspace root checks them.
 
 use std::sync::OnceLock;
 
@@ -312,6 +318,233 @@ pub unsafe fn pack_strip_avx2(rows: &[&[f32]; NR], kc: usize, dst: &mut [f32]) {
         for (jj, row) in rows.iter().enumerate() {
             *dst.get_unchecked_mut(p * NR + jj) = *row.get_unchecked(p);
         }
+    }
+}
+
+/// Items per block of the exact catalog screen: one i32 lane each of a
+/// 512-bit accumulator.
+pub const SCREEN_LANES: usize = 16;
+/// Bytes of one screen group: [`SCREEN_LANES`] items × 4 dims of u8 codes,
+/// the `vpdpbusd` operand shape.
+pub const SCREEN_GROUP_BYTES: usize = 4 * SCREEN_LANES;
+
+/// Whether the CPU supports the AVX-512 VNNI screen kernels (independent
+/// of the `MBSSL_SIMD` gate). Always `false` off x86-64.
+pub fn vnni_available() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        static AVAILABLE: OnceLock<bool> = OnceLock::new();
+        *AVAILABLE.get_or_init(|| {
+            std::arch::is_x86_feature_detected!("avx512f")
+                && std::arch::is_x86_feature_detected!("avx512vnni")
+        })
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Whether the screen kernels run their VNNI variants: enabled by the env
+/// gate *and* supported by the CPU. Cached.
+pub fn vnni_active() -> bool {
+    static ACTIVE: OnceLock<bool> = OnceLock::new();
+    *ACTIVE.get_or_init(|| enabled() && vnni_available())
+}
+
+/// Integer dots of the exact catalog screen over a run of blocks.
+///
+/// `blocks` holds whole blocks of `groups = words.len() / k` groups of
+/// [`SCREEN_GROUP_BYTES`]: in group `g` of a block, bytes `4j..4j+4` are
+/// item `j`'s u8 codes for dims `4g..4g+4`. `words` holds `k` queries ×
+/// `groups` words, each packing four i8 codes little-endian (dim `4g + m`
+/// in byte `m`). Writes `acc[(b·k + kk)·16 + j] = Σ_g Σ_m u8 · i8` for
+/// block `b`, query row `kk` and item lane `j`, wrapping on i32 overflow
+/// like `vpdpbusd`. Integer arithmetic is exact, so the VNNI and portable
+/// kernels agree to the bit. Dispatches to VNNI when [`vnni_active`].
+#[inline]
+pub fn screen_dots(words: &[i32], blocks: &[u8], k: usize, acc: &mut [i32]) {
+    #[cfg(target_arch = "x86_64")]
+    if vnni_active() {
+        // SAFETY: `vnni_active()` implies AVX-512F and VNNI were detected.
+        unsafe { screen_dots_vnni(words, blocks, k, acc) };
+        return;
+    }
+    screen_dots_scalar(words, blocks, k, acc);
+}
+
+/// Portable reference for [`screen_dots`].
+pub fn screen_dots_scalar(words: &[i32], blocks: &[u8], k: usize, acc: &mut [i32]) {
+    let groups = words.len() / k;
+    let block_len = groups * SCREEN_GROUP_BYTES;
+    assert!(
+        acc.len() >= blocks.len() / block_len * k * SCREEN_LANES,
+        "acc too small"
+    );
+    for (b, block) in blocks.chunks_exact(block_len).enumerate() {
+        for (kk, row) in words.chunks_exact(groups).enumerate() {
+            let mut lanes = [0i32; SCREEN_LANES];
+            for (&word, group) in row.iter().zip(block.chunks_exact(SCREEN_GROUP_BYTES)) {
+                let p = word.to_le_bytes().map(|c| c as i8 as i32);
+                for (lane, item) in lanes.iter_mut().zip(group.chunks_exact(4)) {
+                    let dot: i32 = (0..4).map(|m| item[m] as i32 * p[m]).sum();
+                    *lane = lane.wrapping_add(dot);
+                }
+            }
+            acc[(b * k + kk) * SCREEN_LANES..][..SCREEN_LANES].copy_from_slice(&lanes);
+        }
+    }
+}
+
+/// AVX-512 VNNI variant of [`screen_dots`]: each group is loaded once and
+/// meets up to four query rows, one `vpdpbusd` each (the query word rides
+/// along as an embedded broadcast), so four accumulator chains are in
+/// flight.
+///
+/// # Safety
+/// The CPU must support AVX-512F and AVX-512 VNNI (check
+/// [`vnni_available`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+pub unsafe fn screen_dots_vnni(words: &[i32], blocks: &[u8], k: usize, acc: &mut [i32]) {
+    let groups = words.len() / k;
+    let block_len = groups * SCREEN_GROUP_BYTES;
+    let nb = blocks.len() / block_len;
+    assert!(acc.len() >= nb * k * SCREEN_LANES, "acc too small");
+    for b in 0..nb {
+        let block = blocks.as_ptr().add(b * block_len);
+        let mut kk = 0;
+        while kk < k {
+            let rows = words.as_ptr().add(kk * groups);
+            let out = acc.as_mut_ptr().add((b * k + kk) * SCREEN_LANES);
+            kk += match k - kk {
+                1 => screen_block_vnni::<1>(rows, groups, block, out),
+                2 => screen_block_vnni::<2>(rows, groups, block, out),
+                3 => screen_block_vnni::<3>(rows, groups, block, out),
+                _ => screen_block_vnni::<4>(rows, groups, block, out),
+            };
+        }
+    }
+}
+
+/// `N` query rows of [`screen_dots_vnni`] against one block; returns `N`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx512vnni")]
+#[inline]
+unsafe fn screen_block_vnni<const N: usize>(
+    rows: *const i32,
+    groups: usize,
+    block: *const u8,
+    out: *mut i32,
+) -> usize {
+    use std::arch::x86_64::*;
+    let mut lanes = [_mm512_setzero_si512(); N];
+    for g in 0..groups {
+        let items = _mm512_loadu_si512(block.add(g * SCREEN_GROUP_BYTES) as *const _);
+        for (n, lane) in lanes.iter_mut().enumerate() {
+            let p = _mm512_set1_epi32(*rows.add(n * groups + g));
+            *lane = _mm512_dpbusd_epi32(*lane, items, p);
+        }
+    }
+    for (n, lane) in lanes.iter().enumerate() {
+        _mm512_storeu_si512(out.add(n * SCREEN_LANES) as *mut _, *lane);
+    }
+    N
+}
+
+/// Upper bounds of the exact catalog screen from [`screen_dots`]'
+/// accumulators: for block `b` and item lane `j`,
+///
+/// `ub[b·16 + j] = max_kk fl(fl(fl(acc − offset[kk]) · scale[b·16 + j]) ·
+/// t[kk]) + slack[kk])`
+///
+/// with `acc = acc[(b·k + kk)·16 + j]`, the i32 subtraction wrapping, and
+/// a strict-`>` max from `-inf` in ascending `kk`. Each lane is the same
+/// sequence of individually rounded IEEE operations in both variants (no
+/// FMA), so they agree to the bit. Dispatches to AVX-512 when
+/// [`vnni_active`].
+#[inline]
+pub fn screen_bounds(
+    acc: &[i32],
+    offset: &[i32],
+    t: &[f32],
+    slack: &[f32],
+    scale: &[f32],
+    ub: &mut [f32],
+) {
+    #[cfg(target_arch = "x86_64")]
+    if vnni_active() {
+        // SAFETY: `vnni_active()` implies AVX-512F was detected.
+        unsafe { screen_bounds_avx512(acc, offset, t, slack, scale, ub) };
+        return;
+    }
+    screen_bounds_scalar(acc, offset, t, slack, scale, ub);
+}
+
+/// Portable reference for [`screen_bounds`].
+pub fn screen_bounds_scalar(
+    acc: &[i32],
+    offset: &[i32],
+    t: &[f32],
+    slack: &[f32],
+    scale: &[f32],
+    ub: &mut [f32],
+) {
+    let k = offset.len();
+    assert!(
+        acc.len() >= ub.len() * k && scale.len() >= ub.len(),
+        "screen_bounds shapes"
+    );
+    for (b, out) in ub.chunks_exact_mut(SCREEN_LANES).enumerate() {
+        let scale = &scale[b * SCREEN_LANES..][..SCREEN_LANES];
+        out.fill(f32::NEG_INFINITY);
+        for kk in 0..k {
+            let lanes = &acc[(b * k + kk) * SCREEN_LANES..][..SCREEN_LANES];
+            for j in 0..SCREEN_LANES {
+                let x = (lanes[j].wrapping_sub(offset[kk]) as f32 * scale[j]) * t[kk] + slack[kk];
+                if x > out[j] {
+                    out[j] = x;
+                }
+            }
+        }
+    }
+}
+
+/// AVX-512 variant of [`screen_bounds`]: one `__m512` per block and query
+/// row; `max(x, ub)` keeps `ub` unless `x > ub`, the scalar strict max.
+///
+/// # Safety
+/// The CPU must support AVX-512F (check [`vnni_available`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+pub unsafe fn screen_bounds_avx512(
+    acc: &[i32],
+    offset: &[i32],
+    t: &[f32],
+    slack: &[f32],
+    scale: &[f32],
+    ub: &mut [f32],
+) {
+    use std::arch::x86_64::*;
+    let k = offset.len();
+    assert!(
+        acc.len() >= ub.len() * k && scale.len() >= ub.len(),
+        "screen_bounds shapes"
+    );
+    for b in 0..ub.len() / SCREEN_LANES {
+        let s = _mm512_loadu_ps(scale.as_ptr().add(b * SCREEN_LANES));
+        let mut best = _mm512_set1_ps(f32::NEG_INFINITY);
+        for kk in 0..k {
+            let a = _mm512_loadu_si512(acc.as_ptr().add((b * k + kk) * SCREEN_LANES) as *const _);
+            let a = _mm512_sub_epi32(a, _mm512_set1_epi32(offset[kk]));
+            let x = _mm512_mul_ps(_mm512_cvtepi32_ps(a), s);
+            let x = _mm512_add_ps(
+                _mm512_mul_ps(x, _mm512_set1_ps(t[kk])),
+                _mm512_set1_ps(slack[kk]),
+            );
+            best = _mm512_max_ps(x, best);
+        }
+        _mm512_storeu_ps(ub.as_mut_ptr().add(b * SCREEN_LANES), best);
     }
 }
 

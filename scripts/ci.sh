@@ -23,15 +23,21 @@
 #                             escape hatch must restore the old serving path
 #                             exactly), under MBSSL_SIMD=off (scalar
 #                             microkernels must not change a bit), the fused
-#                             catalog top-n suite (tests/catalog_topn.rs)
-#                             under MBSSL_SIMD=off and MBSSL_THREADS=1 (the
-#                             fused pass must match the naive oracle through
-#                             the scalar tile kernel too), and the
+#                             catalog top-n suite (tests/catalog_topn.rs) and
+#                             the exact i8 screen suite
+#                             (tests/catalog_screen.rs) under MBSSL_SIMD=off
+#                             and MBSSL_THREADS=1 (the fused pass and the
+#                             screened pass must match the naive oracle
+#                             through the scalar tile kernel and the portable
+#                             screen kernels too), and the
 #                             quantized-catalog drift gates under
 #                             MBSSL_QUANT=i8 and MBSSL_QUANT=bf16 (the
 #                             exact-parity top-n test is skipped there: a
 #                             quantized catalog is *supposed* to differ from
-#                             the f32 reference within tol), and the
+#                             the f32 reference within tol; the two-stage
+#                             retrieval suite also runs under MBSSL_QUANT=i8,
+#                             its tie-break parity compiling the exact
+#                             catalog explicitly), and the
 #                             two-stage retrieval suite (recall gate +
 #                             serialization rejection + tie-break parity)
 #                             under ambient ANN and MBSSL_ANN=off. The
@@ -161,15 +167,18 @@ echo "==> SIMD escape hatch (MBSSL_SIMD=off, scalar microkernels)"
 MBSSL_SIMD=off cargo test --release -p mbssl-tensor --test simd_parity -q
 MBSSL_SIMD=off cargo test --release -p mbssl-core --test infer_parity -q
 
-echo "==> fused catalog top-n (scalar tile kernel, single thread)"
+echo "==> fused catalog top-n and exact screen (scalar/portable kernels, single thread)"
 MBSSL_SIMD=off cargo test --release --test catalog_topn -q
 MBSSL_THREADS=1 cargo test --release --test catalog_topn -q
+MBSSL_SIMD=off cargo test --release --test catalog_screen -q
+MBSSL_THREADS=1 cargo test --release --test catalog_screen -q
 
 # The exact-parity top-n test is skipped under ambient i8/bf16: a quantized
 # catalog intentionally reorders near-ties; the drift gate below bounds it.
 echo "==> quantized catalog drift gate (MBSSL_QUANT=i8)"
 MBSSL_QUANT=i8 cargo test --release -p mbssl-core --test infer_parity -q \
     -- --skip engine_top_n_matches_chunked_reference_exactly
+MBSSL_QUANT=i8 cargo test --release -p mbssl-core --test ann -q
 
 echo "==> quantized catalog drift gate (MBSSL_QUANT=bf16)"
 MBSSL_QUANT=bf16 cargo test --release -p mbssl-core --test infer_parity -q \
