@@ -7,8 +7,11 @@
 //! serving scores each interest vector against the `nlist` centroids,
 //! probes the top `nprobe` lists per interest (union across interests —
 //! items live in exactly one list, so the union never duplicates), and
-//! hands the resulting candidate set to the inference engine's gather-based
-//! re-ranker ([`crate::infer::InferenceModel::score_candidates`]).
+//! hands the probed lists to the inference engine's re-ranker. An engine
+//! with an exact i8 screen keeps it in list order and screens only the
+//! probed lists' blocks; a quantized catalog, or a query the screen cannot
+//! take, gathers the lists' items and scores them like
+//! [`crate::infer::InferenceModel::score_candidates`].
 //!
 //! - **Build** is deterministic for a given `(table, nlist, seed)` at any
 //!   worker-pool size: Lloyd iterations assign items in parallel pool
@@ -157,6 +160,21 @@ pub struct IndexStats {
     pub imbalance: f64,
     /// Serialized size in bytes (header + centroids + lists).
     pub bytes: usize,
+}
+
+/// Caller scratch for [`IvfIndex::probe_lists`]; what the slices hold on
+/// entry does not matter.
+pub struct ProbeScratch<'a> {
+    /// At least `k · nlist` centroid scores.
+    pub scores: &'a mut [f32],
+    /// At least [`PackedB::SCRATCH_LEN`] GEMM scratch.
+    pub gemm: &'a mut [f32],
+    /// At least `nlist` words: one interest's list ranks.
+    pub order: &'a mut [u32],
+    /// At least `nlist` words: which lists are probed.
+    pub probed: &'a mut [u32],
+    /// At least `nlist` words: the probed list ids.
+    pub lists: &'a mut [u32],
 }
 
 /// An IVF-Flat index over an item-embedding table.
@@ -358,27 +376,30 @@ impl IvfIndex {
         }
     }
 
+    /// The ids of list `c`, ascending.
+    pub fn list(&self, c: usize) -> &[ItemId] {
+        &self.lists[c]
+    }
+
     /// Scores `interests` (`k × dim` row-major) against the centroids,
     /// probes the top `nprobe` lists per interest (centroid-score ties
     /// break toward the lower list id), and appends the union of their
     /// items to `out`. Each item is emitted at most once (lists are
     /// disjoint and re-probes are skipped), ascending within a list.
     ///
-    /// Allocates its own GEMM buffers per call; hot serving paths use
-    /// [`probe_with`](IvfIndex::probe_with) with arena-rented scratch
-    /// instead.
+    /// Allocates its buffers per call; the inference engine probes through
+    /// [`probe_lists`](IvfIndex::probe_lists) with arena-rented scratch.
     pub fn probe_into(&self, interests: &[f32], k: usize, nprobe: usize, out: &mut Vec<ItemId>) {
         let mut scores = vec![0.0f32; k * self.lists.len()];
         let mut scratch = vec![0.0f32; PackedB::SCRATCH_LEN];
         self.probe_with(interests, k, nprobe, &mut scores, &mut scratch, out);
     }
 
-    /// Scratch-taking variant of [`probe_into`](IvfIndex::probe_into):
-    /// `scores` must hold at least `k * nlist` f32s and `scratch` at least
-    /// [`PackedB::SCRATCH_LEN`]; both are overwritten. The inference
-    /// engine rents them from the per-request arena so steady-state
-    /// probing does zero tensor-buffer allocation. Output is identical to
-    /// `probe_into` (which delegates here).
+    /// [`probe_into`](IvfIndex::probe_into) with caller scratch: `scores`
+    /// must hold at least `k * nlist` f32s and `scratch` at least
+    /// [`PackedB::SCRATCH_LEN`]; both are overwritten. It still allocates
+    /// three `nlist`-word buffers for [`probe_lists`](IvfIndex::probe_lists).
+    /// Output is identical to `probe_into` (which delegates here).
     pub fn probe_with(
         &self,
         interests: &[f32],
@@ -388,8 +409,33 @@ impl IvfIndex {
         scratch: &mut [f32],
         out: &mut Vec<ItemId>,
     ) {
+        let nlist = self.lists.len();
+        let mut words = vec![0u32; 3 * nlist];
+        let (order, rest) = words.split_at_mut(nlist);
+        let (probed, lists) = rest.split_at_mut(nlist);
+        let mut probe = ProbeScratch { scores, gemm: scratch, order, probed, lists };
+        let count = self.probe_lists(interests, k, nprobe, &mut probe);
+        for &c in &probe.lists[..count] {
+            out.extend_from_slice(&self.lists[c as usize]);
+        }
+    }
+
+    /// The list-level probe behind [`probe_into`](IvfIndex::probe_into):
+    /// writes the probed list ids to the start of `scratch.lists` in
+    /// `probe_into`'s emission order (interest by interest, ascending list
+    /// id within one interest's kept set, each list once) and returns how
+    /// many there are. On return `scratch.probed[c]` is nonzero exactly
+    /// for the probed lists. Allocates nothing.
+    pub fn probe_lists(
+        &self,
+        interests: &[f32],
+        k: usize,
+        nprobe: usize,
+        scratch: &mut ProbeScratch<'_>,
+    ) -> usize {
         assert_eq!(interests.len(), k * self.dim, "interest matrix shape");
         let nlist = self.lists.len();
+        let ProbeScratch { scores, gemm, order, probed, lists } = scratch;
         assert!(scores.len() >= k * nlist, "centroid score buffer too small");
         let nprobe = nprobe.clamp(1, nlist);
         // One GEMM scores every interest against every centroid via the
@@ -397,38 +443,42 @@ impl IvfIndex {
         // every request); selection then runs over plain f32 rows.
         let scores = &mut scores[..k * nlist];
         scores.fill(0.0);
-        kernels::gemm_nn_prepacked_scratch(
-            interests,
-            &self.packed_centroids,
-            scores,
-            k,
-            scratch,
-        );
-        let mut probed = vec![false; nlist];
-        let mut order: Vec<u32> = Vec::with_capacity(nlist);
-        let mut kept: Vec<usize> = Vec::with_capacity(nprobe);
+        kernels::gemm_nn_prepacked_scratch(interests, &self.packed_centroids, scores, k, gemm);
+        // One total order, score descending (`f32::total_cmp`) then list id
+        // ascending, makes the kept set and its emission order
+        // deterministic. `rank` maps a score to a u32 that ascends as the
+        // score descends.
+        let rank = |score: f32| {
+            let bits = score.to_bits();
+            !(if bits >> 31 == 1 { !bits } else { bits | 1 << 31 })
+        };
+        let (order, probed) = (&mut order[..nlist], &mut probed[..nlist]);
+        probed.fill(0);
+        let mut count = 0;
         for row in scores.chunks_exact(nlist) {
-            order.clear();
-            order.extend(0..nlist as u32);
-            // Total order (score desc, list id asc), so the kept set and
-            // its sorted emission order are deterministic.
-            if nprobe < nlist {
-                order.select_nth_unstable_by(nprobe - 1, |&a, &b| {
-                    row[b as usize]
-                        .total_cmp(&row[a as usize])
-                        .then(a.cmp(&b))
-                });
-            }
-            kept.clear();
-            kept.extend(order[..nprobe].iter().map(|&c| c as usize));
-            kept.sort_unstable();
-            for &c in &kept {
-                if !probed[c] {
-                    probed[c] = true;
-                    out.extend_from_slice(&self.lists[c]);
+            // The kept lists are those ranked before the `nprobe`-th rank
+            // `cut`, then the lowest ids among those ranked at `cut`.
+            let (cut, mut ties) = if nprobe < nlist {
+                for (slot, &score) in order.iter_mut().zip(row) {
+                    *slot = rank(score);
+                }
+                let (ahead, &mut cut, _) = order.select_nth_unstable(nprobe - 1);
+                (cut, nprobe - ahead.iter().filter(|&&r| r < cut).count())
+            } else {
+                (u32::MAX, nlist)
+            };
+            for (c, &score) in row.iter().enumerate() {
+                let r = rank(score);
+                let tie = r == cut && ties > 0;
+                ties -= tie as usize;
+                if (r < cut || tie) && probed[c] == 0 {
+                    probed[c] = 1;
+                    lists[count] = c as u32;
+                    count += 1;
                 }
             }
         }
+        count
     }
 
     /// Serializes the index to `writer` (see the module docs for the
@@ -627,6 +677,65 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), out.len(), "probe emitted duplicates");
+    }
+
+    /// A comparator reference for the probe: a full sort of the list ids,
+    /// score descending by `total_cmp`, then list id ascending.
+    fn reference_probe(idx: &IvfIndex, z: &[f32], k: usize, nprobe: usize) -> Vec<ItemId> {
+        let nlist = idx.nlist();
+        let mut scores = vec![0.0f32; k * nlist];
+        let mut scratch = vec![0.0f32; PackedB::SCRATCH_LEN];
+        kernels::gemm_nn_prepacked_scratch(z, &idx.packed_centroids, &mut scores, k, &mut scratch);
+        let nprobe = nprobe.clamp(1, nlist);
+        let mut probed = vec![false; nlist];
+        let mut out = Vec::new();
+        for row in scores.chunks_exact(nlist) {
+            let mut order: Vec<u32> = (0..nlist as u32).collect();
+            order.sort_by(|&a, &b| row[b as usize].total_cmp(&row[a as usize]).then(a.cmp(&b)));
+            let mut kept = order[..nprobe].to_vec();
+            kept.sort_unstable();
+            for c in kept {
+                if !std::mem::replace(&mut probed[c as usize], true) {
+                    out.extend_from_slice(&idx.lists[c as usize]);
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn probe_selects_like_the_comparator_reference() {
+        let (n, d, k) = (240usize, 8usize, 3usize);
+        // Every item twice, so some centroids coincide and their scores tie.
+        let mut table = toy_table(n, d);
+        for i in n / 2 + 1..=n {
+            table.copy_within((i - n / 2) * d..(i - n / 2 + 1) * d, i * d);
+        }
+        let idx = IvfIndex::build(&table, n, d, 30, 11);
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0
+        };
+        let mut cases: Vec<Vec<f32>> =
+            (0..40).map(|_| (0..k * d).map(|_| draw()).collect()).collect();
+        cases.push(vec![0.0; k * d]);
+        cases.push((0..k * d).map(|i| if i % 2 == 0 { -0.0 } else { 0.0 }).collect());
+        let mut nan = cases[0].clone();
+        nan[d + 1] = f32::NAN;
+        cases.push(nan);
+        let mut inf = cases[1].clone();
+        inf[2] = f32::NEG_INFINITY;
+        cases.push(inf);
+        for (ci, z) in cases.iter().enumerate() {
+            for nprobe in [1, 2, 7, 29, 30, 45] {
+                let mut got = Vec::new();
+                idx.probe_into(z, k, nprobe, &mut got);
+                assert_eq!(got, reference_probe(&idx, z, k, nprobe), "case {ci} nprobe {nprobe}");
+            }
+        }
     }
 
     #[test]

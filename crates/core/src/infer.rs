@@ -50,10 +50,13 @@
 //! Attaching an [`IvfIndex`] ([`InferenceModel::attach_index`]) switches
 //! `recommend_catalog` from the exhaustive full-catalog pass to
 //! retrieve-then-rerank (DESIGN.md §14): each interest vector probes the
-//! index (`index.probe` span), and the candidate union is re-ranked by the
-//! same gather-based scoring as [`InferenceModel::score_candidates`]
-//! (`index.rerank` span). Re-ranked scores are bit-identical to the
-//! exhaustive scores of the same items, so the output is exactly the
+//! index (`index.probe` span), and the probed lists are re-ranked
+//! (`index.rerank` span). Attaching re-lays the screen in list order, so a
+//! probed list is a run of screen blocks and the re-rank screens only
+//! those; a quantized catalog, or a query the screen cannot take, gathers
+//! the lists' items and scores them like
+//! [`InferenceModel::score_candidates`]. Re-ranked scores are bit-identical
+//! to the exhaustive scores of the same items, so the output is exactly the
 //! exhaustive ranking restricted to the retrieved set — recall is the only
 //! approximation. `MBSSL_ANN=off` ignores any attached index.
 
@@ -69,14 +72,15 @@ use mbssl_hypergraph::{build_batch_incidence, BatchIncidence, HypergraphConfig};
 use mbssl_telemetry as telemetry;
 use mbssl_tensor::kernels::{self, PackedB, PackedBView, NR};
 use mbssl_tensor::quant::{Bf16Rows, QuantMode, QuantizedRows};
+use mbssl_tensor::simd::SCREEN_LANES;
 
-use crate::ann::{self, AnnError, IvfIndex};
+use crate::ann::{self, AnnError, IvfIndex, ProbeScratch};
 use crate::config::ModelConfig;
 use crate::encoder::Backbone;
 use crate::interest::InterestExtractor;
 use crate::model::Mbmissl;
 use crate::recommender::{RankKey, Recommendation, SequentialRecommender};
-use crate::screen::CatalogScreen;
+use crate::screen::{CatalogScreen, ScreenQuery};
 use crate::trainer::TrainableRecommender;
 
 /// The value masked-out attention logits are filled with, matching the
@@ -187,6 +191,14 @@ impl Arena {
         // is a valid i32, and `+0.0` is all-zero bits; the window is
         // exclusively ours until the next reset, as in `alloc`.
         unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<i32>(), n) }
+    }
+
+    /// [`Arena::alloc`] as `n` zeroed u32 words, for ids.
+    #[allow(clippy::mut_from_ref)] // bump arena: disjoint windows per call
+    pub fn alloc_u32(&self, n: usize) -> &mut [u32] {
+        let words = self.alloc(n);
+        // SAFETY: as in `alloc_i32`, for u32.
+        unsafe { std::slice::from_raw_parts_mut(words.as_mut_ptr().cast::<u32>(), n) }
     }
 
     /// Invalidates all outstanding allocations (enforced by `&mut self`)
@@ -692,10 +704,34 @@ enum CatalogTable {
     Bf16(Bf16Rows),
 }
 
-/// An attached IVF index plus its probe width.
+/// An attached IVF index plus its probe width and its lists' place in the
+/// list-ordered screen.
 struct AnnState {
     index: IvfIndex,
     nprobe: usize,
+    /// List `c` fills the screen blocks `blocks[c]..blocks[c + 1]`.
+    blocks: Vec<u32>,
+    /// Item id → its list (entry 0 unused).
+    list_of: Vec<u32>,
+}
+
+impl AnnState {
+    /// Request-arena scratch for one [`IvfIndex::probe_lists`] call.
+    fn probe_scratch<'a>(&self, k: usize, arena: &'a Arena) -> ProbeScratch<'a> {
+        let nlist = self.index.nlist();
+        ProbeScratch {
+            scores: arena.alloc(k * nlist),
+            gemm: arena.alloc(PackedB::SCRATCH_LEN),
+            order: arena.alloc_u32(nlist),
+            probed: arena.alloc_u32(nlist),
+            lists: arena.alloc_u32(nlist),
+        }
+    }
+
+    /// Arena slots [`probe_scratch`](Self::probe_scratch) takes.
+    fn probe_scratch_len(&self, k: usize) -> usize {
+        (k + 3) * self.index.nlist() + PackedB::SCRATCH_LEN
+    }
 }
 
 /// One catalog-ranking query against a shared interest buffer
@@ -808,25 +844,6 @@ fn stream_max_scores(
     });
 }
 
-/// Item `row`'s max-over-interests score for interests `z` (`k × d`) by
-/// the tile kernel's arithmetic: per interest from +0.0 in ascending p,
-/// each term a separate mul then add, zero interest entries skipped; then
-/// a strict-`>` max in interest order. Bit-identical to the score the
-/// fused pass gives the same item.
-fn exact_score(z: &[f32], row: &[f32]) -> f32 {
-    let dot = |zk: &[f32]| {
-        let mut acc = 0.0f32;
-        for (&a, &b) in zk.iter().zip(row) {
-            if a != 0.0 {
-                acc += a * b;
-            }
-        }
-        acc
-    };
-    let strict_max = |best: f32, s: f32| if s > best { s } else { best };
-    z.chunks_exact(row.len()).map(dot).fold(f32::NEG_INFINITY, strict_max)
-}
-
 /// An immutable, graph-free compilation of a trained [`Mbmissl`].
 ///
 /// Build one with [`InferenceModel::compile`] (or let `evaluate` /
@@ -847,7 +864,8 @@ pub struct InferenceModel {
     ann: Option<AnnState>,
     name: String,
     arenas: Mutex<Vec<Arena>>,
-    arena_capacity: usize,
+    /// Arena slots a request takes without an index attached.
+    arena_base: usize,
 }
 
 impl InferenceModel {
@@ -998,7 +1016,7 @@ impl InferenceModel {
             } => s.query_len(k) + CatalogScreen::acc_len(k) + CatalogScreen::BOUNDS_LEN,
             _ => 0,
         };
-        let arena_capacity = 32 * l * dim * (config.num_layers + 1)
+        let arena_base = 32 * l * dim * (config.num_layers + 1)
             + 8 * PackedB::SCRATCH_LEN
             + screen_scratch
             + 1024;
@@ -1021,8 +1039,8 @@ impl InferenceModel {
             quant_mode: qmode,
             ann: None,
             name,
-            arenas: Mutex::new(vec![Arena::with_capacity(arena_capacity)]),
-            arena_capacity,
+            arenas: Mutex::new(vec![Arena::with_capacity(arena_base)]),
+            arena_base,
             config,
         }
     }
@@ -1052,7 +1070,9 @@ impl InferenceModel {
         self.attach_index_with(index, nprobe)
     }
 
-    /// Attaches `index`, probing `nprobe` lists per interest vector.
+    /// Attaches `index`, probing `nprobe` lists per interest vector, and
+    /// re-lays the screen in list order: each list fills whole blocks, in
+    /// list order (DESIGN.md §14).
     pub fn attach_index_with(&mut self, index: IvfIndex, nprobe: usize) -> Result<(), AnnError> {
         if index.dim() != self.dim || index.num_items() != self.num_items {
             return Err(AnnError::Mismatch {
@@ -1061,13 +1081,35 @@ impl InferenceModel {
             });
         }
         let nprobe = nprobe.clamp(1, index.nlist());
-        self.ann = Some(AnnState { index, nprobe });
+        let mut order: Vec<u32> = Vec::with_capacity(self.num_items + 16 * index.nlist());
+        let mut blocks = vec![0u32];
+        let mut list_of = vec![0u32; self.num_items + 1];
+        for c in 0..index.nlist() {
+            for &id in index.list(c) {
+                list_of[id as usize] = c as u32;
+            }
+            order.extend_from_slice(index.list(c));
+            order.resize(order.len().next_multiple_of(SCREEN_LANES), 0);
+            blocks.push((order.len() / SCREEN_LANES) as u32);
+        }
+        self.relay_screen(&order);
+        self.ann = Some(AnnState { index, nprobe, blocks, list_of });
         Ok(())
     }
 
-    /// Detaches any attached index, restoring exhaustive ranking.
+    /// Detaches any attached index, restoring exhaustive ranking and the
+    /// screen's id order.
     pub fn detach_index(&mut self) {
-        self.ann = None;
+        if self.ann.take().is_some() {
+            self.relay_screen(&(0..=self.num_items as u32).collect::<Vec<_>>());
+        }
+    }
+
+    /// Re-lays the screen, if the catalog has one, in row order `order`.
+    fn relay_screen(&mut self, order: &[u32]) {
+        if let CatalogTable::F32 { screen: Some(screen), .. } = &mut self.catalog {
+            screen.relay(order);
+        }
     }
 
     /// Whether an IVF index is attached (regardless of `MBSSL_ANN`).
@@ -1163,12 +1205,19 @@ impl InferenceModel {
         }
     }
 
+    /// Arena slots a serving request is expected to take: the forward, the
+    /// screen's query scratch and, with an index attached, the probe.
+    fn arena_capacity(&self) -> usize {
+        let probe = self.ann.as_ref().map(|st| st.probe_scratch_len(self.num_interests));
+        self.arena_base + probe.unwrap_or(0)
+    }
+
     fn rent_arena(&self) -> Arena {
         self.arenas
             .lock()
             .unwrap()
             .pop()
-            .unwrap_or_else(|| Arena::with_capacity(self.arena_capacity))
+            .unwrap_or_else(|| Arena::with_capacity(self.arena_capacity()))
     }
 
     fn return_arena(&self, mut arena: Arena) {
@@ -1395,12 +1444,8 @@ impl InferenceModel {
         for (z, top) in z.chunks_exact(kd).zip(tops) {
             bytes += match screen.prepare(z, arena) {
                 Some(query) => {
-                    let mut survivors = 0;
-                    let read = screen.scan(&query, num_items + 1, acc, ub, |row0, ub| {
-                        survivors += self.admit_survivors(z, row0, ub, top, num_items);
-                    });
-                    telemetry::counter_add("infer.screen_survivors", survivors);
-                    read + survivors * (self.dim * std::mem::size_of::<f32>()) as u64
+                    let blocks = 0..screen.blocks();
+                    self.screen_blocks(screen, &query, [blocks], top, num_items, acc, ub)
                 }
                 None => {
                     telemetry::counter_add("infer.screen_fallbacks", 1);
@@ -1411,15 +1456,41 @@ impl InferenceModel {
         bytes
     }
 
-    /// One screen block (DESIGN.md §13): item `row0 + j` is skipped iff its
-    /// upper bound `ub[j]` lies strictly below the heap's n-th best exact
-    /// score, so `TopN::offer` would reject it anyway (NaN never skips);
-    /// every other item of `1..=num_items` is scored exactly and offered.
-    /// Returns how many were scored.
+    /// Screens one query over each block range of `ranges`, scores the
+    /// survivors exactly into `top` and counts them in
+    /// `infer.screen_survivors`; returns the screen and row bytes read.
+    #[allow(clippy::too_many_arguments)]
+    fn screen_blocks(
+        &self,
+        screen: &CatalogScreen,
+        query: &ScreenQuery<'_>,
+        ranges: impl IntoIterator<Item = Range<usize>>,
+        top: &mut TopN<'_>,
+        num_items: usize,
+        acc: &mut [i32],
+        ub: &mut [f32],
+    ) -> u64 {
+        let (mut read, mut survivors) = (0, 0);
+        for blocks in ranges {
+            read += screen.scan(query, blocks, acc, ub, |row0, ub| {
+                survivors += self.admit_survivors(query, screen.ids(), row0, ub, top, num_items);
+            });
+        }
+        telemetry::counter_add("infer.screen_survivors", survivors);
+        read + survivors * (self.dim * std::mem::size_of::<f32>()) as u64
+    }
+
+    /// One screen block (DESIGN.md §13) from row `row0`: the item
+    /// `ids[row0 + j]` is skipped iff its upper bound `ub[j]` lies strictly
+    /// below the heap's n-th best exact score, so `TopN::offer` would
+    /// reject it anyway (NaN never skips); pad rows (id 0) and ids past
+    /// `num_items` are skipped too. Every other item is scored exactly and
+    /// offered. Returns how many were scored.
     #[inline]
     fn admit_survivors(
         &self,
-        z: &[f32],
+        query: &ScreenQuery<'_>,
+        ids: &[u32],
         row0: usize,
         ub: &[f32],
         top: &mut TopN<'_>,
@@ -1429,12 +1500,13 @@ impl InferenceModel {
             return 0;
         }
         let mut scored = 0;
-        for (v, &u) in (row0..).zip(ub) {
+        for (&v, &u) in ids[row0..].iter().zip(ub) {
+            let v = v as usize;
             if u < top.floor || v == 0 || v > num_items {
                 continue;
             }
             scored += 1;
-            let score = exact_score(z, &self.item_table[v * self.dim..][..self.dim]);
+            let score = query.exact_score(&self.item_table[v * self.dim..][..self.dim]);
             top.offer(v, &[score], |v| v as ItemId);
         }
         scored
@@ -1460,10 +1532,14 @@ impl InferenceModel {
     }
 
     /// Two-stage route for one query: probe the attached index per
-    /// interest and re-rank only the candidate union into `top`. Returns
-    /// `false`, leaving `top` untouched, if the probe retrieves fewer than
-    /// `n` rankable items — an ANN result must never be shorter than the
-    /// exhaustive one.
+    /// interest and re-rank only the probed lists' items into `top`.
+    /// Returns `false`, leaving `top` untouched, if the probe retrieves
+    /// fewer than `n` rankable items — an ANN result must never be shorter
+    /// than the exhaustive one.
+    ///
+    /// A screened f32 catalog screens the probed lists' blocks of the
+    /// list-ordered screen; a quantized catalog, a catalog without a
+    /// screen, or a query the screen refuses gathers the items instead.
     fn rank_by_probe(
         &self,
         st: &AnnState,
@@ -1473,22 +1549,60 @@ impl InferenceModel {
         top: &mut TopN<'_>,
         arena: &Arena,
     ) -> bool {
-        let mut cands: Vec<ItemId> = Vec::new();
-        {
-            let mut probe_sp = telemetry::span("index.probe");
-            let cscores = arena.alloc(self.num_interests * st.index.nlist());
-            let cscratch = arena.alloc(PackedB::SCRATCH_LEN);
-            st.index.probe_with(z, self.num_interests, nprobe, cscores, cscratch, &mut cands);
-            cands.retain(|id| *id as usize <= num_items && !top.exclude.contains(id));
-            probe_sp.add_bytes((cands.len() * std::mem::size_of::<ItemId>()) as u64);
+        let k = self.num_interests;
+        let mut probe = st.probe_scratch(k, arena);
+        let mut probe_sp = telemetry::span("index.probe");
+        let count = st.index.probe_lists(z, k, nprobe, &mut probe);
+        let lists = &probe.lists[..count];
+        // Rankable retrieved items: the probed ids up to `num_items`, less
+        // the excluded ones. Only ids in `1..=num_items` can shrink the
+        // rankable catalog.
+        let list = |c: u32| st.index.list(c as usize);
+        let in_range = |c: &u32| list(*c).partition_point(|&id| id as usize <= num_items);
+        let mut retrieved: usize = lists.iter().map(in_range).sum();
+        let mut excluded = 0;
+        for &id in top.exclude.iter().filter(|&&id| (1..=num_items).contains(&(id as usize))) {
+            excluded += 1;
+            retrieved -= (probe.probed[st.list_of[id as usize] as usize] != 0) as usize;
         }
-        // Only ids in `1..=num_items` can shrink the rankable catalog.
-        let in_catalog = |id: &&ItemId| (1..=num_items).contains(&(**id as usize));
-        if cands.len() < top.n.min(num_items - top.exclude.iter().filter(in_catalog).count()) {
+        probe_sp.add_bytes((retrieved * std::mem::size_of::<ItemId>()) as u64);
+        drop(probe_sp);
+        if retrieved < top.n.min(num_items - excluded) {
             return false;
         }
         let mut rerank_sp = telemetry::span("index.rerank");
-        let bytes = self.candidate_scores(z, &cands, arena, |j0, s| top.offer(j0, s, |j| cands[j]));
+        let screened = match &self.catalog {
+            CatalogTable::F32 { screen, .. } => {
+                let query = screen.as_ref().and_then(|s| Some((s, s.prepare(z, arena)?)));
+                if query.is_none() {
+                    telemetry::counter_add("infer.screen_fallbacks", 1);
+                }
+                query
+            }
+            _ => None,
+        };
+        let bytes = match screened {
+            Some((screen, query)) => {
+                let acc = arena.alloc_i32(CatalogScreen::acc_len(k));
+                let ub = arena.alloc(CatalogScreen::BOUNDS_LEN);
+                let blocks = |c: &u32| {
+                    st.blocks[*c as usize] as usize..st.blocks[*c as usize + 1] as usize
+                };
+                let ranges = lists.iter().map(blocks);
+                self.screen_blocks(screen, &query, ranges, top, num_items, acc, ub)
+            }
+            None => {
+                let cands = arena.alloc_u32(retrieved);
+                let items = lists.iter().flat_map(|&c| list(c));
+                let exclude = top.exclude;
+                let kept = items.filter(|&&id| id as usize <= num_items && !exclude.contains(&id));
+                for (slot, &id) in cands.iter_mut().zip(kept) {
+                    *slot = id;
+                }
+                let cands = &*cands;
+                self.candidate_scores(z, cands, arena, |j0, s| top.offer(j0, s, |j| cands[j]))
+            }
+        };
         rerank_sp.add_bytes(bytes);
         true
     }

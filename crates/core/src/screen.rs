@@ -1,4 +1,5 @@
-//! Exact i8 screen for exhaustive catalog ranking (DESIGN.md §13).
+//! Exact i8 screen for catalog ranking (DESIGN.md §13), exhaustive or
+//! over the probed lists of an IVF index (§14).
 //!
 //! Exhaustive ranking scores every item against every interest in f32. At
 //! serving shapes that pass is bound by streaming the f32 catalog, which
@@ -38,6 +39,18 @@
 //! finite and `(‖z‖₁ + t·Σ|pᵢ|)·(V + E)` and the slack stay below 2¹²⁰;
 //! otherwise [`CatalogScreen::prepare`] returns `None` and the caller
 //! falls back to the exact pass.
+//!
+//! # Row order
+//!
+//! The screen is built in id order: row `v` holds item `v`. A row → item
+//! map ([`ids`](CatalogScreen::ids)) names the item of every row, 0 for a
+//! pad row. [`relay`](CatalogScreen::relay) re-lays the rows in any order,
+//! for example inverted-list order so that a probed list is a contiguous run
+//! of blocks. It copies each item's codes and scale and never re-quantizes,
+//! so every item's bound, and the catalog-wide `E`, `Q` and `V`, stay those
+//! of the built screen.
+
+use std::ops::Range;
 
 use mbssl_tensor::quant;
 use mbssl_tensor::simd::{self, SCREEN_GROUP_BYTES, SCREEN_LANES};
@@ -62,6 +75,8 @@ const F64_PAD: f64 = 1.0 + f64::EPSILON * 4096.0;
 const CATALOG_LIMIT: f64 = (1u128 << 100) as f64;
 /// Query guard, well below `f32::MAX` (about 2¹²⁸).
 const QUERY_LIMIT: f64 = (1u128 << 120) as f64;
+/// Interests scored side by side by [`ScreenQuery::exact_score`].
+const EXACT_LANES: usize = 4;
 
 /// The i8 screen of an f32 item table (see the module docs).
 pub struct CatalogScreen {
@@ -71,6 +86,9 @@ pub struct CatalogScreen {
     codes: Vec<u8>,
     /// Per row, padded to whole blocks: the scale `s_v`.
     scales: Vec<f32>,
+    /// Per row, padded to whole blocks: the item it holds, 0 for a pad row.
+    ids: Vec<u32>,
+    /// Rows of the table the screen was built from.
     rows: usize,
     dim: usize,
     groups: usize,
@@ -93,6 +111,39 @@ pub struct ScreenQuery<'a> {
     scale: &'a [f32],
     /// Per interest: the rounded-up slack.
     slack: &'a [f32],
+    /// The f32 interests in groups of [`EXACT_LANES`], dim-major: entry
+    /// `i` of interest `g·4 + j` sits at `(g·dim + i)·4 + j`; lanes past
+    /// the last interest hold 0.
+    lanes: &'a [f32],
+}
+
+impl ScreenQuery<'_> {
+    /// The exact f32 score of `row`, a row of the screened table: per
+    /// interest a sum from +0.0 in ascending dim, each term a separate mul
+    /// then add, then a strict-`>` max in interest order. This is bit for
+    /// bit the tile kernel's score. The kernel skips zero interest entries;
+    /// adding their products instead changes nothing here, because every
+    /// entry is finite (a screen needs a finite table and `prepare` refuses
+    /// other queries): a zero product is ±0.0, adding ±0.0 leaves every sum
+    /// but -0.0 unchanged, and a sum from +0.0 never reaches -0.0.
+    pub(crate) fn exact_score(&self, row: &[f32]) -> f32 {
+        let k = self.scale.len();
+        let mut best = f32::NEG_INFINITY;
+        for (g, group) in self.lanes.chunks_exact(EXACT_LANES * row.len()).enumerate() {
+            let mut acc = [0.0f32; EXACT_LANES];
+            for (z, &v) in group.chunks_exact(EXACT_LANES).zip(row) {
+                for (a, &zj) in acc.iter_mut().zip(z) {
+                    *a += zj * v;
+                }
+            }
+            for &s in &acc[..(k - g * EXACT_LANES).min(EXACT_LANES)] {
+                if s > best {
+                    best = s;
+                }
+            }
+        }
+        best
+    }
 }
 
 impl CatalogScreen {
@@ -124,9 +175,12 @@ impl CatalogScreen {
             }
             mass = mass.max(s as f64 * code_l1);
         }
+        let mut ids: Vec<u32> = (0..padded as u32).collect();
+        ids[rows..].fill(0);
         (max_abs + err < CATALOG_LIMIT).then_some(CatalogScreen {
             codes,
             scales,
+            ids,
             rows,
             dim,
             groups,
@@ -136,10 +190,50 @@ impl CatalogScreen {
         })
     }
 
+    /// Re-lays the screen so that row `r` holds item `order[r]`, 0 marking
+    /// a pad row, with pad rows up to a whole block. Codes and scales are
+    /// copied from the current rows, never re-quantized. Every nonzero id
+    /// must be a row of the table the screen was built from; items left out
+    /// of `order` are no longer screened.
+    pub(crate) fn relay(&mut self, order: &[u32]) {
+        let mut row_of = vec![usize::MAX; self.rows];
+        for (r, &id) in self.ids.iter().enumerate().filter(|(_, &id)| id != 0) {
+            row_of[id as usize] = r;
+        }
+        let block_bytes = self.groups * SCREEN_GROUP_BYTES;
+        let padded = order.len().div_ceil(SCREEN_LANES) * SCREEN_LANES;
+        let mut codes = vec![128u8; padded / SCREEN_LANES * block_bytes];
+        let mut scales = vec![0.0f32; padded];
+        let mut ids = vec![0u32; padded];
+        let lane = |r: usize| (r / SCREEN_LANES) * block_bytes + 4 * (r % SCREEN_LANES);
+        for (r, &id) in order.iter().enumerate().filter(|(_, &id)| id != 0) {
+            let src = row_of[id as usize];
+            assert!(src != usize::MAX, "item {id} is not in the screen");
+            ids[r] = id;
+            scales[r] = self.scales[src];
+            for g in (0..self.groups).map(|g| g * SCREEN_GROUP_BYTES) {
+                let (to, from) = (lane(r) + g, lane(src) + g);
+                codes[to..to + 4].copy_from_slice(&self.codes[from..from + 4]);
+            }
+        }
+        (self.codes, self.scales, self.ids) = (codes, scales, ids);
+    }
+
+    /// The row → item map, 0 for a pad row; its length is a whole number
+    /// of blocks.
+    pub(crate) fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Blocks of [`SCREEN_LANES`] rows in the screen.
+    pub(crate) fn blocks(&self) -> usize {
+        self.ids.len() / SCREEN_LANES
+    }
+
     /// Arena slots [`prepare`](Self::prepare) takes for one query of `k`
     /// interests.
     pub fn query_len(&self, k: usize) -> usize {
-        k * (self.groups + 3)
+        k * (self.groups + 3) + k.next_multiple_of(EXACT_LANES) * self.dim
     }
 
     /// Length of the i32 accumulator scratch [`scan`](Self::scan) needs
@@ -163,6 +257,7 @@ impl CatalogScreen {
         let offset = arena.alloc_i32(k);
         let scale = arena.alloc(k);
         let slack = arena.alloc(k);
+        let lanes = arena.alloc(k.next_multiple_of(EXACT_LANES) * d);
         let gamma = d as f64 * UNIT / (1.0 - d as f64 * UNIT);
         let item_max = self.max_abs + self.err;
         for (kk, zk) in z.chunks_exact(d).enumerate() {
@@ -195,6 +290,10 @@ impl CatalogScreen {
             if (l1 + p1) * item_max >= QUERY_LIMIT || bound >= QUERY_LIMIT {
                 return None;
             }
+            let group = &mut lanes[(kk / EXACT_LANES) * EXACT_LANES * d..];
+            for (i, &zi) in zk.iter().enumerate() {
+                group[i * EXACT_LANES + kk % EXACT_LANES] = zi;
+            }
             let rounded = bound as f32;
             offset[kk] = 128 * code_sum;
             scale[kk] = t;
@@ -209,28 +308,30 @@ impl CatalogScreen {
             offset,
             scale,
             slack,
+            lanes,
         })
     }
 
-    /// Runs the integer screen over the blocks covering rows `0..end` and
-    /// hands `visit(row0, ub)` each block's first row and its 16 bounds:
-    /// `ub[j] ≥` the exact f32 score of row `row0 + j` (pad lanes carry
-    /// meaningless bounds). `acc` and `ub` are scratch of
-    /// [`acc_len`](Self::acc_len)`(k)` and [`BOUNDS_LEN`](Self::BOUNDS_LEN)
-    /// elements. Returns the screen bytes read.
+    /// Runs the integer screen over `blocks` and hands `visit(row0, ub)`
+    /// each block's first row and its 16 bounds: `ub[j] ≥` the exact f32
+    /// score of the item in row `row0 + j` (pad rows carry meaningless
+    /// bounds; [`ids`](Self::ids) tells them apart). `acc` and `ub` are
+    /// scratch of [`acc_len`](Self::acc_len)`(k)` and
+    /// [`BOUNDS_LEN`](Self::BOUNDS_LEN) elements. Returns the screen bytes
+    /// read.
     pub fn scan(
         &self,
         query: &ScreenQuery<'_>,
-        end: usize,
+        blocks: Range<usize>,
         acc: &mut [i32],
         ub: &mut [f32],
         mut visit: impl FnMut(usize, &[f32]),
     ) -> u64 {
         let k = query.scale.len();
-        let blocks = end.min(self.rows).div_ceil(SCREEN_LANES);
         let block_bytes = self.groups * SCREEN_GROUP_BYTES;
-        for run in (0..blocks).step_by(RUN_BLOCKS) {
-            let nb = RUN_BLOCKS.min(blocks - run);
+        let count = blocks.len();
+        for run in blocks.clone().step_by(RUN_BLOCKS) {
+            let nb = RUN_BLOCKS.min(blocks.end - run);
             let codes = &self.codes[run * block_bytes..][..nb * block_bytes];
             simd::screen_dots(query.words, codes, k, acc);
             let (row0, ub) = (run * SCREEN_LANES, &mut ub[..nb * SCREEN_LANES]);
@@ -240,6 +341,6 @@ impl CatalogScreen {
                 visit(row0 + b * SCREEN_LANES, lanes);
             }
         }
-        (blocks * (block_bytes + SCREEN_LANES * std::mem::size_of::<f32>())) as u64
+        (count * (block_bytes + SCREEN_LANES * std::mem::size_of::<f32>())) as u64
     }
 }

@@ -23,11 +23,13 @@
 #                             escape hatch must restore the old serving path
 #                             exactly), under MBSSL_SIMD=off (scalar
 #                             microkernels must not change a bit), the fused
-#                             catalog top-n suite (tests/catalog_topn.rs) and
+#                             catalog top-n suite (tests/catalog_topn.rs),
 #                             the exact i8 screen suite
-#                             (tests/catalog_screen.rs) under MBSSL_SIMD=off
-#                             and MBSSL_THREADS=1 (the fused pass and the
-#                             screened pass must match the naive oracle
+#                             (tests/catalog_screen.rs) and the screened IVF
+#                             re-rank suite (tests/ann_screen.rs) under
+#                             MBSSL_SIMD=off and MBSSL_THREADS=1 (the fused
+#                             pass, the screened pass and the list-ordered
+#                             screened re-rank must match their oracles
 #                             through the scalar tile kernel and the portable
 #                             screen kernels too), and the
 #                             quantized-catalog drift gates under
@@ -37,8 +39,10 @@
 #                             the f32 reference within tol; the two-stage
 #                             retrieval suite also runs under MBSSL_QUANT=i8,
 #                             its tie-break parity compiling the exact
-#                             catalog explicitly), and the
-#                             two-stage retrieval suite (recall gate +
+#                             catalog explicitly, and so does the screened
+#                             re-rank suite, whose catalogs are then
+#                             quantized and must keep the gather route), and
+#                             the two-stage retrieval suite (recall gate +
 #                             serialization rejection + tie-break parity)
 #                             under ambient ANN and MBSSL_ANN=off. The
 #                             SIMD microkernel parity proptests also run
@@ -167,11 +171,13 @@ echo "==> SIMD escape hatch (MBSSL_SIMD=off, scalar microkernels)"
 MBSSL_SIMD=off cargo test --release -p mbssl-tensor --test simd_parity -q
 MBSSL_SIMD=off cargo test --release -p mbssl-core --test infer_parity -q
 
-echo "==> fused catalog top-n and exact screen (scalar/portable kernels, single thread)"
+echo "==> fused catalog top-n, exact screen and screened IVF re-rank (scalar/portable kernels, single thread)"
 MBSSL_SIMD=off cargo test --release --test catalog_topn -q
 MBSSL_THREADS=1 cargo test --release --test catalog_topn -q
 MBSSL_SIMD=off cargo test --release --test catalog_screen -q
 MBSSL_THREADS=1 cargo test --release --test catalog_screen -q
+MBSSL_SIMD=off cargo test --release --test ann_screen -q
+MBSSL_THREADS=1 cargo test --release --test ann_screen -q
 
 # The exact-parity top-n test is skipped under ambient i8/bf16: a quantized
 # catalog intentionally reorders near-ties; the drift gate below bounds it.
@@ -179,6 +185,7 @@ echo "==> quantized catalog drift gate (MBSSL_QUANT=i8)"
 MBSSL_QUANT=i8 cargo test --release -p mbssl-core --test infer_parity -q \
     -- --skip engine_top_n_matches_chunked_reference_exactly
 MBSSL_QUANT=i8 cargo test --release -p mbssl-core --test ann -q
+MBSSL_QUANT=i8 cargo test --release --test ann_screen -q
 
 echo "==> quantized catalog drift gate (MBSSL_QUANT=bf16)"
 MBSSL_QUANT=bf16 cargo test --release -p mbssl-core --test infer_parity -q \

@@ -1,0 +1,548 @@
+//! Screened IVF re-rank parity (DESIGN.md §14).
+//!
+//! With an index attached, the engine keeps its exact i8 screen in
+//! inverted-list order and re-ranks a query by screening only the blocks of
+//! its probed lists. These tests pin that route bit for bit against a gather
+//! reference: take the `probe_into` union, drop ids past
+//! `num_items` and excluded ids, score the rest with `score_candidates` and
+//! sort by score descending, then id. They also pin the fill rule (when a
+//! short probe falls back to exhaustive ranking), the gather route of
+//! quantized catalogs and of queries the screen refuses, detaching and
+//! re-attaching an index, and the telemetry of both routes.
+//!
+//! The catalog tests compile with the ambient `MBSSL_QUANT` mode: by
+//! default an exact f32 catalog with a screen, under `MBSSL_QUANT=i8` a
+//! quantized one, which must keep the gather route and the same replies.
+
+use std::collections::HashSet;
+use std::sync::{Mutex, MutexGuard};
+
+use mbssl::core::ann::{self, IvfIndex, ProbeScratch};
+use mbssl::core::infer::{CatalogQuery, RankedQuery};
+use mbssl::core::{
+    BehaviorSchema, InferenceModel, Mbmissl, ModelConfig, Recommendation, TrainableRecommender,
+};
+use mbssl::data::synthetic::SyntheticConfig;
+use mbssl::data::{Dataset, ItemId, Sequence};
+use mbssl::telemetry::{self, LabelStats, RecordKind, TraceMode};
+use mbssl::tensor::kernels::{self, PackedB};
+use mbssl::tensor::quant::{self, QuantMode};
+use mbssl::tensor::simd::{SCREEN_GROUP_BYTES, SCREEN_LANES};
+
+/// The k-means seed of every index here.
+const INDEX_SEED: u64 = 7;
+
+/// `(nlist, nprobe)` pairs; `nprobe == nlist` probes every list.
+const PROBES: [(usize, usize); 4] = [(24, 1), (24, 3), (40, 2), (24, 24)];
+
+/// Serializes the tests of this file, so that the telemetry checks see
+/// only their own counters.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// A tiny `k`-interest model of width `dim` whose item table `edit`
+/// rewrites (`edit(table, dim, num_items)`).
+fn model_with(dim: usize, k: usize, edit: impl Fn(&mut [f32], usize, usize)) -> (Mbmissl, Dataset) {
+    let g = SyntheticConfig::taobao_like(31).scaled(0.05).generate();
+    let schema = BehaviorSchema::new(g.dataset.behaviors.clone(), g.dataset.target_behavior);
+    let config = ModelConfig {
+        dim,
+        heads: 2,
+        num_layers: 1,
+        ffn_hidden: 32,
+        num_interests: k,
+        extractor_hidden: 16,
+        max_seq_len: 20,
+        ..ModelConfig::default()
+    };
+    let num_items = g.dataset.num_items;
+    let model = Mbmissl::new(num_items, schema, config);
+    {
+        let params = model.named_params();
+        let mut table = params
+            .get("mbmissl.input.item_emb.weight")
+            .expect("item table param")
+            .data_mut();
+        edit(&mut table, dim, num_items);
+    }
+    (model, g.dataset)
+}
+
+/// Near-ties: items come in threes, the second a one-ulp nudge of the
+/// first in one coordinate and the third an exact copy of the first.
+fn near_ties(table: &mut [f32], dim: usize, num_items: usize) {
+    for v in (1..=num_items).filter(|v| v % 3 != 1) {
+        let src = v - (v - 1) % 3;
+        table.copy_within(src * dim..(src + 1) * dim, v * dim);
+        if v % 3 == 2 {
+            let c = &mut table[v * dim + v % dim];
+            *c = c.next_up();
+        }
+    }
+}
+
+/// Row norms spread from 1e-6 to 1e3, every eleventh row all zero.
+fn spread_norms(table: &mut [f32], dim: usize, num_items: usize) {
+    for v in 1..=num_items {
+        let factor = if v % 11 == 0 {
+            0.0
+        } else {
+            10f32.powi((v * 7 % 10) as i32 - 6)
+        };
+        for x in &mut table[v * dim..(v + 1) * dim] {
+            *x *= factor;
+        }
+    }
+}
+
+/// Only 16 distinct rows: item `v` copies row `1 + (v - 1) % 16`, so every
+/// score ties with many others and only the id orders them.
+fn sixteen_rows(table: &mut [f32], dim: usize, num_items: usize) {
+    for v in 17..=num_items {
+        let src = 1 + (v - 1) % 16;
+        table.copy_within(src * dim..(src + 1) * dim, v * dim);
+    }
+}
+
+/// Replies as `(item, score bits)`: `-0.0` and `+0.0` differ here.
+fn bits(recs: &[Recommendation]) -> Vec<(ItemId, u32)> {
+    recs.iter().map(|r| (r.item, r.score.to_bits())).collect()
+}
+
+fn rankable(exclude: &HashSet<ItemId>, num_items: usize) -> usize {
+    let excluded = exclude
+        .iter()
+        .filter(|&&id| (1..=num_items).contains(&(id as usize)));
+    num_items - excluded.count()
+}
+
+/// The reference's candidates: the `probe_into` union less ids past
+/// `num_items` and excluded ids.
+fn candidates(
+    index: &IvfIndex,
+    z: &[f32],
+    nprobe: usize,
+    num_items: usize,
+    exclude: &HashSet<ItemId>,
+) -> Vec<ItemId> {
+    let mut cands = Vec::new();
+    index.probe_into(z, z.len() / index.dim(), nprobe, &mut cands);
+    cands.retain(|&id| id as usize <= num_items && !exclude.contains(&id));
+    cands
+}
+
+/// The reference fill rule: the probe serves a query iff its candidates can fill
+/// the reply (the rankable catalog counts only ids in `1..=num_items`).
+fn fills(cands: &[ItemId], n: usize, exclude: &HashSet<ItemId>, num_items: usize) -> bool {
+    ann::enabled() && cands.len() >= n.min(rankable(exclude, num_items))
+}
+
+/// The top `n` of `cands` by `scores`: score descending, then id.
+fn top_n(cands: &[ItemId], scores: &[f32], n: usize) -> Vec<(ItemId, u32)> {
+    let mut keyed: Vec<(ItemId, f32)> = cands.iter().copied().zip(scores.iter().copied()).collect();
+    keyed.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    keyed
+        .into_iter()
+        .take(n)
+        .map(|(id, s)| (id, s.to_bits()))
+        .collect()
+}
+
+/// The reference reply to one query for `history`.
+fn reference_reply(
+    engine: &InferenceModel,
+    index: &IvfIndex,
+    history: &Sequence,
+    nprobe: usize,
+    num_items: usize,
+    q: &CatalogQuery<'_>,
+) -> (Vec<(ItemId, u32)>, bool) {
+    let z = engine.encode_interests(&[history]);
+    let cands = candidates(index, &z, nprobe, num_items, q.exclude);
+    let reply = top_n(&cands, &engine.score_candidates(history, &cands), q.n);
+    (reply, fills(&cands, q.n, q.exclude, num_items))
+}
+
+/// An index over `engine`'s catalog, built twice: one to attach, one to
+/// probe for the oracle (builds are deterministic).
+fn index_pair(engine: &InferenceModel, nlist: usize) -> (IvfIndex, IvfIndex) {
+    let a = engine.build_index_with(nlist, INDEX_SEED);
+    let b = engine.build_index_with(nlist, INDEX_SEED);
+    (a, b)
+}
+
+/// Checks one batch reply against the reference: `used_ann` equals the
+/// reference fill rule, an ANN reply equals the oracle and an exhaustive one equals
+/// `plain` (the same catalog with no index); a full probe equals `plain`
+/// as well. Returns how many queries the probe served.
+#[allow(clippy::too_many_arguments)]
+fn check_batch(
+    engine: &InferenceModel,
+    plain: &InferenceModel,
+    oracle: &IvfIndex,
+    histories: &[&Sequence],
+    queries: &[CatalogQuery<'_>],
+    nprobe: usize,
+    num_items: usize,
+    ctx: &str,
+) -> usize {
+    let (k, d) = (engine.num_interests(), engine.dim());
+    let z_all: Vec<f32> = histories[..queries.len()]
+        .iter()
+        .flat_map(|h| engine.encode_interests(&[h]))
+        .collect();
+    let got = engine.rank_from_interests(&z_all, queries, num_items, None);
+    for (qi, (q, got)) in queries.iter().zip(&got).enumerate() {
+        let ctx = format!("{ctx} query={qi} n={}", q.n);
+        let (reply, used) = reference_reply(engine, oracle, histories[qi], nprobe, num_items, q);
+        assert_eq!(got.used_ann, used, "{ctx}: used_ann");
+        let solo = [CatalogQuery {
+            n: q.n,
+            exclude: q.exclude,
+        }];
+        let exhaustive =
+            plain.rank_from_interests(&z_all[qi * k * d..][..k * d], &solo, num_items, None);
+        if used {
+            assert_eq!(bits(&got.recs), reply, "{ctx}: vs the reference");
+        } else {
+            assert_eq!(
+                bits(&got.recs),
+                bits(&exhaustive[0].recs),
+                "{ctx}: vs exhaustive"
+            );
+        }
+        if nprobe == oracle.nlist() {
+            assert_eq!(
+                bits(&got.recs),
+                bits(&exhaustive[0].recs),
+                "{ctx}: full probe"
+            );
+        }
+    }
+    got.iter().filter(|q| q.used_ann).count()
+}
+
+/// The screened route ≡ the reference over every probe shape, n ∈ {1, 10,
+/// 40} and the fill boundary, excludes holding 0, ids past the catalog and
+/// the would-be top-1, a `num_items` below the compiled table, and batches
+/// of 1, 2, 3 and 5 queries.
+fn assert_matches_reference(model: &Mbmissl, dataset: &Dataset, mode: QuantMode, label: &str) {
+    let plain = InferenceModel::compile_with_mode(model, mode);
+    let histories: Vec<&Sequence> = dataset.sequences.iter().take(5).collect();
+    let full = dataset.num_items;
+    for (nlist, nprobe) in PROBES {
+        let mut engine = InferenceModel::compile_with_mode(model, mode);
+        let (index, oracle) = index_pair(&engine, nlist);
+        engine
+            .attach_index_with(index, nprobe)
+            .expect("index matches the engine");
+        let mut served = 0;
+        for num_items in [full, full * 2 / 3 - 3] {
+            let past = (full + 3) as ItemId;
+            let excludes: Vec<HashSet<ItemId>> = histories
+                .iter()
+                .enumerate()
+                .map(|(qi, h)| match qi % 3 {
+                    0 => HashSet::new(),
+                    1 => [0, past]
+                        .into_iter()
+                        .chain(h.items.iter().copied())
+                        .collect(),
+                    _ => {
+                        let none = HashSet::new();
+                        let q = CatalogQuery {
+                            n: 1,
+                            exclude: &none,
+                        };
+                        let (top1, _) = reference_reply(&engine, &oracle, h, nprobe, num_items, &q);
+                        [0, past, top1[0].0].into_iter().collect()
+                    }
+                })
+                .collect();
+            // The fill boundary: exactly the reference candidate count, or one
+            // more, which must fall back.
+            let boundary: Vec<usize> = histories
+                .iter()
+                .zip(&excludes)
+                .enumerate()
+                .map(|(qi, (h, ex))| {
+                    let z = engine.encode_interests(&[h]);
+                    candidates(&oracle, &z, nprobe, num_items, ex).len().max(1) + qi % 2
+                })
+                .collect();
+            for r in [1, 2, 3, 5] {
+                let queries: Vec<CatalogQuery<'_>> = (0..r)
+                    .map(|qi| CatalogQuery {
+                        n: [1, 10, 40, boundary[qi]][(qi + r) % 4],
+                        exclude: &excludes[qi],
+                    })
+                    .collect();
+                let ctx =
+                    format!("{label} nlist={nlist} nprobe={nprobe} num_items={num_items} r={r}");
+                served += check_batch(
+                    &engine, &plain, &oracle, &histories, &queries, nprobe, num_items, &ctx,
+                );
+            }
+        }
+        assert!(
+            served > 0 || !ann::enabled(),
+            "{label} nlist={nlist} nprobe={nprobe}: no query was served by the probe"
+        );
+    }
+}
+
+#[test]
+fn screened_rerank_matches_reference_on_near_ties() {
+    let _serial = serial();
+    let (model, dataset) = model_with(16, 3, near_ties);
+    assert_matches_reference(&model, &dataset, quant::mode(), "near ties");
+}
+
+#[test]
+fn screened_rerank_matches_reference_on_spread_norms_and_odd_width() {
+    let _serial = serial();
+    // 18 is not a multiple of 4: the last code group is half padding.
+    let (model, dataset) = model_with(18, 4, spread_norms);
+    assert_matches_reference(&model, &dataset, quant::mode(), "spread norms");
+}
+
+#[test]
+fn screened_rerank_matches_reference_on_sixteen_distinct_rows() {
+    let _serial = serial();
+    let (model, dataset) = model_with(16, 3, sixteen_rows);
+    assert_matches_reference(&model, &dataset, quant::mode(), "16 rows");
+}
+
+#[test]
+fn quantized_catalogs_keep_the_gather_route() {
+    let _serial = serial();
+    let (model, dataset) = model_with(16, 3, near_ties);
+    for mode in [QuantMode::I8, QuantMode::Bf16] {
+        assert_matches_reference(&model, &dataset, mode, &format!("{mode:?}"));
+    }
+}
+
+/// Exact max-over-interest scores of `cands` for interests `z` through
+/// the GEMM kernels, strict `>` in interest order.
+fn gemm_scores(table: &[f32], d: usize, z: &[f32], cands: &[ItemId]) -> Vec<f32> {
+    let k = z.len() / d;
+    let mut t = vec![0.0f32; d * cands.len()];
+    for (j, &id) in cands.iter().enumerate() {
+        for (i, &v) in table[id as usize * d..][..d].iter().enumerate() {
+            t[i * cands.len() + j] = v;
+        }
+    }
+    let mut all = vec![0.0f32; k * cands.len()];
+    kernels::gemm_nn(z, &t, &mut all, k, d, cands.len());
+    let strict_max = |best: f32, s: f32| if s > best { s } else { best };
+    (0..cands.len())
+        .map(|j| {
+            (0..k)
+                .map(|kk| all[kk * cands.len() + j])
+                .fold(f32::NEG_INFINITY, strict_max)
+        })
+        .collect()
+}
+
+/// Runs `f` with summary tracing on and returns what it recorded.
+fn traced(f: impl FnOnce()) -> Vec<LabelStats> {
+    let prev = telemetry::mode();
+    telemetry::set_mode(TraceMode::Summary);
+    telemetry::drain();
+    f();
+    let records = telemetry::drain();
+    telemetry::set_mode(prev);
+    records
+}
+
+fn counter(records: &[LabelStats], label: &str) -> u64 {
+    let of = records
+        .iter()
+        .filter(|r| r.kind == RecordKind::Counter && r.label == label);
+    of.map(|r| r.value).sum()
+}
+
+fn span_bytes(records: &[LabelStats], label: &str) -> Option<u64> {
+    let mut of = records
+        .iter()
+        .filter(|r| r.kind == RecordKind::Span && r.label == label);
+    of.next().map(|r| r.bytes)
+}
+
+/// Screen bytes of the probed lists' blocks: per block 16 items' codes and
+/// scales.
+fn probed_screen_bytes(index: &IvfIndex, z: &[f32], nprobe: usize) -> u64 {
+    let (nlist, k) = (index.nlist(), z.len() / index.dim());
+    let (mut scores, mut gemm) = (vec![0.0; k * nlist], vec![0.0; PackedB::SCRATCH_LEN]);
+    let (mut order, mut probed, mut lists) = (vec![0; nlist], vec![0; nlist], vec![0; nlist]);
+    let mut scratch = ProbeScratch {
+        scores: &mut scores,
+        gemm: &mut gemm,
+        order: &mut order,
+        probed: &mut probed,
+        lists: &mut lists,
+    };
+    let count = index.probe_lists(z, k, nprobe, &mut scratch);
+    let block_bytes = index.dim().div_ceil(4) * SCREEN_GROUP_BYTES + SCREEN_LANES * 4;
+    let blocks = lists[..count]
+        .iter()
+        .map(|&c| index.list(c as usize).len().div_ceil(SCREEN_LANES));
+    (blocks.sum::<usize>() * block_bytes) as u64
+}
+
+#[test]
+fn nan_interest_takes_the_gather_route_and_counters_follow_the_route() {
+    let _serial = serial();
+    let (model, dataset) = model_with(16, 3, near_ties);
+    let (nlist, nprobe) = (24, 3);
+    let mut engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+    let (index, oracle) = index_pair(&engine, nlist);
+    engine
+        .attach_index_with(index, nprobe)
+        .expect("index matches the engine");
+    let (d, num_items) = (engine.dim(), dataset.num_items);
+    let table = {
+        let params = model.named_params();
+        params
+            .get("mbmissl.input.item_emb.weight")
+            .expect("item table")
+            .to_vec()
+    };
+    let none = HashSet::new();
+    let query = [CatalogQuery {
+        n: 10,
+        exclude: &none,
+    }];
+    let z = engine.encode_interests(&[&dataset.sequences[0]]);
+    let mut nan = z.clone();
+    nan[d + 3] = f32::NAN;
+
+    let mut screened: Vec<RankedQuery> = Vec::new();
+    let records = traced(|| screened = engine.rank_from_interests(&z, &query, num_items, None));
+    if !ann::enabled() {
+        assert!(span_bytes(&records, "index.rerank").is_none());
+        return;
+    }
+    let cands = candidates(&oracle, &z, nprobe, num_items, &none);
+    assert!(
+        screened[0].used_ann,
+        "a 10-item query fills from 3 of 24 lists"
+    );
+    let survivors = counter(&records, "infer.screen_survivors");
+    assert!(
+        (10..=cands.len() as u64).contains(&survivors),
+        "{survivors} survivors of {} candidates",
+        cands.len()
+    );
+    assert_eq!(counter(&records, "infer.screen_fallbacks"), 0);
+    assert_eq!(
+        span_bytes(&records, "index.probe"),
+        Some(4 * cands.len() as u64)
+    );
+    let read = probed_screen_bytes(&oracle, &z, nprobe);
+    assert_eq!(
+        span_bytes(&records, "index.rerank"),
+        Some(read + survivors * (d * 4) as u64),
+        "screen bytes of the probed blocks plus the survivor rows"
+    );
+
+    let mut gathered: Vec<RankedQuery> = Vec::new();
+    let records = traced(|| gathered = engine.rank_from_interests(&nan, &query, num_items, None));
+    let cands = candidates(&oracle, &nan, nprobe, num_items, &none);
+    assert!(gathered[0].used_ann, "the NaN query still fills");
+    assert_eq!(
+        bits(&gathered[0].recs),
+        top_n(&cands, &gemm_scores(&table, d, &nan, &cands), 10)
+    );
+    assert_eq!(counter(&records, "infer.screen_fallbacks"), 1);
+    assert_eq!(counter(&records, "infer.screen_survivors"), 0);
+    let panel = PackedB::packed_len(d, cands.len()) * 4;
+    assert_eq!(span_bytes(&records, "index.rerank"), Some(panel as u64));
+
+    // A quantized catalog gathers without counting a screen fallback.
+    let mut quantized = InferenceModel::compile_with_mode(&model, QuantMode::I8);
+    quantized
+        .attach_index_with(oracle, nprobe)
+        .expect("index matches the engine");
+    let records = traced(|| {
+        quantized.rank_from_interests(&z, &query, num_items, None);
+    });
+    assert_eq!(counter(&records, "infer.screen_fallbacks"), 0);
+    assert_eq!(counter(&records, "infer.screen_survivors"), 0);
+}
+
+#[test]
+fn detach_and_reattach_keep_replies_exact() {
+    let _serial = serial();
+    let (model, dataset) = model_with(16, 3, near_ties);
+    let plain = InferenceModel::compile(&model);
+    let mut engine = InferenceModel::compile(&model);
+    let histories: Vec<&Sequence> = dataset.sequences.iter().take(5).collect();
+    let num_items = dataset.num_items;
+    let none = HashSet::new();
+    let seen: HashSet<ItemId> = [0]
+        .into_iter()
+        .chain(histories[1].items.iter().copied())
+        .collect();
+    let queries = [
+        CatalogQuery {
+            n: 10,
+            exclude: &none,
+        },
+        CatalogQuery {
+            n: 40,
+            exclude: &seen,
+        },
+        CatalogQuery {
+            n: 1,
+            exclude: &none,
+        },
+        CatalogQuery {
+            n: num_items,
+            exclude: &seen,
+        },
+        CatalogQuery {
+            n: 10,
+            exclude: &seen,
+        },
+    ];
+    let exhaustive = |engine: &InferenceModel, ctx: &str| {
+        for (qi, h) in histories.iter().enumerate() {
+            let z = engine.encode_interests(&[h]);
+            let q = [CatalogQuery {
+                n: queries[qi].n,
+                exclude: queries[qi].exclude,
+            }];
+            let got = engine.rank_from_interests(&z, &q, num_items, None);
+            let want = plain.rank_from_interests(&z, &q, num_items, None);
+            assert!(!got[0].used_ann, "{ctx}: no index is attached");
+            assert_eq!(bits(&got[0].recs), bits(&want[0].recs), "{ctx} query={qi}");
+        }
+    };
+    exhaustive(&engine, "before attaching");
+    for (round, &(nlist, nprobe)) in [(24, 3), (40, 2), (24, 1)].iter().enumerate() {
+        // The second round attaches over an attached index.
+        if round != 1 {
+            engine.detach_index();
+            assert!(!engine.has_index());
+            exhaustive(&engine, &format!("detached before round {round}"));
+        }
+        let (index, oracle) = index_pair(&engine, nlist);
+        engine
+            .attach_index_with(index, nprobe)
+            .expect("index matches the engine");
+        for r in [1, 5] {
+            let ctx = format!("round {round} nlist={nlist} nprobe={nprobe} r={r}");
+            let q = &queries[..r];
+            check_batch(
+                &engine, &plain, &oracle, &histories, q, nprobe, num_items, &ctx,
+            );
+        }
+    }
+    engine.detach_index();
+    exhaustive(&engine, "detached at the end");
+}

@@ -592,7 +592,8 @@ fn upper_bounds(screen: &CatalogScreen, z: &[f32], d: usize, rows: usize) -> Opt
     let mut acc = vec![0i32; CatalogScreen::acc_len(z.len() / d)];
     let mut ub = vec![0.0f32; CatalogScreen::BOUNDS_LEN];
     let mut out = vec![0.0f32; rows];
-    screen.scan(&query, rows, &mut acc, &mut ub, |row0, ub| {
+    let blocks = 0..rows.div_ceil(SCREEN_LANES);
+    screen.scan(&query, blocks, &mut acc, &mut ub, |row0, ub| {
         for (o, &u) in out[row0..].iter_mut().zip(ub) {
             *o = u;
         }
