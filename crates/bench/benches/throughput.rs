@@ -11,13 +11,12 @@
 //! alone rather than everything run before it.
 //!
 //! Set `MBSSL_BENCH_ONLY=<substring>` to run only the benches whose name
-//! contains the substring (`bench_smoke.sh` uses this for its second,
-//! unfused `train_step` pass).
+//! contains the substring.
 //!
 //! With `MBSSL_TRACE` active, per-section telemetry records (span timings,
 //! allocator/pool gauges) are also appended to `CRITERION_JSON`;
-//! `bench_smoke.sh` runs a third, traced `train_step` pass to populate the
-//! `telemetry` section of `BENCH_throughput.json`.
+//! `bench_smoke.sh` runs a second, traced `train_step`-only pass to
+//! populate the `telemetry` section of `BENCH_throughput.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -66,8 +65,7 @@ fn emit_alloc_section(section: &str) {
             {
                 let _ = writeln!(
                     file,
-                    "{{\"name\": \"alloc_stats\", \"section\": \"{section}\", \"enabled\": {}, \"hits\": {}, \"misses\": {}, \"recycled\": {}, \"bytes_reused\": {}, \"hit_rate_pct\": {:.2}}}",
-                    alloc::enabled(),
+                    "{{\"name\": \"alloc_stats\", \"section\": \"{section}\", \"hits\": {}, \"misses\": {}, \"recycled\": {}, \"bytes_reused\": {}, \"hit_rate_pct\": {:.2}}}",
                     s.hits,
                     s.misses,
                     s.recycled,

@@ -25,8 +25,8 @@
 //!   [`AnnError`]; consumers degrade to exhaustive scoring (warn-and-
 //!   degrade, like the run ledger's IO handling).
 //! - **Gating**: `MBSSL_ANN=off` disables probing everywhere even when an
-//!   index is attached, restoring today's exhaustive path bit-for-bit —
-//!   the same escape-hatch pattern as `MBSSL_INFER` / `MBSSL_FUSED`.
+//!   index is attached, restoring the exhaustive path bit-for-bit: a user
+//!   choice between recall and latency, not a debugging fallback.
 //!   `MBSSL_ANN_NLIST` / `MBSSL_ANN_NPROBE` override the built/probed list
 //!   counts.
 //!
@@ -58,7 +58,7 @@ const ASSIGN_CHUNK: usize = 512;
 
 /// Whether ANN probing is allowed. Defaults to on; `MBSSL_ANN=off` (or
 /// `0` / `none`) keeps every consumer on the exhaustive path even when an
-/// index is attached. Read once and cached, mirroring `MBSSL_INFER`.
+/// index is attached. Read once and cached for the process lifetime.
 pub fn enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| {

@@ -50,17 +50,12 @@ impl InputLayer {
         let behavior = self.behavior_emb.forward_seq(&batch.behaviors, b, l);
         let positions: Vec<usize> = (0..b * l).map(|i| i % l).collect();
         let pos = self.pos_emb.forward_seq(&positions, b, l);
-        if mbssl_tensor::fused::enabled() {
-            // `ln(item + behavior + pos)` with the second add and the norm
-            // collapsed into one fused node; element order matches the
-            // composition below bit-for-bit.
-            let s = item.add(&behavior);
-            let y = self.ln.residual_forward(&s, &pos);
-            mode.dropout(&y, self.dropout)
-        } else {
-            let x = item.add(&behavior).add(&pos);
-            mode.dropout(&self.ln.forward(&x), self.dropout)
-        }
+        // `ln(item + behavior + pos)` with the second add and the norm
+        // collapsed into one fused node; element order matches
+        // `ln.forward(item.add(&behavior).add(&pos))` bit-for-bit.
+        let s = item.add(&behavior);
+        let y = self.ln.residual_forward(&s, &pos);
+        mode.dropout(&y, self.dropout)
     }
 }
 

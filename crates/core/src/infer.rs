@@ -26,18 +26,19 @@
 //!
 //! The engine mirrors the *unfused* eval-mode composition of the autograd
 //! path operation for operation — same kernels (`gemm_nn` variants that
-//! are bit-identical by contract, the exact softmax / layernorm row
-//! loops, the same gelu/tanh/squash formulas, the same `-1e9` mask fill
-//! and strict-`>` max-over-interests) — so its f32 scores are
-//! **bit-for-bit identical** to `Mbmissl::score_batch`. Since the fused
-//! ops are themselves bit-identical to the unfused composition, parity
-//! holds regardless of `MBSSL_FUSED`. Quantized catalog scoring is the
-//! one deliberate exception and is gated by an HR/NDCG drift tolerance
-//! instead (`MBSSL_QUANT_TOL`). `tests/infer_parity.rs` pins all of this.
+//! are bit-identical by contract, the shared `kernels::softmax_rows_serial`
+//! / `kernels::layernorm_row` / `kernels::gelu` row kernels run serially,
+//! the same tanh/squash formulas, the same `-1e9` mask fill and strict-`>`
+//! max-over-interests) — so its f32 scores are **bit-for-bit identical**
+//! to `Mbmissl::score_batch`, whose fused ops are pinned bit-identical to
+//! that composition by the tensor crate's `fused_parity` suite. Quantized
+//! catalog scoring is the one deliberate exception and is gated by an
+//! HR/NDCG drift tolerance instead (`MBSSL_QUANT_TOL`).
+//! `tests/infer_parity.rs` pins all of this against the autograd
+//! reference (`evaluate_reference` / `recommend_top_n_reference`).
 //!
-//! `MBSSL_INFER=off` disables the engine: [`Mbmissl::prepare_inference`]
-//! returns `None` and `evaluate` / `recommend_top_n` run the autograd
-//! path exactly as before.
+//! [`Mbmissl::prepare_inference`] always compiles the engine, so
+//! `evaluate` / `recommend_top_n` on an `Mbmissl` always run it.
 //!
 //! Telemetry: compilation runs under `infer.pack`, each forward under
 //! `infer.forward`, and catalog ranking under `infer.score_catalog`
@@ -64,7 +65,7 @@ use std::cell::{Cell, UnsafeCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
 use std::ops::Range;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use mbssl_data::sampler::Batch;
 use mbssl_data::{Behavior, ItemId, Sequence};
@@ -88,22 +89,6 @@ use crate::trainer::TrainableRecommender;
 const MASK_FILL: f32 = -1e9;
 /// LayerNorm epsilon: every `LayerNorm::new` in the model uses 1e-5.
 const LN_EPS: f32 = 1e-5;
-/// The tanh-gelu constant `sqrt(2/pi)` as the f32 literal the tensor
-/// crate's `gelu` uses.
-const GELU_C: f32 = 0.797_884_6;
-
-/// Whether the inference engine is allowed. Defaults to on;
-/// `MBSSL_INFER=off` (or `0` / `none`) keeps every consumer on the
-/// autograd path. Read once and cached, mirroring `MBSSL_FUSED`.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("MBSSL_INFER").as_deref(),
-            Ok("off") | Ok("0") | Ok("none")
-        )
-    })
-}
 
 /// A bump arena for per-request activation buffers.
 ///
@@ -216,31 +201,6 @@ impl Arena {
     }
 }
 
-/// The exact elementwise gelu of the autograd path.
-#[inline]
-fn gelu(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-/// The exact per-row softmax loop of `kernels::softmax_rows`.
-fn softmax_rows_inplace(data: &mut [f32], cols: usize) {
-    if cols == 0 {
-        return;
-    }
-    for row in data.chunks_mut(cols) {
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
-        }
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
-    }
-}
-
 /// `[B, L, H*Dh] → [B*H, L, Dh]`, the reshape/permute/reshape of
 /// `MultiHeadAttention::split_heads` as one index map.
 fn split_heads(inp: &[f32], out: &mut [f32], b: usize, l: usize, heads: usize, dh: usize) {
@@ -290,8 +250,8 @@ impl PackedLinear {
     }
 }
 
-/// LayerNorm parameters; `apply` is the exact row loop of
-/// `kernels::layernorm_forward_rows`.
+/// LayerNorm parameters; `apply` runs `kernels::layernorm_row`, the row
+/// kernel of the autograd layer norm, serially.
 struct LayerNormWeights {
     gamma: Vec<f32>,
     beta: Vec<f32>,
@@ -300,12 +260,7 @@ struct LayerNormWeights {
 impl LayerNormWeights {
     fn apply(&self, x: &[f32], out: &mut [f32], d: usize) {
         for (row, orow) in x.chunks(d).zip(out.chunks_mut(d)) {
-            let mean = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let istd = 1.0 / (var + LN_EPS).sqrt();
-            for j in 0..d {
-                orow[j] = self.gamma[j] * ((row[j] - mean) * istd) + self.beta[j];
-            }
+            kernels::layernorm_row(row, &self.gamma, &self.beta, LN_EPS, orow, None);
         }
     }
 }
@@ -380,7 +335,7 @@ impl AttnWeights {
                 }
             }
         }
-        softmax_rows_inplace(scores, lk);
+        kernels::softmax_rows_serial(scores, lk);
 
         let ctx = arena.alloc(b * heads * lq * dh);
         for bh in 0..b * heads {
@@ -413,7 +368,7 @@ impl FfnWeights {
         let hidden = arena.alloc(m * self.lin1.w.n());
         self.lin1.apply(x, hidden, m, scratch);
         for v in hidden.iter_mut() {
-            *v = gelu(*v);
+            *v = kernels::gelu(*v);
         }
         let out = arena.alloc(m * self.lin2.w.n());
         self.lin2.apply(hidden, out, m, scratch);
@@ -593,7 +548,7 @@ impl ExtractorWeights {
                         }
                     }
                 }
-                softmax_rows_inplace(attn, l);
+                kernels::softmax_rows_serial(attn, l);
                 let z = arena.alloc(b * k * d);
                 for bi in 0..b {
                     kernels::gemm_nn(
@@ -643,7 +598,7 @@ impl ExtractorWeights {
                             }
                         }
                     }
-                    softmax_rows_inplace(c, l);
+                    kernels::softmax_rows_serial(c, l);
                     weighted.fill(0.0);
                     for bi in 0..b {
                         kernels::gemm_nn(
@@ -1731,15 +1686,6 @@ mod tests {
         let arena = Arena::with_capacity(0);
         let a = arena.alloc(0);
         assert!(a.is_empty());
-    }
-
-    #[test]
-    fn softmax_matches_kernel() {
-        let mut a = vec![0.5, -1.0, 2.0, 0.0, 0.25, -3.0];
-        let mut b = a.clone();
-        softmax_rows_inplace(&mut a, 3);
-        kernels::softmax_rows(&mut b, 3);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -394,11 +394,7 @@ impl SequentialRecommender for Mbmissl {
     }
 
     fn prepare_inference(&self) -> Option<Box<dyn SequentialRecommender>> {
-        if crate::infer::enabled() {
-            Some(Box::new(crate::infer::InferenceModel::compile(self)))
-        } else {
-            None
-        }
+        Some(Box::new(crate::infer::InferenceModel::compile(self)))
     }
 }
 

@@ -43,8 +43,8 @@
 //! # Row order
 //!
 //! The screen is built in id order: row `v` holds item `v`. A row → item
-//! map ([`ids`](CatalogScreen::ids)) names the item of every row, 0 for a
-//! pad row. [`relay`](CatalogScreen::relay) re-lays the rows in any order,
+//! map (`CatalogScreen::ids`) names the item of every row, 0 for a
+//! pad row. `CatalogScreen::relay` re-lays the rows in any order,
 //! for example inverted-list order so that a probed list is a contiguous run
 //! of blocks. It copies each item's codes and scale and never re-quantizes,
 //! so every item's bound, and the catalog-wide `E`, `Q` and `V`, stay those
@@ -315,7 +315,7 @@ impl CatalogScreen {
     /// Runs the integer screen over `blocks` and hands `visit(row0, ub)`
     /// each block's first row and its 16 bounds: `ub[j] ≥` the exact f32
     /// score of the item in row `row0 + j` (pad rows carry meaningless
-    /// bounds; [`ids`](Self::ids) tells them apart). `acc` and `ub` are
+    /// bounds; `ids` tells them apart). `acc` and `ub` are
     /// scratch of [`acc_len`](Self::acc_len)`(k)` and
     /// [`BOUNDS_LEN`](Self::BOUNDS_LEN) elements. Returns the screen bytes
     /// read.

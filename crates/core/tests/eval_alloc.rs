@@ -47,10 +47,6 @@ fn demo(n: usize) -> (Vec<EvalInstance>, EvalCandidates) {
 
 #[test]
 fn evaluate_rents_one_buffer_regardless_of_chunk_count() {
-    if !alloc::enabled() {
-        // MBSSL_ALLOC=off: nothing is counted; the contract is untestable.
-        return;
-    }
     let (instances, cands) = demo(64);
     // Warm-up so the pool holds a buffer of the right size class and the
     // measured calls are steady-state.

@@ -6,7 +6,8 @@
 //!   extractors, and varied batch shapes;
 //! - `evaluate` / `recommend_top_n` (which route through the engine by
 //!   default) return exactly what the `_reference` paths return;
-//! - [`Mbmissl::prepare_inference`] honors the `MBSSL_INFER` gate;
+//! - [`Mbmissl::prepare_inference`] compiles every encoder × extractor
+//!   combination;
 //! - the quantized catalog scorers (i8, bf16) keep HR@5/10 and NDCG@5/10
 //!   within `MBSSL_QUANT_TOL` of the f32 engine.
 
@@ -116,17 +117,14 @@ fn engine_top_n_matches_chunked_reference_exactly() {
 }
 
 #[test]
-fn prepare_inference_honors_env_gate() {
-    let (model, _) = tiny_model(EncoderKind::Transformer, ExtractorKind::SelfAttentive);
-    let compiled = model.prepare_inference();
-    // The gate is process-cached, so assert consistency with it rather
-    // than mutating the environment: CI runs this suite under both
-    // MBSSL_INFER=off and the default to cover both branches.
-    assert_eq!(
-        compiled.is_some(),
-        mbssl_core::infer::enabled(),
-        "prepare_inference disagrees with the MBSSL_INFER gate"
-    );
+fn prepare_inference_compiles_every_variant() {
+    for (encoder, extractor) in VARIANTS {
+        let (model, _) = tiny_model(encoder, extractor);
+        assert!(
+            model.prepare_inference().is_some(),
+            "no compiled engine for {encoder:?}/{extractor:?}"
+        );
+    }
 }
 
 /// Full-catalog ranking metrics for one engine: rank of each test target

@@ -63,17 +63,6 @@ const VARIANTS: [(EncoderKind, ExtractorKind); 4] = [
     (EncoderKind::Transformer, ExtractorKind::DynamicRouting),
 ];
 
-/// The engine `recommend_top_n` itself serves through (same env gates),
-/// falling back to a plain f32 compile when `MBSSL_INFER=off` — the
-/// engine/reference parity suite pins those two paths bit-identical.
-fn serving_engine(model: &Mbmissl) -> InferenceModel {
-    if mbssl_core::infer::enabled() {
-        InferenceModel::compile(model) // same env-driven quant mode
-    } else {
-        InferenceModel::compile_with_mode(model, QuantMode::Off)
-    }
-}
-
 /// Offline baseline: what `mbssl recommend` prints for this user.
 fn offline(model: &Mbmissl, dataset: &Dataset, user: UserId, n: usize) -> Vec<Recommendation> {
     let history = &dataset.sequences[user as usize];
@@ -91,7 +80,7 @@ fn batched_serving_is_bit_identical_to_sequential_top_n() {
             users.iter().map(|&u| offline(&model, &dataset, u, n)).collect();
         for max_batch in [1usize, 4, 16] {
             let server = Server::start(
-                serving_engine(&model),
+                InferenceModel::compile(&model),
                 Arc::new(SessionStore::from_dataset(&dataset)),
                 RerankChain::empty(),
                 ServeConfig {
@@ -152,7 +141,7 @@ fn cache_serves_identical_results_and_ingest_invalidates() {
     let (model, dataset) = tiny_model(EncoderKind::Hypergraph, ExtractorKind::SelfAttentive);
     let n = 5;
     let server = Server::start(
-        serving_engine(&model),
+        InferenceModel::compile(&model),
         Arc::new(SessionStore::from_dataset(&dataset)),
         RerankChain::empty(),
         ServeConfig {
@@ -198,7 +187,7 @@ fn hot_swap_redirects_new_requests_to_the_new_engine() {
         tiny_model_seeded(EncoderKind::Transformer, ExtractorKind::SelfAttentive, Some(1234));
     let n = 5;
     let server = Server::start(
-        serving_engine(&model_a),
+        InferenceModel::compile(&model_a),
         Arc::new(SessionStore::from_dataset(&dataset)),
         RerankChain::empty(),
         ServeConfig {
@@ -213,7 +202,7 @@ fn hot_swap_redirects_new_requests_to_the_new_engine() {
     assert_eq!(before.epoch, 0);
     assert_eq!(before.recs, offline(&model_a, &dataset, user, n));
 
-    let epoch = server.swap_engine(serving_engine(&model_b));
+    let epoch = server.swap_engine(InferenceModel::compile(&model_b));
     assert_eq!(epoch, 1);
     let after = server.submit(user, n).unwrap();
     assert_eq!(after.epoch, 1, "post-swap requests must serve on the new epoch");
@@ -273,7 +262,7 @@ fn rerank_chain_composes_with_retrieval_overscan() {
     let n = 3;
     // topk:3 after a 4× overscan must reproduce the plain top-3 exactly.
     let server = Server::start(
-        serving_engine(&model),
+        InferenceModel::compile(&model),
         Arc::new(SessionStore::from_dataset(&dataset)),
         RerankChain::parse("topk:3").unwrap(),
         ServeConfig {
@@ -290,7 +279,7 @@ fn rerank_chain_composes_with_retrieval_overscan() {
     // to soft-penalizing them: with an overwhelming penalty every seen
     // item still drops out of the top n.
     let server = Server::start(
-        serving_engine(&model),
+        InferenceModel::compile(&model),
         Arc::new(SessionStore::from_dataset(&dataset)),
         RerankChain::parse("seen:1000000").unwrap(),
         ServeConfig {
@@ -323,7 +312,7 @@ fn trace_mode_does_not_change_served_results() {
     let run = |mode: mbssl_telemetry::TraceMode| -> Vec<Vec<Recommendation>> {
         mbssl_telemetry::set_mode(mode);
         let server = Server::start(
-            serving_engine(&model),
+            InferenceModel::compile(&model),
             Arc::new(SessionStore::from_dataset(&dataset)),
             RerankChain::empty(),
             ServeConfig {
@@ -364,7 +353,7 @@ fn tail_sampling_writes_stage_records_and_snapshot_is_complete() {
     let tail_path = dir.join("serve_slow.jsonl");
     let _ = std::fs::remove_file(&tail_path);
     let server = Server::start(
-        serving_engine(&model),
+        InferenceModel::compile(&model),
         Arc::new(SessionStore::from_dataset(&dataset)),
         RerankChain::empty(),
         ServeConfig {

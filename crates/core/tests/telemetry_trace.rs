@@ -134,7 +134,14 @@ fn jsonl_trace_is_valid_and_does_not_perturb_training() {
                     "meta lacks a plausible core count"
                 );
                 let env = obj_get(&rec, "env").expect("meta lacks env stamp");
-                for key in ["MBSSL_THREADS", "MBSSL_ALLOC", "MBSSL_FUSED", "MBSSL_TRACE"] {
+                for key in [
+                    "MBSSL_THREADS",
+                    "MBSSL_SIMD",
+                    "MBSSL_QUANT",
+                    "MBSSL_ANN",
+                    "MBSSL_DATA_MMAP",
+                    "MBSSL_TRACE",
+                ] {
                     assert!(obj_get(env, key).is_some(), "env stamp lacks {key}");
                 }
             }

@@ -122,20 +122,14 @@ impl HypergraphTransformerLayer {
             .edge_to_node
             .forward(&normed, &edges, &edges, Some(&e2n), mode);
 
-        if mbssl_tensor::fused::enabled() {
-            // Same dataflow as below with the residual+LN and the final
-            // three-way sum each collapsed to one fused node (element order
-            // preserved, so results are bit-identical).
-            let da = mode.dropout(&update, self.dropout);
-            let h2 = self.ln_ffn.residual_forward(nodes, &da);
-            let ffn_out = self.ffn.forward(&h2, mode);
-            let df = mode.dropout(&ffn_out, self.dropout);
-            nodes.add3(&da, &df)
-        } else {
-            let x = nodes.add(&mode.dropout(&update, self.dropout));
-            let ffn_out = self.ffn.forward(&self.ln_ffn.forward(&x), mode);
-            x.add(&mode.dropout(&ffn_out, self.dropout))
-        }
+        // The residual+LN and the final three-way sum are each one fused
+        // node; element order matches the node-per-op composition, so
+        // results are bit-identical to it.
+        let da = mode.dropout(&update, self.dropout);
+        let h2 = self.ln_ffn.residual_forward(nodes, &da);
+        let ffn_out = self.ffn.forward(&h2, mode);
+        let df = mode.dropout(&ffn_out, self.dropout);
+        nodes.add3(&da, &df)
     }
 }
 

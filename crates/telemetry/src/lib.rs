@@ -474,11 +474,15 @@ pub fn drain() -> Vec<LabelStats> {
 // Flushing
 // ---------------------------------------------------------------------------
 
-/// The `MBSSL_*` variables stamped into every meta record.
-const META_ENV_KEYS: [&str; 7] = [
+/// The `MBSSL_*` variables stamped into every meta record: the pool size,
+/// the four path selectors (SIMD kernels, catalog quantization, IVF
+/// retrieval, mmap'd `.mbds` reads) and the run's own trace settings.
+const META_ENV_KEYS: [&str; 9] = [
     "MBSSL_THREADS",
-    "MBSSL_ALLOC",
-    "MBSSL_FUSED",
+    "MBSSL_SIMD",
+    "MBSSL_QUANT",
+    "MBSSL_ANN",
+    "MBSSL_DATA_MMAP",
     "MBSSL_TRACE",
     "MBSSL_BENCH_ONLY",
     "MBSSL_RUN_DIR",

@@ -17,9 +17,6 @@
 //!   overflow to / refill from a global per-class `Mutex<Vec<_>>` (capped at
 //!   `SHARED_CAP`), so producer/consumer thread pairs (e.g. the batch
 //!   prefetcher and the training thread) still recycle across threads.
-//! - **Escape hatch**: `MBSSL_ALLOC=off` (checked once per process) disables
-//!   recycling; every call degrades to plain `Vec` allocation, which is the
-//!   seed behavior. Useful to rule the allocator out when debugging.
 //!
 //! Handing out recycled storage never changes values: [`zeroed`] returns all
 //! zeros exactly like `vec![0.0; n]`, and [`copy_of`]/[`buffer`] only expose
@@ -28,7 +25,7 @@
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, Once, OnceLock};
 
 /// Smallest recycled capacity, in elements (2^6 = 64 floats = 256 B).
 /// Smaller requests are cheap enough for the system allocator.
@@ -72,18 +69,12 @@ static MISSES: AtomicU64 = AtomicU64::new(0);
 static RECYCLED: AtomicU64 = AtomicU64::new(0);
 static BYTES_REUSED: AtomicU64 = AtomicU64::new(0);
 
-/// Whether recycling is active (i.e. `MBSSL_ALLOC` is not `off`/`0`).
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        // Piggyback on the one-time init: publish the recycling counters to
-        // every telemetry flush without touching the per-request fast path.
-        mbssl_telemetry::register_collector(telemetry_collector);
-        !matches!(
-            std::env::var("MBSSL_ALLOC").as_deref(),
-            Ok("off") | Ok("0") | Ok("none")
-        )
-    })
+/// Publishes the recycling counters to every telemetry flush. Registers
+/// once per process, on the first [`buffer`] request; after that the check
+/// is one atomic load.
+fn register_telemetry() {
+    static REGISTERED: Once = Once::new();
+    REGISTERED.call_once(|| mbssl_telemetry::register_collector(telemetry_collector));
 }
 
 /// Gauge snapshot of [`stats`] for `mbssl-telemetry` (labels `alloc.*`),
@@ -159,9 +150,7 @@ fn pop_class(class: usize) -> Option<Vec<f32>> {
 /// `extend`, `extend_from_slice`). Capacity is the request's size class, so
 /// a later [`recycle`] returns it to the same class.
 pub fn buffer(n: usize) -> Vec<f32> {
-    if !enabled() {
-        return Vec::with_capacity(n);
-    }
+    register_telemetry();
     let Some(class) = class_of(n) else {
         MISSES.fetch_add(1, Ordering::Relaxed);
         return Vec::with_capacity(n);
@@ -198,11 +187,8 @@ pub fn copy_of(src: &[f32]) -> Vec<f32> {
 }
 
 /// Returns a buffer to its size-class free list. Buffers whose capacity is
-/// not an exact class size (or recycling disabled) are simply dropped.
+/// not an exact class size are simply dropped.
 pub fn recycle(v: Vec<f32>) {
-    if !enabled() {
-        return;
-    }
     let cap = v.capacity();
     let Some(class) = class_of(cap) else { return };
     if class_capacity(class) != cap {
@@ -280,9 +266,6 @@ mod tests {
 
     #[test]
     fn stats_track_hits() {
-        if !enabled() {
-            return; // MBSSL_ALLOC=off: nothing to track
-        }
         let before = stats();
         let v = zeroed(5000);
         recycle(v);

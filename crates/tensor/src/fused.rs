@@ -11,11 +11,8 @@
 //! gradients exactly equal to the unfused autograd at any worker-pool size.
 //! That contract is pinned by `tests/fused_parity.rs`.
 //!
-//! The nn-module call sites gate on [`enabled`] (`MBSSL_FUSED=off` escape
-//! hatch, mirroring `MBSSL_ALLOC`), keeping the unfused composition alive as
-//! the reference implementation.
-
-use std::sync::OnceLock;
+//! The nn modules call these ops directly; `tests/fused_parity.rs` builds
+//! the unfused composition from primitive ops as their oracle.
 
 use mbssl_telemetry as telemetry;
 
@@ -25,19 +22,6 @@ use crate::kernels;
 use crate::pool;
 use crate::shape::{broadcast_strides, Shape};
 use crate::tensor::Tensor;
-
-/// Whether fused call sites are active. Defaults to on; `MBSSL_FUSED=off`
-/// (or `0` / `none`) routes the nn modules through the unfused reference
-/// composition instead. Read once and cached for the process lifetime.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("MBSSL_FUSED").as_deref(),
-            Ok("off") | Ok("0") | Ok("none")
-        )
-    })
-}
 
 /// Minimum total score elements (`B*H · Lq · Lk`) before sdpa spreads its
 /// independent `[B*H]` slices across the worker pool. Purely a scheduling
@@ -62,28 +46,6 @@ impl SendPtr {
     unsafe fn window(&self, offset: usize, len: usize) -> &mut [f32] {
         std::slice::from_raw_parts_mut(self.0.add(offset), len)
     }
-}
-
-const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi), same constant as ops/unary.rs
-
-/// GELU forward, identical expression to `Tensor::gelu`.
-#[inline]
-fn gelu_fwd(x: f32) -> f32 {
-    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
-}
-
-/// GELU backward, identical expression to `Tensor::gelu` (recovers
-/// `t = tanh(inner)` from the stored forward output away from `x = 0`).
-#[inline]
-fn gelu_bwd(x: f32, y: f32, g: f32) -> f32 {
-    let t = if x.abs() > 1e-3 {
-        2.0 * y / x - 1.0
-    } else {
-        (GELU_C * (x + 0.044715 * x * x * x)).tanh()
-    };
-    let dt = 1.0 - t * t;
-    let dinner = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
-    g * (0.5 * (1.0 + t) + 0.5 * x * dt * dinner)
 }
 
 impl Tensor {
@@ -356,7 +318,7 @@ impl Tensor {
             let write = |offset: usize, chunk: &mut [f32]| {
                 let mut j = offset % h;
                 for (idx, o) in chunk.iter_mut().enumerate() {
-                    *o = gelu_fwd(x[offset + idx] + b[j]);
+                    *o = kernels::gelu(x[offset + idx] + b[j]);
                     j += 1;
                     if j == h {
                         j = 0;
@@ -393,7 +355,7 @@ impl Tensor {
                             chunk
                                 .iter()
                                 .enumerate()
-                                .map(|(j, &xv)| gelu_bwd(xv + b[j], y[o + j], g[o + j])),
+                                .map(|(j, &xv)| kernels::gelu_grad(xv + b[j], y[o + j], g[o + j])),
                         );
                     }
                 }
@@ -576,16 +538,6 @@ impl Tensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn enabled_defaults_on() {
-        // The test binary never sets MBSSL_FUSED except in dedicated CI runs,
-        // where this test still documents the tri-state contract.
-        match std::env::var("MBSSL_FUSED").as_deref() {
-            Ok("off") | Ok("0") | Ok("none") => assert!(!enabled()),
-            _ => assert!(enabled()),
-        }
-    }
 
     #[test]
     fn sdpa_uniform_attention_averages_values() {

@@ -946,25 +946,61 @@ fn for_each_row_panel(data: &mut [f32], cols: usize, body: impl Fn(&mut [f32]) +
 }
 
 /// In-place numerically stable softmax over each row of an (rows×cols)
-/// matrix.
+/// matrix, on the calling thread. The single row loop behind
+/// [`softmax_rows`] and the inference engine, whose serve workers must not
+/// fork-join into the pool.
+#[inline]
+pub fn softmax_rows_serial(data: &mut [f32], cols: usize) {
+    if cols == 0 {
+        return;
+    }
+    for row in data.chunks_mut(cols) {
+        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        let mut sum = 0.0f32;
+        for v in row.iter_mut() {
+            *v = (*v - max).exp();
+            sum += *v;
+        }
+        let inv = 1.0 / sum;
+        for v in row.iter_mut() {
+            *v *= inv;
+        }
+    }
+}
+
+/// In-place numerically stable softmax over each row of an (rows×cols)
+/// matrix; large inputs split their row panels across the pool.
 pub fn softmax_rows(data: &mut [f32], cols: usize) {
     if cols == 0 {
         return;
     }
-    for_each_row_panel(data, cols, |panel| {
-        for row in panel.chunks_mut(cols) {
-            let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            let mut sum = 0.0f32;
-            for v in row.iter_mut() {
-                *v = (*v - max).exp();
-                sum += *v;
-            }
-            let inv = 1.0 / sum;
-            for v in row.iter_mut() {
-                *v *= inv;
-            }
-        }
-    });
+    for_each_row_panel(data, cols, |panel| softmax_rows_serial(panel, cols));
+}
+
+/// `sqrt(2/pi)`, the tanh-GELU constant.
+const GELU_C: f32 = 0.797_884_6;
+
+/// GELU, tanh approximation (as used by BERT). The single definition
+/// behind `Tensor::gelu`, the fused `bias_gelu` and the inference engine.
+#[inline]
+pub fn gelu(x: f32) -> f32 {
+    0.5 * x * (1.0 + (GELU_C * (x + 0.044715 * x * x * x)).tanh())
+}
+
+/// Gradient of [`gelu`] at `x` scaled by `g`, given the forward output
+/// `y = gelu(x)`. Recovers `t = tanh(inner)` from `y = 0.5·x·(1+t)`
+/// instead of re-evaluating tanh (the libm call dominates); near `x = 0`
+/// the division loses precision, so it falls back to the direct form.
+#[inline]
+pub fn gelu_grad(x: f32, y: f32, g: f32) -> f32 {
+    let t = if x.abs() > 1e-3 {
+        2.0 * y / x - 1.0
+    } else {
+        (GELU_C * (x + 0.044715 * x * x * x)).tanh()
+    };
+    let dt = 1.0 - t * t;
+    let dinner = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
+    g * (0.5 * (1.0 + t) + 0.5 * x * dt * dinner)
 }
 
 /// In-place log-softmax over each row.
@@ -1041,6 +1077,35 @@ struct SendMut(*mut f32);
 unsafe impl Send for SendMut {}
 unsafe impl Sync for SendMut {}
 
+/// Layer-norm forward of one row: writes `gamma ⊙ xhat + beta` to `out`
+/// and, when given, the normalized row to `xhat`; returns the row's inverse
+/// std. The single definition behind [`layernorm_forward_rows`] and the
+/// inference engine's serial row loop.
+#[inline]
+pub fn layernorm_row(
+    row: &[f32],
+    gamma: &[f32],
+    beta: &[f32],
+    eps: f32,
+    out: &mut [f32],
+    xhat: Option<&mut [f32]>,
+) -> f32 {
+    let d = row.len();
+    let (gamma, beta, out) = (&gamma[..d], &beta[..d], &mut out[..d]);
+    let mut xhat = xhat.map(|x| &mut x[..d]);
+    let mean: f32 = row.iter().sum::<f32>() / d as f32;
+    let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
+    let istd = 1.0 / (var + eps).sqrt();
+    for i in 0..d {
+        let xh = (row[i] - mean) * istd;
+        if let Some(xhat) = xhat.as_deref_mut() {
+            xhat[i] = xh;
+        }
+        out[i] = gamma[i] * xh + beta[i];
+    }
+    istd
+}
+
 /// Fused layer-norm forward: for each of `rows` rows of width `d`,
 /// normalizes `x` to zero mean / unit variance and applies `gamma`/`beta`.
 /// Writes the output, the normalized activations (`xhat`, saved for
@@ -1077,17 +1142,14 @@ pub fn layernorm_forward_rows(
         let r1 = (r0 + rows_per).min(rows);
         for r in r0..r1 {
             let o = r * d;
-            let row = &x[o..o + d];
-            let mean: f32 = row.iter().sum::<f32>() / d as f32;
-            let var: f32 = row.iter().map(|&v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let istd = 1.0 / (var + eps).sqrt();
+            // SAFETY: `r < rows`, so `o + d <= rows * d`, the length of
+            // `out` and `xhat`, and `r` indexes `inv_std`. Chunk `ci` alone
+            // owns rows `r0..r1`, so no two workers touch the same window.
             unsafe {
-                *p_istd.0.add(r) = istd;
-                for i in 0..d {
-                    let xh = (row[i] - mean) * istd;
-                    *p_xhat.0.add(o + i) = xh;
-                    *p_out.0.add(o + i) = gamma[i] * xh + beta[i];
-                }
+                let out_row = std::slice::from_raw_parts_mut(p_out.0.add(o), d);
+                let xhat_row = std::slice::from_raw_parts_mut(p_xhat.0.add(o), d);
+                *p_istd.0.add(r) =
+                    layernorm_row(&x[o..o + d], gamma, beta, eps, out_row, Some(xhat_row));
             }
         }
     };

@@ -72,23 +72,13 @@ impl MultiHeadAttention {
         let v = self.split_heads(&self.wv.forward(value));
 
         let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let ctx = if crate::fused::enabled() {
-            // One-node SDPA: same math, same RNG draw order (the mask is
-            // drawn up front exactly where the unfused dropout would draw
-            // it), bit-for-bit equal to the composition below.
-            let (bh, lq, lk) = (q.dims()[0], q.dims()[1], k.dims()[1]);
-            let dmask = mode.dropout_mask_for(bh * lq * lk, self.dropout);
-            q.sdpa(&k, &v, mask, scale, dmask)
-        } else {
-            let _sp = mbssl_telemetry::span("kernel.attn_unfused");
-            let mut scores = q.bmm(&k.transpose_last()).into_mul_scalar(scale);
-            if let Some(m) = mask {
-                scores = scores.masked_fill(m, -1e9);
-            }
-            let attn = scores.softmax_lastdim();
-            let attn = mode.dropout(&attn, self.dropout);
-            attn.bmm(&v)
-        };
+        // One-node SDPA: bit-for-bit the bmm -> scale -> mask -> softmax ->
+        // dropout -> bmm composition (the dropout mask is drawn up front,
+        // exactly where that composition would draw it), pinned by
+        // `tests/fused_parity.rs`.
+        let (bh, lq, lk) = (q.dims()[0], q.dims()[1], k.dims()[1]);
+        let dmask = mode.dropout_mask_for(bh * lq * lk, self.dropout);
+        let ctx = q.sdpa(&k, &v, mask, scale, dmask);
         self.wo.forward(&self.merge_heads(&ctx, b))
     }
 

@@ -63,7 +63,7 @@ impl FeedForward {
         let h = match self.lin1.bias() {
             // Fused epilogue: matmul -> bias_gelu as one node instead of
             // matmul -> add -> gelu as three. Same values, same gradients.
-            Some(b) if crate::fused::enabled() && self.activation == Activation::Gelu => {
+            Some(b) if self.activation == Activation::Gelu => {
                 x.matmul(self.lin1.weight()).bias_gelu(b)
             }
             _ => {

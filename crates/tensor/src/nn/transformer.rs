@@ -38,20 +38,14 @@ impl TransformerBlock {
         let attn_out = self
             .attn
             .forward_self(&self.ln1.forward(x), mask, mode);
-        if crate::fused::enabled() {
-            // Same dataflow, fewer nodes: `ln2(x + da)` is one fused node and
-            // the final `x + da + df` is a single three-way sum. Both sums
-            // keep the unfused left-to-right element order.
-            let da = mode.dropout(&attn_out, self.dropout);
-            let h2 = self.ln2.residual_forward(x, &da);
-            let ffn_out = self.ffn.forward(&h2, mode);
-            let df = mode.dropout(&ffn_out, self.dropout);
-            x.add3(&da, &df)
-        } else {
-            let x = x.add(&mode.dropout(&attn_out, self.dropout));
-            let ffn_out = self.ffn.forward(&self.ln2.forward(&x), mode);
-            x.add(&mode.dropout(&ffn_out, self.dropout))
-        }
+        // `ln2(x + da)` is one fused node and the final `x + da + df` a
+        // single three-way sum; both keep the left-to-right element order of
+        // the node-per-op composition (pinned by `tests/fused_parity.rs`).
+        let da = mode.dropout(&attn_out, self.dropout);
+        let h2 = self.ln2.residual_forward(x, &da);
+        let ffn_out = self.ffn.forward(&h2, mode);
+        let df = mode.dropout(&ffn_out, self.dropout);
+        x.add3(&da, &df)
     }
 
     /// The block's attention sublayer.

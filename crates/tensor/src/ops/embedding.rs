@@ -35,7 +35,7 @@ impl Tensor {
                 let g_ref = out_t.grad_ref();
                 let g = g_ref.as_ref().unwrap();
                 let mut gw = alloc::zeroed(weight.numel());
-                // Sharded across the worker pool behind MBSSL_SHARD_EMB;
+                // Sharded across the worker pool for large batches;
                 // bit-identical to the sequential scatter for any pool size.
                 sharded::scatter_add(&mut gw, d, &ids_owned, g);
                 weight.accumulate_grad_owned(gw);

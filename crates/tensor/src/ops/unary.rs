@@ -109,26 +109,7 @@ impl Tensor {
 
     /// Gaussian error linear unit (tanh approximation, as used by BERT).
     pub fn gelu(&self) -> Tensor {
-        const C: f32 = 0.797_884_6; // sqrt(2/pi)
-        unary_op(
-            self,
-            |x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh()),
-            |x, y, g| {
-                // Recover t = tanh(inner) from the stored forward output
-                // y = 0.5·x·(1+t) instead of re-evaluating tanh; the libm
-                // call dominates this closure and the recovered value
-                // matches to rounding error. Near x = 0 the division loses
-                // precision, so fall back to the direct form there.
-                let t = if x.abs() > 1e-3 {
-                    2.0 * y / x - 1.0
-                } else {
-                    (C * (x + 0.044715 * x * x * x)).tanh()
-                };
-                let dt = 1.0 - t * t;
-                let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
-                g * (0.5 * (1.0 + t) + 0.5 * x * dt * dinner)
-            },
-        )
+        unary_op(self, kernels::gelu, kernels::gelu_grad)
     }
 
     /// Logistic sigmoid.
@@ -189,26 +170,7 @@ impl Tensor {
 
     /// [`Tensor::gelu`], reusing `self`'s buffer when possible.
     pub fn into_gelu(self) -> Tensor {
-        const C: f32 = 0.797_884_6;
-        unary_op_consuming(
-            self,
-            |x| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh()),
-            |x, y, g| {
-                // Recover t = tanh(inner) from the stored forward output
-                // y = 0.5·x·(1+t) instead of re-evaluating tanh; the libm
-                // call dominates this closure and the recovered value
-                // matches to rounding error. Near x = 0 the division loses
-                // precision, so fall back to the direct form there.
-                let t = if x.abs() > 1e-3 {
-                    2.0 * y / x - 1.0
-                } else {
-                    (C * (x + 0.044715 * x * x * x)).tanh()
-                };
-                let dt = 1.0 - t * t;
-                let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
-                g * (0.5 * (1.0 + t) + 0.5 * x * dt * dinner)
-            },
-        )
+        unary_op_consuming(self, kernels::gelu, kernels::gelu_grad)
     }
 
     /// [`Tensor::tanh`], reusing `self`'s buffer when possible.

@@ -23,26 +23,13 @@
 //! thing that makes hogwild-style concurrent writers (incremental serving
 //! updates, ROADMAP item 5a) a local change instead of a redesign.
 //!
-//! Escape hatch: `MBSSL_SHARD_EMB=off` (or `0` / `none`) pins the
-//! sequential reference, mirroring `MBSSL_FUSED` / `MBSSL_ALLOC`. Parity is
+//! The sequential reference stays as the small-input path (a single-thread
+//! pool, short id lists, tiny tables) and as the oracle: parity is
 //! proptest-pinned in `tests/shard_parity.rs` at pool sizes 1/2/default.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 use crate::pool;
-
-/// Whether the sharded scatter-add is active. Defaults to on;
-/// `MBSSL_SHARD_EMB=off` (or `0` / `none`) routes embedding backwards
-/// through the sequential reference. Read once and cached.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("MBSSL_SHARD_EMB").as_deref(),
-            Ok("off") | Ok("0") | Ok("none")
-        )
-    })
-}
 
 /// Minimum id-list length before sharding pays for the extra id scans.
 /// Below this the dispatcher uses the reference loop. Purely a scheduling
@@ -118,12 +105,12 @@ pub fn scatter_add_sharded_with(
     });
 }
 
-/// Dispatch used by the embedding backward: the sharded path when enabled,
-/// the pool has parallelism, and the batch is large enough to amortize the
-/// per-shard id scans; the sequential reference otherwise.
+/// Dispatch used by the embedding backward: the sharded path when the pool
+/// has parallelism and the batch is large enough to amortize the per-shard
+/// id scans; the sequential reference otherwise.
 pub fn scatter_add(gw: &mut [f32], d: usize, ids: &[usize], grad: &[f32]) {
     let rows = if d == 0 { 0 } else { gw.len() / d };
-    if enabled() && pool::threads() > 1 && ids.len() >= MIN_IDS && rows >= 2 * pool::threads() {
+    if pool::threads() > 1 && ids.len() >= MIN_IDS && rows >= 2 * pool::threads() {
         scatter_add_sharded(gw, d, ids, grad);
     } else {
         scatter_add_reference(gw, d, ids, grad);

@@ -45,7 +45,9 @@ const _: () = assert!(NR == 8, "the AVX2 kernels assume NR == 8");
 
 /// Whether SIMD dispatch is allowed. Defaults to on; `MBSSL_SIMD=off`
 /// (or `0` / `none`) forces the scalar fallbacks. Read once and cached for
-/// the process lifetime, mirroring `MBSSL_FUSED` / `MBSSL_ALLOC`.
+/// the process lifetime. The switch stays because the scalar kernels are a
+/// production path (hosts without AVX2 or AVX-512 VNNI run them) and this
+/// is how CI covers them on hosts that have both.
 pub fn enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| {

@@ -4,8 +4,8 @@
 //!
 //! These run under MBSSL_THREADS=1/2/default in ci.sh; the shard count
 //! tracks the pool size, so pool size must never change a bit. Both the
-//! raw kernels and the full embedding backward (which dispatches per
-//! MBSSL_SHARD_EMB) are pinned.
+//! raw kernels and the full embedding backward (which dispatches on pool
+//! size and batch length) are pinned.
 
 use mbssl_tensor::sharded::{
     scatter_add, scatter_add_reference, scatter_add_sharded, scatter_add_sharded_with,

@@ -2,18 +2,15 @@
 # Quick throughput smoke: runs the criterion throughput bench in quick mode
 # and distills items/sec figures into BENCH_throughput.json at the repo root.
 #
-# Three passes:
-#   1. the full suite with fusion at its ambient setting and telemetry OFF
-#      (the numbers of record) — this includes the serving pair
+# Two passes:
+#   1. the full suite with telemetry OFF (the numbers of record) — this includes the serving pair
 #      `throughput_recommend_top_n` (inference engine, one-pass catalog
 #      ranking) vs `throughput_recommend_graph` (pre-engine chunked path);
 #      their ratio is distilled into the report's `recommend.speedup`, and
 #      the dataset-load pair `dataset_load_tsv` / `dataset_load_mbds`
 #      (events/sec over identical preprocessed data) plus the bare
 #      `dataset_open_mbds` latency, distilled into the `data` section;
-#   2. a `train_step`-only pass with MBSSL_FUSED=off so the report shows the
-#      fused and unfused training step side by side;
-#   3. a `train_step`-only pass with MBSSL_TRACE=summary so the report's
+#   2. a `train_step`-only pass with MBSSL_TRACE=summary so the report's
 #      `telemetry` section carries the top spans by total time (and the span
 #      table prints to stderr).
 #
@@ -22,11 +19,11 @@
 # MBSSL_BENCH_TOL_PCT (default 2%) fails the script, enforcing the
 # "disabled-mode tracing is free" contract.
 #
-# A fourth pass runs `exp_serve` (16 closed-loop clients against the
+# A third pass runs `exp_serve` (16 closed-loop clients against the
 # micro-batched serving engine); its per-phase QPS / p50 / p90 / p99,
 # per-stage quantile breakdown, batch histogram, and the
 # engine-vs-single-request speedup are embedded as the report's `serve`
-# section. A fifth pass runs the observability overhead gate: interleaved
+# section. A fourth pass runs the observability overhead gate: interleaved
 # (telemetry-off, MBSSL_TRACE=summary) exp_serve pairs, compared within
 # each pair on the sequential phase; the best pair's instrumented QPS must
 # stay within MBSSL_BENCH_TOL_PCT (default 5 for this gate) of its
@@ -35,14 +32,13 @@
 # machine drift; gating the best pair means the gate only fails when every
 # pair shows the regression — the signature of real overhead, not noise.
 #
-# On success, one summary line {git_rev, date, fused/unfused/traced train_step
+# On success, one summary line {git_rev, date, untraced/traced train_step
 # items/s, serve QPS + latency figures} is appended to the committed
 # BENCH_history.jsonl, so throughput history accumulates across commits and
 # stays greppable/plottable.
 #
 # Usage: scripts/bench_smoke.sh [extra cargo-bench args]
 # Env:   MBSSL_THREADS       — forwarded to the worker pool (see DESIGN.md §Threading).
-#        MBSSL_FUSED         — fused transformer kernels (see DESIGN.md §Fusion).
 #        MBSSL_TRACE         — telemetry mode; forced per pass as described above.
 #        MBSSL_BENCH_TOL_PCT — allowed train_step regression vs the committed
 #                              report before this script fails (default 2).
@@ -65,10 +61,9 @@ for ((i = 0; i < MBSSL_BENCH_WARMUP; i++)); do
 done
 
 raw=$(mktemp)
-raw_unfused=$(mktemp)
 raw_traced=$(mktemp)
 prev_report=$(mktemp)
-trap 'rm -f "$raw" "$raw_unfused" "$raw_traced" "$prev_report"' EXIT
+trap 'rm -f "$raw" "$raw_traced" "$prev_report"' EXIT
 
 # Keep the previous report for the overhead check: the python heredoc's
 # stdout redirect truncates BENCH_throughput.json before python runs.
@@ -81,10 +76,6 @@ fi
 CRITERION_QUICK=1 CRITERION_JSON="$raw" MBSSL_TRACE=off \
     cargo bench -p mbssl-bench --bench throughput "$@"
 
-CRITERION_QUICK=1 CRITERION_JSON="$raw_unfused" MBSSL_TRACE=off \
-    MBSSL_FUSED=off MBSSL_BENCH_ONLY=train_step \
-    cargo bench -p mbssl-bench --bench throughput "$@"
-
 CRITERION_QUICK=1 CRITERION_JSON="$raw_traced" \
     MBSSL_TRACE=summary MBSSL_BENCH_ONLY=train_step \
     cargo bench -p mbssl-bench --bench throughput "$@"
@@ -93,7 +84,7 @@ CRITERION_QUICK=1 CRITERION_JSON="$raw_traced" \
 # micro-batched request engine; QPS, p50/p99, batch histogram, and the
 # engine-vs-single-request speedup land in the report's `serve` section.
 serve_dir=$(mktemp -d)
-trap 'rm -rf "$raw" "$raw_unfused" "$raw_traced" "$prev_report" "$serve_dir"' EXIT
+trap 'rm -rf "$raw" "$raw_traced" "$prev_report" "$serve_dir"' EXIT
 echo "serve load test (exp_serve, 16 clients)" >&2
 MBSSL_TRACE=off cargo run --release -q -p mbssl-bench --bin exp_serve -- \
     --quick --reqs 64 --out "$serve_dir" >&2
@@ -113,7 +104,7 @@ for ((p = 1; p <= serve_pairs; p++)); do
         --quick --reqs 256 --out "$serve_dir/gate_on_$p" >&2
 done
 
-python3 - "$raw" "$raw_unfused" "$raw_traced" "$prev_report" "$serve_dir/serve.json" "$serve_dir" > BENCH_throughput.json <<'PY'
+python3 - "$raw" "$raw_traced" "$prev_report" "$serve_dir/serve.json" "$serve_dir" > BENCH_throughput.json <<'PY'
 import datetime, glob, json, os, re, subprocess, sys
 
 def load(path):
@@ -146,8 +137,7 @@ def load(path):
     return rows, allocator, telemetry
 
 rows, allocator, _ = load(sys.argv[1])
-unfused_rows, _, _ = load(sys.argv[2])
-traced_rows, _, traced_telemetry = load(sys.argv[3])
+traced_rows, _, traced_telemetry = load(sys.argv[2])
 
 git_rev = subprocess.run(
     ["git", "rev-parse", "HEAD"], capture_output=True, text=True
@@ -166,13 +156,9 @@ meta = {
     "loadavg": loadavg,
     "warmup_passes": int(os.environ.get("MBSSL_BENCH_WARMUP", "0") or 0),
     "MBSSL_THREADS": os.environ.get("MBSSL_THREADS", ""),
-    "MBSSL_ALLOC": os.environ.get("MBSSL_ALLOC", ""),
-    "MBSSL_FUSED": os.environ.get("MBSSL_FUSED", ""),
 }
 
 report = {"unit": "items/sec", "meta": meta, "benchmarks": rows}
-if unfused_rows:
-    report["unfused"] = unfused_rows
 
 # Serving speedup: the inference-engine catalog ranking vs the pre-engine
 # chunked score_batch path, side by side with the ratio of record.
@@ -269,7 +255,7 @@ if allocator:
 # (exp_serve, 16 closed-loop clients).
 serve = None
 try:
-    with open(sys.argv[5]) as fh:
+    with open(sys.argv[4]) as fh:
         serve = json.load(fh)
 except (OSError, json.JSONDecodeError):
     serve = None
@@ -296,10 +282,10 @@ def sequential_qps(path):
     return phase["qps"] if phase else None
 
 pairs = []
-for off_path in sorted(glob.glob(os.path.join(sys.argv[6], "gate_off_*", "serve.json"))):
+for off_path in sorted(glob.glob(os.path.join(sys.argv[5], "gate_off_*", "serve.json"))):
     idx = os.path.basename(os.path.dirname(off_path)).rsplit("_", 1)[-1]
     off_qps = sequential_qps(off_path)
-    on_qps = sequential_qps(os.path.join(sys.argv[6], f"gate_on_{idx}", "serve.json"))
+    on_qps = sequential_qps(os.path.join(sys.argv[5], f"gate_on_{idx}", "serve.json"))
     if off_qps and on_qps:
         pairs.append({
             "off_qps": round(off_qps, 1),
@@ -332,7 +318,7 @@ if pairs:
 # within MBSSL_BENCH_TOL_PCT of the committed report's figure.
 tol_pct = float(os.environ.get("MBSSL_BENCH_TOL_PCT", "2"))
 try:
-    with open(sys.argv[4]) as fh:
+    with open(sys.argv[3]) as fh:
         prev = json.load(fh)
 except (OSError, json.JSONDecodeError):
     prev = None
@@ -361,8 +347,8 @@ if prev:
             )
             sys.exit(1)
 
-# One throughput-history line per successful run: the three train_step
-# figures (fused-ambient / unfused / traced) against rev + date.
+# One throughput-history line per successful run: the two train_step
+# figures (untraced / traced) against rev + date.
 def train_step_items(rows):
     r = next((r for r in rows if "train_step" in r["name"]), None)
     return r["items_per_sec"] if r else None
@@ -372,7 +358,6 @@ history = {
     "date": meta["date"],
     "cores": meta["cores"],
     "train_step_items_per_sec": train_step_items(rows),
-    "train_step_unfused_items_per_sec": train_step_items(unfused_rows),
     "train_step_traced_items_per_sec": train_step_items(traced_rows),
     "recommend_engine_items_per_sec": rec_engine,
     "recommend_graph_items_per_sec": rec_graph,

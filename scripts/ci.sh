@@ -16,16 +16,19 @@
 #                             (also per pool size; sdpa dispatches per slice).
 #   4. allocation regression — counting-allocator budget test (also per pool
 #                             size; the recycler is thread-local + shared).
-#   5. escape hatches       — full workspace tests with MBSSL_FUSED=off, and
-#                             the packed-GEMM suite with MBSSL_ALLOC=off.
-#   6. inference engine     — infer-parity suite under the default engine-on
-#                             path, under MBSSL_INFER=off (the autograd
-#                             escape hatch must restore the old serving path
-#                             exactly), under MBSSL_SIMD=off (scalar
-#                             microkernels must not change a bit), the fused
-#                             catalog top-n suite (tests/catalog_topn.rs),
-#                             the exact i8 screen suite
-#                             (tests/catalog_screen.rs) and the screened IVF
+#   5. portable data path   — the .mbds format suite under
+#                             MBSSL_DATA_MMAP=off: buffered reads, the path
+#                             non-unix targets run. (Each layer has one
+#                             production path; fused ops, allocator, sharded
+#                             scatter and engine are pinned to their oracles
+#                             by the parity suites of stages 2–4 and 6.)
+#   6. inference engine     — infer-parity suite (engine vs the autograd
+#                             `_reference` oracles) under ambient SIMD and
+#                             under MBSSL_SIMD=off (the scalar microkernels
+#                             hosts without AVX2/VNNI run must not change a
+#                             bit), the fused catalog top-n suite
+#                             (tests/catalog_topn.rs), the exact i8 screen
+#                             suite (tests/catalog_screen.rs) and the screened IVF
 #                             re-rank suite (tests/ann_screen.rs) under
 #                             MBSSL_SIMD=off and MBSSL_THREADS=1 (the fused
 #                             pass, the screened pass and the list-ordered
@@ -79,9 +82,8 @@
 #                             MBSSL_DATA_MMAP=off TSV-parsed run. Also a
 #                             direct-to-.mbds `synth --preset scale` smoke.
 #                             The shard_parity suite runs in the stage-2
-#                             pool-size loop, and MBSSL_SHARD_EMB=off /
-#                             MBSSL_DATA_MMAP=off escape hatches alongside
-#                             stage 5.
+#                             pool-size loop, and the MBSSL_DATA_MMAP=off
+#                             format suite is stage 5.
 #  10. rustdoc              — `cargo doc --no-deps` for the workspace crates
 #                             with warnings promoted to errors (missing-docs
 #                             regressions fail here).
@@ -149,25 +151,13 @@ for threads in 1 2 ""; do
     fi
 done
 
-echo "==> fusion escape hatch (MBSSL_FUSED=off, full workspace)"
-MBSSL_FUSED=off cargo test --workspace -q
-
-echo "==> allocator escape hatch (MBSSL_ALLOC=off)"
-MBSSL_ALLOC=off cargo test --release -p mbssl-tensor --test packed_gemm -q
-
-echo "==> sharded-embedding escape hatch (MBSSL_SHARD_EMB=off pins the sequential scatter)"
-MBSSL_SHARD_EMB=off cargo test --release -p mbssl-tensor --test shard_parity -q
-
-echo "==> mmap escape hatch (MBSSL_DATA_MMAP=off, buffered .mbds reads)"
+echo "==> portable data path (MBSSL_DATA_MMAP=off, buffered .mbds reads)"
 MBSSL_DATA_MMAP=off cargo test --release -p mbssl-data --test format -q
 
 echo "==> inference-engine parity (engine on, ambient SIMD)"
 cargo test --release -p mbssl-core --test infer_parity -q
 
-echo "==> inference escape hatch (MBSSL_INFER=off restores the autograd path)"
-MBSSL_INFER=off cargo test --release -p mbssl-core --test infer_parity -q
-
-echo "==> SIMD escape hatch (MBSSL_SIMD=off, scalar microkernels)"
+echo "==> portable kernels (MBSSL_SIMD=off, scalar microkernels)"
 MBSSL_SIMD=off cargo test --release -p mbssl-tensor --test simd_parity -q
 MBSSL_SIMD=off cargo test --release -p mbssl-core --test infer_parity -q
 

@@ -298,18 +298,13 @@ fn write_synth_tsv(
     Ok((users, events))
 }
 
-/// One-line stderr note for scoring commands: whether they run on the
-/// compiled inference engine (`MBSSL_INFER`) and with which catalog
-/// quantization (`MBSSL_QUANT`).
+/// One-line stderr note for scoring commands: they run on the compiled
+/// inference engine, with this catalog quantization (`MBSSL_QUANT`).
 fn engine_banner() -> String {
-    if mbssl::core::infer::enabled() {
-        format!(
-            "scoring via inference engine (MBSSL_INFER=on, quant={:?}; set MBSSL_INFER=off for the autograd path)",
-            mbssl::tensor::quant::mode()
-        )
-    } else {
-        "scoring via autograd path (MBSSL_INFER=off)".to_string()
-    }
+    format!(
+        "scoring via inference engine (quant={:?})",
+        mbssl::tensor::quant::mode()
+    )
 }
 
 fn model_config(args: &Args, seed: u64) -> ModelConfig {
@@ -352,9 +347,6 @@ fn serve_command(args: &Args, seed: u64) -> Result<(), String> {
 
     let (dataset, target) = load_dataset(args)?;
     let ckpt = args.require("model")?.to_string();
-    if !mbssl::core::infer::enabled() {
-        return Err("serve needs the compiled engine; unset MBSSL_INFER=off".into());
-    }
     let top_default: usize = args.get_or("top", "10").parse().map_err(|_| "bad --top")?;
     let chain = RerankChain::parse(args.get_or("rerank", ""))
         .map_err(|e| format!("bad --rerank: {e}"))?;
@@ -689,7 +681,7 @@ fn run() -> Result<(), String> {
                     std::path::Path::new(&implied).exists().then_some(implied)
                 });
             let engine = match index_path {
-                Some(path) if mbssl::core::infer::enabled() && mbssl::core::ann::enabled() => {
+                Some(path) if mbssl::core::ann::enabled() => {
                     let mut engine = InferenceModel::compile(&model);
                     match IvfIndex::load_from_file(&path).and_then(|ix| {
                         let (nlist, nprobe_src) = (ix.nlist(), mbssl::core::ann::default_nprobe(ix.nlist()));
