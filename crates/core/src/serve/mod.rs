@@ -4,8 +4,9 @@
 //!
 //! - [`batcher`] — bounded queue whose drains convert concurrent
 //!   arrivals into micro-batches (the entire batching policy).
-//! - [`session`] — sharded per-user histories, seen-sets, popularity
-//!   counts, and the epoch-keyed interest cache.
+//! - [`session`] — columnar base histories under a sharded per-user
+//!   overlay of ingested events and the epoch-keyed interest cache, plus
+//!   popularity counts.
 //! - [`rerank`] — composable post-retrieval stage chain, parsed from a
 //!   `"seen:0.5,pop:0.2,topk:100"` style spec.
 //! - [`server`] — worker loop tying the three together, plus checkpoint

@@ -70,7 +70,8 @@
 #                             to offline `recommend`, report zero allocator
 #                             misses after the steady-state mark, and shut
 #                             down cleanly; the replay's `metrics` snapshot
-#                             must be schema-complete with every stage
+#                             must be schema-complete, count the sessions
+#                             the serve banner announced, and have every stage
 #                             histogram covering every replied request and a
 #                             parseable Prometheus exposition, and `mbssl
 #                             top` must render a frame from it.
@@ -277,12 +278,16 @@ grep -q "clean shutdown" "$trace_dir/serve_b16.err"
 # Metrics snapshot validation (DESIGN.md §17): the replay issued
 # `metrics json/prom`; the JSON snapshot must be schema-complete, every
 # stage histogram must cover every replied request, and the Prometheus
-# exposition must parse line-by-line.
-python3 - "$trace_dir/metrics.json" "$trace_dir/metrics.prom" <<'PY'
+# exposition must parse line-by-line. The replay only asks for users the
+# log has, so the snapshot's session count must equal the user count the
+# serve banner printed.
+banner_sessions=$(sed -n 's/^serve: up — \([0-9]*\) sessions.*/\1/p' "$trace_dir/serve_b16.err")
+python3 - "$trace_dir/metrics.json" "$trace_dir/metrics.prom" "$banner_sessions" <<'PY'
 import json, sys
 
 snap = json.load(open(sys.argv[1]))
 assert snap["schema"] == "mbssl.serve.metrics/1", snap.get("schema")
+assert snap["sessions"] == int(sys.argv[3]), (snap["sessions"], sys.argv[3])
 for key in ["unix_time_ms", "uptime_ms", "epoch", "queue_depth", "sessions",
             "counters", "cache_hit_rate", "mean_batch", "ann_budget_us",
             "ann_ewma_us", "ann_degraded_now", "batch", "stages"]:
