@@ -11,8 +11,8 @@
 //!
 //! Reports QPS, p50/p90/p99 latency, the per-stage quantile breakdown,
 //! the batch-size histogram, and the cache hit rate per phase
-//! (`results/serve.json`); `scripts/bench_smoke.sh`
-//! distills the `serve` section of `BENCH_throughput.json` from it. The
+//! (`results/serve.json`); the last stage of `scripts/ci.sh` compares
+//! the sequential phase of telemetry-off and traced runs. The
 //! figure of record is `cached QPS / sequential QPS` at ≥16 clients —
 //! the full engine against single-request serving. The batched-only
 //! ratio is reported alongside; on a single-core host it hovers near 1×

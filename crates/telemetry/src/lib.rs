@@ -477,21 +477,20 @@ pub fn drain() -> Vec<LabelStats> {
 /// The `MBSSL_*` variables stamped into every meta record: the pool size,
 /// the four path selectors (SIMD kernels, catalog quantization, IVF
 /// retrieval, mmap'd `.mbds` reads) and the run's own trace settings.
-const META_ENV_KEYS: [&str; 9] = [
+const META_ENV_KEYS: [&str; 8] = [
     "MBSSL_THREADS",
     "MBSSL_SIMD",
     "MBSSL_QUANT",
     "MBSSL_ANN",
     "MBSSL_DATA_MMAP",
     "MBSSL_TRACE",
-    "MBSSL_BENCH_ONLY",
     "MBSSL_RUN_DIR",
     "MBSSL_GIT_REV",
 ];
 
-/// Run metadata stamped into every JSONL flush, mirroring the
-/// `git_rev`/`cores`/env stamp `scripts/bench_smoke.sh` writes into
-/// `BENCH_throughput.json`.
+/// Run metadata stamped into every JSONL flush: the section, the git
+/// revision, the core count and the `MBSSL_*` environment, so a trace
+/// records what produced it.
 pub fn meta_record(section: &str) -> String {
     let env: Vec<(String, String)> = META_ENV_KEYS
         .iter()

@@ -4,8 +4,10 @@
 # transformer-block ops.
 #
 # Stages:
-#   1. tier-1 verify        — release build + workspace tests (the gate the
-#                             roadmap promises stays green).
+#   1. tier-1 verify        — release build + `cargo test -q`, which the
+#                             root manifest's default-members make
+#                             workspace-wide (the gate the roadmap promises
+#                             stays green).
 #   2. packed-GEMM proptests — bit-for-bit packed==naive, run under worker
 #                             pool sizes 1, 2, and the machine default so the
 #                             parallel row-split paths are all exercised. The
@@ -57,8 +59,8 @@
 #                             ledger → `mbssl trace summary`, then
 #                             `mbssl trace diff` against the committed
 #                             BENCH_trace_baseline.jsonl on the share metric
-#                             (tolerance MBSSL_BENCH_TOL_PCT share points,
-#                             default 5; spans under 3% of wall never gate),
+#                             (tolerance 5 share points; spans under 3% of
+#                             wall never gate),
 #                             an `mbssl report` smoke over two run dirs, and
 #                             the index workflow: `mbssl index build` /
 #                             `index stats` / two-stage `recommend`, with an
@@ -88,24 +90,21 @@
 #  10. rustdoc              — `cargo doc --no-deps` for the workspace crates
 #                             with warnings promoted to errors (missing-docs
 #                             regressions fail here).
-#  11. bench smoke          — refreshes BENCH_throughput.json, appends one
-#                             line to BENCH_history.jsonl, and fails if the
-#                             bench harness itself breaks (numbers are
-#                             machine-dependent; only the telemetry-off
-#                             train_step overhead bound is asserted there).
+#  11. serve instrumentation — 3 interleaved `exp_serve --quick` pairs,
+#                             telemetry off then MBSSL_TRACE=summary; fails
+#                             when even the best pair's sequential-phase QPS
+#                             drops more than 5% with instrumentation on
+#                             (scripts/serve_overhead.py, DESIGN.md §17.2).
 #
-# Usage: scripts/ci.sh [--skip-bench]
+# Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
-
-skip_bench=0
-[[ "${1:-}" == "--skip-bench" ]] && skip_bench=1
 
 echo "==> tier-1: release build"
 cargo build --release
 
 echo "==> tier-1: workspace tests"
-cargo test --workspace -q
+cargo test -q
 
 for threads in 1 2 ""; do
     label="${threads:-default}"
@@ -204,10 +203,10 @@ mbssl=target/release/mbssl
     --collapsed "$trace_dir/trace.folded" > /dev/null
 # Share-of-wall regression gate against the committed baseline: machine-
 # portable (compares where time goes, not absolute speed). Only spans that
-# hold ≥3% of wall gate, with MBSSL_BENCH_TOL_PCT (default 5) share points
-# of headroom for scheduler jitter.
+# hold ≥3% of wall gate, with 5 share points of headroom for scheduler
+# jitter.
 "$mbssl" trace diff BENCH_trace_baseline.jsonl "$trace_dir/trace.jsonl" \
-    --metric share --tol "${MBSSL_BENCH_TOL_PCT:-5}" --min-share 3
+    --metric share --tol 5 --min-share 3
 "$mbssl" train --data "$trace_dir/log.tsv" --target purchase \
     --model "$trace_dir/model2.ckpt" --epochs 2 --dim 16 --interests 2 \
     --run-dir "$trace_dir/run1"
@@ -352,11 +351,16 @@ cmp "$trace_dir/model_tsv.ckpt" "$trace_dir/model_mbds.ckpt"
 echo "==> rustdoc (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
-if [[ "$skip_bench" -eq 0 ]]; then
-    echo "==> bench smoke"
-    scripts/bench_smoke.sh
-else
-    echo "==> bench smoke skipped (--skip-bench)"
-fi
+echo "==> serve instrumentation overhead (3 interleaved off/summary exp_serve pairs)"
+# Closed-loop QPS drifts more between runs than instrumentation costs, so
+# each instrumented run is compared with the telemetry-off run just
+# before it, and the gate fails only when every pair shows the overhead.
+for pair in 1 2 3; do
+    MBSSL_TRACE=off target/release/exp_serve --quick --reqs 256 \
+        --out "$trace_dir/serve_gate/off_$pair" > /dev/null
+    MBSSL_TRACE=summary target/release/exp_serve --quick --reqs 256 \
+        --out "$trace_dir/serve_gate/on_$pair" > /dev/null
+done
+python3 scripts/serve_overhead.py "$trace_dir/serve_gate"
 
 echo "CI OK"

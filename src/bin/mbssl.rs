@@ -52,7 +52,7 @@
 //! span table to stderr on exit, `jsonl:<path>` appends machine-readable
 //! trace records to `<path>`. `mbssl trace summary`/`diff` analyze those
 //! JSONL files after the fact; `trace diff` exits nonzero when any span
-//! regresses beyond the tolerance (default `MBSSL_BENCH_TOL_PCT`, else 2%).
+//! regresses beyond the tolerance (`--tol`, default 2%).
 
 use std::collections::HashSet;
 use std::process::ExitCode;

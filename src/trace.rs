@@ -404,10 +404,7 @@ pub struct DiffOptions {
 impl Default for DiffOptions {
     fn default() -> Self {
         DiffOptions {
-            tol_pct: std::env::var("MBSSL_BENCH_TOL_PCT")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(2.0),
+            tol_pct: 2.0,
             metric: DiffMetric::Mean,
             min_share_pct: 1.0,
         }
