@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 
 use mbssl_core::{SequentialRecommender, TrainableRecommender};
 use mbssl_data::preprocess::TrainInstance;
-use mbssl_data::sampler::{NegativeSampler, NegativeStrategy, PreparedBatch};
+use mbssl_data::sampler::{Batch, NegativeSampler, NegativeStrategy, PreparedBatch};
 use mbssl_data::{ItemId, Sequence};
 use mbssl_tensor::nn::{Embedding, Module, ParamMap};
 use mbssl_tensor::{no_grad, Tensor};
@@ -35,7 +35,7 @@ impl BprMf {
     }
 
     fn fold_in(&self, histories: &[&Sequence]) -> Tensor {
-        let batch = crate::common::encode_histories(histories, 50);
+        let batch = Batch::encode_recent(histories, 50);
         let (b, l) = (batch.size, batch.max_len);
         let e = self
             .item_emb

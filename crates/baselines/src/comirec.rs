@@ -83,7 +83,7 @@ impl SequentialRecommender for ComiRec {
 
     fn score_batch(&self, histories: &[&Sequence], candidates: &[&[ItemId]]) -> Vec<Vec<f32>> {
         no_grad(|| {
-            let batch = crate::common::encode_histories(histories, self.max_seq_len);
+            let batch = Batch::encode_recent(histories, self.max_seq_len);
             let z = self.interests(&batch);
             let c = candidates[0].len();
             let flat: Vec<usize> = candidates

@@ -1,22 +1,12 @@
-//! Shared plumbing for the baseline zoo: history encoding, last-state
-//! readout, candidate scoring from a single user vector, and the sampled
-//! softmax objective. Keeping these here guarantees every baseline uses
-//! bit-identical input handling — the fair-comparison contract.
+//! Shared plumbing for the baseline zoo: last-state readout, candidate
+//! scoring from a single user vector, and the sampled softmax objective.
+//! Histories are encoded with `Batch::encode_recent`, as MBMISSL's are, so
+//! every model sees bit-identical input — the fair-comparison contract.
 
 use mbssl_data::sampler::Batch;
-use mbssl_data::{ItemId, Sequence};
+use mbssl_data::ItemId;
 use mbssl_tensor::nn::Embedding;
 use mbssl_tensor::{no_grad, Tensor};
-
-/// Truncates histories to `max_len` and encodes them into a padded batch.
-pub fn encode_histories(histories: &[&Sequence], max_len: usize) -> Batch {
-    let truncated: Vec<Sequence> = histories
-        .iter()
-        .map(|h| h.truncate_to_recent(max_len))
-        .collect();
-    let refs: Vec<&Sequence> = truncated.iter().collect();
-    Batch::encode_histories(&refs)
-}
 
 /// Gathers the hidden state at each row's last valid position:
 /// `[B, L, D] -> [B, D]`. Rows with no valid positions read position 0.
@@ -92,7 +82,7 @@ pub fn sampled_softmax_loss(user: &Tensor, emb: &Embedding, batch: &Batch) -> Te
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mbssl_data::Behavior;
+    use mbssl_data::{Behavior, Sequence};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -110,7 +100,7 @@ mod tests {
     fn last_valid_state_picks_final_position() {
         let ss = seqs();
         let refs: Vec<&Sequence> = ss.iter().collect();
-        let batch = encode_histories(&refs, 10);
+        let batch = Batch::encode_recent(&refs, 10);
         // h[b, t, :] = constant t+10b for identification.
         let (b, l, d) = (batch.size, batch.max_len, 4);
         let data: Vec<f32> = (0..b * l * d)
@@ -129,7 +119,7 @@ mod tests {
     fn mean_valid_state_ignores_padding() {
         let ss = seqs();
         let refs: Vec<&Sequence> = ss.iter().collect();
-        let batch = encode_histories(&refs, 10);
+        let batch = Batch::encode_recent(&refs, 10);
         let (b, l) = (batch.size, batch.max_len);
         // h = 1.0 at valid positions, 100.0 at padding.
         let data: Vec<f32> = (0..b * l * 2)
@@ -154,7 +144,7 @@ mod tests {
         for i in 1..=30 {
             s.push(i, Behavior::Click);
         }
-        let batch = encode_histories(&[&s], 5);
+        let batch = Batch::encode_recent(&[&s], 5);
         assert_eq!(batch.max_len, 5);
         assert_eq!(batch.items[0], 26);
     }

@@ -51,7 +51,7 @@ impl SequentialRecommender for MbGru {
 
     fn score_batch(&self, histories: &[&Sequence], candidates: &[&[ItemId]]) -> Vec<Vec<f32>> {
         no_grad(|| {
-            let batch = crate::common::encode_histories(histories, self.max_seq_len);
+            let batch = Batch::encode_recent(histories, self.max_seq_len);
             let user = self.user_vec(&batch);
             crate::common::score_from_user_vec(&user, &self.item_emb, candidates)
         })

@@ -24,16 +24,19 @@
 //!
 //! # Parity contract
 //!
-//! The engine mirrors the *unfused* eval-mode composition of the autograd
-//! path operation for operation — same kernels (`gemm_nn` variants that
-//! are bit-identical by contract, the shared `kernels::softmax_rows_serial`
-//! / `kernels::layernorm_row` / `kernels::gelu` row kernels run serially,
-//! the same tanh/squash formulas, the same `-1e9` mask fill and strict-`>`
-//! max-over-interests) — so its f32 scores are **bit-for-bit identical**
-//! to `Mbmissl::score_batch`, whose fused ops are pinned bit-identical to
-//! that composition by the tensor crate's `fused_parity` suite. Quantized
-//! catalog scoring is the one deliberate exception and is gated by an
-//! HR/NDCG drift tolerance instead (`MBSSL_QUANT_TOL`).
+//! The engine runs the *fused* eval-mode forward of the autograd path on
+//! arena buffers: attention is [`kernels::sdpa_slice`], the slice kernel
+//! of `Tensor::sdpa`, once per batch·head; the FFN, layer norms and the
+//! extractor run the same row kernels (`kernels::gelu`,
+//! `kernels::layernorm_row`, `kernels::softmax_rows_serial`), the same
+//! `gemm_nn` accumulation order, tanh/squash formulas, `-1e9` mask fill and
+//! strict-`>` max-over-interests. Softmax and row kernels run serially, so
+//! serve workers do not fork-join into the pool for them. Its f32 scores are
+//! therefore **bit-for-bit identical** to `Mbmissl::score_batch` (engine ≡
+//! fused autograd); the tensor crate's `fused_parity` suite separately pins
+//! the fused ops to the unfused composition. Quantized catalog scoring is
+//! the one deliberate exception and is gated by an HR/NDCG drift tolerance
+//! instead (`MBSSL_QUANT_TOL`).
 //! `tests/infer_parity.rs` pins all of this against the autograd
 //! reference (`evaluate_reference` / `recommend_top_n_reference`).
 //!
@@ -71,7 +74,7 @@ use mbssl_data::sampler::Batch;
 use mbssl_data::{Behavior, ItemId, Sequence};
 use mbssl_hypergraph::{build_batch_incidence, BatchIncidence, HypergraphConfig};
 use mbssl_telemetry as telemetry;
-use mbssl_tensor::kernels::{self, PackedB, PackedBView, NR};
+use mbssl_tensor::kernels::{self, PackedB, PackedBView, MASK_FILL, NR};
 use mbssl_tensor::quant::{Bf16Rows, QuantMode, QuantizedRows};
 use mbssl_tensor::simd::SCREEN_LANES;
 
@@ -84,9 +87,6 @@ use crate::recommender::{RankKey, Recommendation, SequentialRecommender};
 use crate::screen::{CatalogScreen, ScreenQuery};
 use crate::trainer::TrainableRecommender;
 
-/// The value masked-out attention logits are filled with, matching the
-/// autograd path's `masked_fill(_, -1e9)`.
-const MASK_FILL: f32 = -1e9;
 /// LayerNorm epsilon: every `LayerNorm::new` in the model uses 1e-5.
 const LN_EPS: f32 = 1e-5;
 
@@ -305,47 +305,23 @@ impl AttnWeights {
         let vh = arena.alloc(b * heads * lk * dh);
         split_heads(v_proj, vh, b, lk, heads, dh);
 
-        // scores = (q · kᵀ) * scale, per head; the transpose is
-        // materialized exactly like `transpose_last` so the GEMM is the
-        // same `gemm_nn` the autograd bmm runs.
-        let scores = arena.alloc(b * heads * lq * lk);
+        // The fused sdpa's slice kernel, once per batch·head.
+        let probs = arena.alloc(lq * lk);
         let kt = arena.alloc(dh * lk);
-        for bh in 0..b * heads {
-            kernels::transpose(&kh[bh * lk * dh..][..lk * dh], kt, lk, dh);
-            kernels::gemm_nn(
-                &qh[bh * lq * dh..][..lq * dh],
-                kt,
-                &mut scores[bh * lq * lk..][..lq * lk],
-                lq,
-                dh,
-                lk,
-            );
-        }
-        let scale = 1.0 / (dh as f32).sqrt();
-        for v in scores.iter_mut() {
-            *v *= scale;
-        }
-        for bh in 0..b * heads {
-            for i in 0..lq {
-                let row = &mut scores[(bh * lq + i) * lk..][..lk];
-                for (j, s) in row.iter_mut().enumerate() {
-                    if blocked(bh, i, j) {
-                        *s = MASK_FILL;
-                    }
-                }
-            }
-        }
-        kernels::softmax_rows_serial(scores, lk);
-
         let ctx = arena.alloc(b * heads * lq * dh);
+        let scale = 1.0 / (dh as f32).sqrt();
         for bh in 0..b * heads {
-            kernels::gemm_nn(
-                &scores[bh * lq * lk..][..lq * lk],
-                &vh[bh * lk * dh..][..lk * dh],
-                &mut ctx[bh * lq * dh..][..lq * dh],
-                lq,
-                lk,
-                dh,
+            kernels::sdpa_slice(
+                &qh[bh * lq * dh..],
+                &kh[bh * lk * dh..],
+                &vh[bh * lk * dh..],
+                (lq, lk, dh),
+                scale,
+                |i, j| blocked(bh, i, j),
+                None,
+                probs,
+                kt,
+                &mut ctx[bh * lq * dh..],
             );
         }
         let merged = arena.alloc(b * lq * d);
@@ -1230,12 +1206,7 @@ impl InferenceModel {
     /// Encodes `histories` and extracts interests `[b, k, d]`, under an
     /// `infer.forward` span.
     fn interests_for<'a>(&self, histories: &[&Sequence], arena: &'a Arena) -> (Batch, &'a [f32]) {
-        let truncated: Vec<Sequence> = histories
-            .iter()
-            .map(|h| h.truncate_to_recent(self.config.max_seq_len))
-            .collect();
-        let refs: Vec<&Sequence> = truncated.iter().collect();
-        let batch = Batch::encode_histories(&refs);
+        let batch = Batch::encode_recent(histories, self.config.max_seq_len);
         let mut fwd_sp = telemetry::span("infer.forward");
         fwd_sp.add_bytes((batch.size * batch.max_len * self.dim * std::mem::size_of::<f32>()) as u64);
         let h = self.encode(&batch, arena);

@@ -72,21 +72,36 @@ impl InterestExtractor {
     /// positions produce uniform attention over everything — callers must
     /// gate such rows via their own validity flags.
     pub fn forward(&self, h: &Tensor, allowed: &[f32]) -> Tensor {
+        self.attend(h, allowed).1
+    }
+
+    /// The attention weights `[B, K, L]` of the self-attentive extractor
+    /// (for interest-inspection tooling). Dynamic routing returns its final
+    /// routing distribution.
+    pub fn attention_weights(&self, h: &Tensor, allowed: &[f32]) -> Tensor {
+        self.attend(h, allowed).0
+    }
+
+    /// The extractor's one computation: the final attention (or routing)
+    /// weights `[B, K, L]` and the interests `[B, K, D]`. With zero routing
+    /// iterations the interests are zeros and the weights are the masked
+    /// softmax of the initial routing logits.
+    fn attend(&self, h: &Tensor, allowed: &[f32]) -> (Tensor, Tensor) {
         let (b, l, d) = (h.dims()[0], h.dims()[1], h.dims()[2]);
         assert_eq!(allowed.len(), b * l, "allowed mask shape mismatch");
+        let blocked: Vec<f32> = allowed.iter().map(|&v| 1.0 - v).collect();
         match self {
             InterestExtractor::SelfAttentive { w1, w2, k } => {
                 // [B, L, K] attention logits.
                 let logits = h.matmul(w1).into_tanh().matmul(w2);
                 // Mask disallowed positions, softmax over L.
-                let blocked: Vec<f32> = allowed.iter().map(|&v| 1.0 - v).collect();
                 let blocked_t = Tensor::from_vec(blocked, [b, l, 1]);
                 let attn = logits
                     .masked_fill(&blocked_t, -1e9)
                     .permute(&[0, 2, 1]) // [B, K, L]
                     .softmax_lastdim();
-                attn.bmm(h) // [B, K, D]
-                    .reshape([b, *k, d])
+                let z = attn.bmm(h).reshape([b, *k, d]);
+                (attn, z)
             }
             InterestExtractor::DynamicRouting {
                 transform,
@@ -96,71 +111,26 @@ impl InterestExtractor {
             } => {
                 let s = h.matmul(transform); // [B, L, D]
                 // Initial routing logits: fixed noise, tiled over batch.
-                let init_slice = routing_init.narrow(1, 0, l); // [K, L]
+                let init_vec = routing_init.narrow(1, 0, l).to_vec(); // [K, L]
                 let mut logits_data = Vec::with_capacity(b * *k * l);
-                let init_vec = init_slice.to_vec();
                 for _ in 0..b {
                     logits_data.extend_from_slice(&init_vec);
                 }
                 let mut logits = Tensor::from_vec(logits_data, [b, *k, l]);
-                let blocked: Vec<f32> = allowed.iter().map(|&v| 1.0 - v).collect();
                 // [B, 1, L] broadcastable over K.
                 let blocked_t = Tensor::from_vec(blocked, [b, 1, l]);
 
+                let mut c = logits.masked_fill(&blocked_t, -1e9).softmax_lastdim(); // [B, K, L]
                 let mut z = Tensor::zeros([b, *k, d]);
                 for iter in 0..*iters {
-                    let c = logits.masked_fill(&blocked_t, -1e9).softmax_lastdim(); // [B, K, L]
-                    let weighted = c.bmm(&s); // [B, K, D]
-                    z = squash(&weighted);
+                    z = squash(&c.bmm(&s)); // [B, K, D]
                     if iter + 1 < *iters {
                         // logits += <s_l, z_k> ; agreement [B, K, L].
-                        let agreement = z.bmm(&s.transpose_last());
-                        logits = logits.add(&agreement);
+                        logits = logits.add(&z.bmm(&s.transpose_last()));
+                        c = logits.masked_fill(&blocked_t, -1e9).softmax_lastdim();
                     }
                 }
-                z
-            }
-        }
-    }
-
-    /// The attention weights `[B, K, L]` of the self-attentive extractor
-    /// (for interest-inspection tooling). Dynamic routing returns its final
-    /// routing distribution.
-    pub fn attention_weights(&self, h: &Tensor, allowed: &[f32]) -> Tensor {
-        let (b, l, _) = (h.dims()[0], h.dims()[1], h.dims()[2]);
-        match self {
-            InterestExtractor::SelfAttentive { w1, w2, .. } => {
-                let logits = h.matmul(w1).into_tanh().matmul(w2);
-                let blocked: Vec<f32> = allowed.iter().map(|&v| 1.0 - v).collect();
-                let blocked_t = Tensor::from_vec(blocked, [b, l, 1]);
-                logits
-                    .masked_fill(&blocked_t, -1e9)
-                    .permute(&[0, 2, 1])
-                    .softmax_lastdim()
-            }
-            InterestExtractor::DynamicRouting {
-                transform,
-                routing_init,
-                k,
-                iters,
-            } => {
-                // Re-run routing and return the final coupling coefficients.
-                let s = h.matmul(transform);
-                let init_slice = routing_init.narrow(1, 0, l);
-                let mut logits_data = Vec::with_capacity(b * *k * l);
-                let init_vec = init_slice.to_vec();
-                for _ in 0..b {
-                    logits_data.extend_from_slice(&init_vec);
-                }
-                let mut logits = Tensor::from_vec(logits_data, [b, *k, l]);
-                let blocked: Vec<f32> = allowed.iter().map(|&v| 1.0 - v).collect();
-                let blocked_t = Tensor::from_vec(blocked, [b, 1, l]);
-                for _ in 0..iters.saturating_sub(1) {
-                    let c = logits.masked_fill(&blocked_t, -1e9).softmax_lastdim();
-                    let z = squash(&c.bmm(&s));
-                    logits = logits.add(&z.bmm(&s.transpose_last()));
-                }
-                logits.masked_fill(&blocked_t, -1e9).softmax_lastdim()
+                (c, z)
             }
         }
     }

@@ -312,12 +312,7 @@ impl Mbmissl {
     /// Interest-level inspection: attention weights `[B, K, L]` over a
     /// batch of histories (for the analysis example / t-SNE-style tooling).
     pub fn inspect_attention(&self, histories: &[&Sequence]) -> (Batch, Vec<f32>) {
-        let truncated: Vec<Sequence> = histories
-            .iter()
-            .map(|h| h.truncate_to_recent(self.config.max_seq_len))
-            .collect();
-        let refs: Vec<&Sequence> = truncated.iter().collect();
-        let batch = Batch::encode_histories(&refs);
+        let batch = Batch::encode_recent(histories, self.config.max_seq_len);
         let weights = no_grad(|| {
             let h = self.encode(&batch, &mut Mode::Eval);
             self.extractor.attention_weights(&h, &batch.valid).to_vec()
@@ -328,12 +323,7 @@ impl Mbmissl {
     /// Extracted prediction interests for a batch of histories
     /// (row-major `[B, K, D]`), for analysis tooling.
     pub fn extract_interests(&self, histories: &[&Sequence]) -> Vec<f32> {
-        let truncated: Vec<Sequence> = histories
-            .iter()
-            .map(|h| h.truncate_to_recent(self.config.max_seq_len))
-            .collect();
-        let refs: Vec<&Sequence> = truncated.iter().collect();
-        let batch = Batch::encode_histories(&refs);
+        let batch = Batch::encode_recent(histories, self.config.max_seq_len);
         no_grad(|| {
             let h = self.encode(&batch, &mut Mode::Eval);
             self.interests(&h, &batch).to_vec()
@@ -365,12 +355,7 @@ impl SequentialRecommender for Mbmissl {
         if histories.is_empty() {
             return Vec::new();
         }
-        let truncated: Vec<Sequence> = histories
-            .iter()
-            .map(|h| h.truncate_to_recent(self.config.max_seq_len))
-            .collect();
-        let refs: Vec<&Sequence> = truncated.iter().collect();
-        let batch = Batch::encode_histories(&refs);
+        let batch = Batch::encode_recent(histories, self.config.max_seq_len);
         no_grad(|| {
             let h = self.encode(&batch, &mut Mode::Eval);
             let z = self.interests(&h, &batch);

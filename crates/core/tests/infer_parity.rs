@@ -57,8 +57,18 @@ fn engine_scores_bit_identical_to_autograd_model() {
         let engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
         // Varied batch sizes (incl. 1) and candidate-list lengths; long
         // histories exercise the max_seq_len truncation.
-        for (batch, c) in [(1usize, 1usize), (1, 10), (3, 7), (8, 25)] {
-            let histories: Vec<_> = dataset.sequences.iter().take(batch).collect();
+        // The last batch mixes a one-event history with the longest one:
+        // the hypergraph's padded edge slots give fully masked query rows.
+        let one_event = dataset.sequences[0].truncate_to_recent(1);
+        let longest = dataset.sequences.iter().max_by_key(|s| s.len()).unwrap();
+        assert!(longest.len() >= 20, "no history fills max_seq_len");
+        let mixed = [&one_event, longest];
+        for (batch, c) in [(1usize, 1usize), (1, 10), (3, 7), (8, 25), (2, 5)] {
+            let histories: Vec<_> = if batch == 2 {
+                mixed.to_vec()
+            } else {
+                dataset.sequences.iter().take(batch).collect()
+            };
             let cands: Vec<Vec<ItemId>> = (0..batch)
                 .map(|b| (1..=c as ItemId).map(|i| (i + b as ItemId) % 40 + 1).collect())
                 .collect();

@@ -237,60 +237,46 @@ impl Batch {
         strategy: NegativeStrategy,
         rng: &mut StdRng,
     ) -> Batch {
-        let size = instances.len();
-        assert!(size > 0, "empty batch");
-        let max_len = instances.iter().map(|i| i.history.len()).max().unwrap().max(1);
-        let mut items = vec![0usize; size * max_len];
-        let mut behaviors = vec![Behavior::PAD_INDEX; size * max_len];
-        let mut valid = vec![0.0f32; size * max_len];
-        let mut targets = Vec::with_capacity(size);
-        let mut negatives = Vec::with_capacity(size * num_negatives);
-        let mut users = Vec::with_capacity(size);
-        for (b, inst) in instances.iter().enumerate() {
-            encode_sequence_into(
-                &inst.history,
-                &mut items[b * max_len..],
-                &mut behaviors[b * max_len..],
-                &mut valid[b * max_len..],
-            );
-            targets.push(inst.target as usize);
-            negatives.extend(
+        let histories: Vec<&Sequence> = instances.iter().map(|i| &i.history).collect();
+        let mut batch = Batch::encode_histories(&histories);
+        for inst in instances {
+            batch.targets.push(inst.target as usize);
+            batch.negatives.extend(
                 sampler
                     .sample_n(inst.user, inst.target, num_negatives, strategy, rng)
                     .into_iter()
                     .map(|n| n as usize),
             );
-            users.push(inst.user);
+            batch.users.push(inst.user);
         }
-        Batch {
-            size,
-            max_len,
-            items,
-            behaviors,
-            valid,
-            targets,
-            negatives,
-            num_negatives,
-            users,
-        }
+        batch.num_negatives = num_negatives;
+        batch
     }
 
     /// Encodes evaluation histories (no negatives/targets needed beyond
     /// the candidate lists).
     pub fn encode_histories(histories: &[&Sequence]) -> Batch {
+        Batch::encode_recent(histories, usize::MAX)
+    }
+
+    /// Encodes the last `max_len` events of each history, in place of
+    /// truncating copies (`truncate_to_recent`) and encoding those.
+    pub fn encode_recent(histories: &[&Sequence], max_len: usize) -> Batch {
         let size = histories.len();
         assert!(size > 0, "empty batch");
-        let max_len = histories.iter().map(|h| h.len()).max().unwrap().max(1);
+        let kept = |h: &Sequence| h.len().min(max_len);
+        let max_len = histories.iter().map(|h| kept(h)).max().unwrap().max(1);
         let mut items = vec![0usize; size * max_len];
         let mut behaviors = vec![Behavior::PAD_INDEX; size * max_len];
         let mut valid = vec![0.0f32; size * max_len];
         for (b, hist) in histories.iter().enumerate() {
-            encode_sequence_into(
-                hist,
-                &mut items[b * max_len..],
-                &mut behaviors[b * max_len..],
-                &mut valid[b * max_len..],
-            );
+            let skip = hist.len() - kept(hist);
+            let events = hist.items[skip..].iter().zip(&hist.behaviors[skip..]);
+            for (i, (&item, &behavior)) in (b * max_len..).zip(events) {
+                items[i] = item as usize;
+                behaviors[i] = behavior.index();
+                valid[i] = 1.0;
+            }
         }
         Batch {
             size,
@@ -357,14 +343,6 @@ impl PreparedBatch {
     /// Borrowed history references.
     pub fn histories(&self) -> Vec<&Sequence> {
         self.instances.iter().map(|i| &i.history).collect()
-    }
-}
-
-fn encode_sequence_into(seq: &Sequence, items: &mut [usize], behaviors: &mut [usize], valid: &mut [f32]) {
-    for (t, (&it, &b)) in seq.items.iter().zip(seq.behaviors.iter()).enumerate() {
-        items[t] = it as usize;
-        behaviors[t] = b.index();
-        valid[t] = 1.0;
     }
 }
 

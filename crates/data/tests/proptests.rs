@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use mbssl_data::augment::AugmentOp;
 use mbssl_data::preprocess::{k_core, leave_one_out, SplitConfig};
-use mbssl_data::sampler::{NegativeSampler, NegativeStrategy};
+use mbssl_data::sampler::{Batch, NegativeSampler, NegativeStrategy};
 use mbssl_data::synthetic::SyntheticConfig;
 use mbssl_data::{Behavior, Sequence};
 use rand::rngs::StdRng;
@@ -154,5 +154,34 @@ proptest! {
             prop_assert!(!seq.is_empty());
             prop_assert!(seq.len() <= 20 * 3 / 2 * 5);
         }
+    }
+}
+
+#[test]
+fn encode_recent_matches_truncate_then_encode() {
+    let max_len = 4;
+    // Lengths 0, below, equal to and above `max_len`, in one batch.
+    let seqs: Vec<Sequence> = [0usize, 2, 4, 7]
+        .iter()
+        .map(|&n| {
+            let mut s = Sequence::new();
+            for i in 0..n {
+                let b = if i % 3 == 0 { Behavior::Cart } else { Behavior::Click };
+                s.push(i as u32 + 1, b);
+            }
+            s
+        })
+        .collect();
+    // The whole mix (padded to `max_len`) and the short ones alone.
+    for batch in [&seqs[..], &seqs[..2]] {
+        let refs: Vec<&Sequence> = batch.iter().collect();
+        let truncated: Vec<Sequence> =
+            batch.iter().map(|h| h.truncate_to_recent(max_len)).collect();
+        let want = Batch::encode_histories(&truncated.iter().collect::<Vec<_>>());
+        let got = Batch::encode_recent(&refs, max_len);
+        assert_eq!((got.size, got.max_len), (want.size, want.max_len));
+        assert_eq!(got.items, want.items);
+        assert_eq!(got.behaviors, want.behaviors);
+        assert_eq!(got.valid, want.valid);
     }
 }

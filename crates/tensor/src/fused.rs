@@ -12,7 +12,10 @@
 //! That contract is pinned by `tests/fused_parity.rs`.
 //!
 //! The nn modules call these ops directly; `tests/fused_parity.rs` builds
-//! the unfused composition from primitive ops as their oracle.
+//! the unfused composition from primitive ops as their oracle. The forward
+//! of one sdpa slice is [`kernels::sdpa_slice`], which the graph-free
+//! inference engine runs too, so the engine matches these ops bit for bit
+//! by construction.
 
 use mbssl_telemetry as telemetry;
 
@@ -58,7 +61,8 @@ impl Tensor {
     /// `masked_fill`. `dropout_mask` is a precomputed keep/scale mask of
     /// `B*H·Lq·Lk` elements (see `ops::dropout_mask`) applied to the
     /// probabilities; the caller draws it so the RNG stream matches the
-    /// unfused `Mode::dropout` call. Only the softmax output (plus the two
+    /// unfused `Mode::dropout` call. Each slice's forward is
+    /// [`kernels::sdpa_slice`]. Only the softmax output (plus the two
     /// masks) is saved for backward; dq/dk/dv come out of one pass per slice
     /// through the recycling allocator, with no graph nodes in between.
     pub fn sdpa(
@@ -113,46 +117,33 @@ impl Tensor {
             let out_ptr = SendPtr(out.as_mut_ptr());
             let probs_ptr = SendPtr(probs.as_mut_ptr());
             let slice_fwd = |s: usize| {
-                let q_s = &q_data[s * lq * dh..(s + 1) * lq * dh];
-                let k_s = &k_data[s * lk * dh..(s + 1) * lk * dh];
-                let v_s = &v_data[s * lk * dh..(s + 1) * lk * dh];
                 let mut scratch = if tracked { Vec::new() } else { alloc::zeroed(lq * lk) };
                 // Safety: windows at distinct `s` are disjoint.
-                let scores: &mut [f32] = if tracked {
+                let probs_s: &mut [f32] = if tracked {
                     unsafe { probs_ptr.window(s * lq * lk, lq * lk) }
                 } else {
                     &mut scratch
                 };
-                // kᵀ must be materialized: `gemm_nt`'s dot-chain accumulation
-                // differs bitwise from the `gemm_nn(q, kᵀ)` the unfused bmm
-                // runs, so the same kernel (and kᵀ layout) is kept here.
-                let mut kt = alloc::zeroed(lk * dh);
-                kernels::transpose(k_s, &mut kt, lk, dh);
-                kernels::gemm_nn(q_s, &kt, scores, lq, dh, lk);
-                for x in scores.iter_mut() {
-                    *x *= scale;
-                }
-                if let Some((m, ms)) = &mask_sl {
-                    for i in 0..lq {
-                        for j in 0..lk {
-                            if m[s * ms[0] + i * ms[1] + j * ms[2]] != 0.0 {
-                                scores[i * lk + j] = -1e9;
-                            }
-                        }
-                    }
-                }
-                kernels::softmax_rows(scores, lk);
                 let ctx: &mut [f32] = unsafe { out_ptr.window(s * lq * dh, lq * dh) };
-                if let Some(dm) = dmask {
-                    let dm_s = &dm[s * lq * lk..(s + 1) * lq * lk];
-                    let mut ad = alloc::buffer(lq * lk);
-                    ad.extend(scores.iter().zip(dm_s.iter()).map(|(&p, &m)| p * m));
-                    kernels::gemm_nn(&ad, v_s, ctx, lq, lk, dh);
-                    alloc::recycle(ad);
-                } else {
-                    kernels::gemm_nn(scores, v_s, ctx, lq, lk, dh);
-                }
+                let mut kt = alloc::zeroed(lk * dh);
+                let mut dropped = if dmask.is_some() { alloc::zeroed(lq * lk) } else { Vec::new() };
+                let blocked = |i: usize, j: usize| {
+                    mask_sl.is_some_and(|(m, ms)| m[s * ms[0] + i * ms[1] + j * ms[2]] != 0.0)
+                };
+                kernels::sdpa_slice(
+                    &q_data[s * lq * dh..],
+                    &k_data[s * lk * dh..],
+                    &v_data[s * lk * dh..],
+                    (lq, lk, dh),
+                    scale,
+                    blocked,
+                    dmask.map(|dm| (&dm[s * lq * lk..], &mut dropped[..])),
+                    probs_s,
+                    &mut kt,
+                    ctx,
+                );
                 alloc::recycle(kt);
+                alloc::recycle(dropped);
                 if !tracked {
                     alloc::recycle(scratch);
                 }

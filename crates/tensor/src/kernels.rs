@@ -947,8 +947,8 @@ fn for_each_row_panel(data: &mut [f32], cols: usize, body: impl Fn(&mut [f32]) +
 
 /// In-place numerically stable softmax over each row of an (rows×cols)
 /// matrix, on the calling thread. The single row loop behind
-/// [`softmax_rows`] and the inference engine, whose serve workers must not
-/// fork-join into the pool.
+/// [`softmax_rows`], [`sdpa_slice`] and the inference engine, whose serve
+/// workers must not fork-join into the pool.
 #[inline]
 pub fn softmax_rows_serial(data: &mut [f32], cols: usize) {
     if cols == 0 {
@@ -1241,6 +1241,71 @@ pub fn row_sq_norms(data: &[f32], cols: usize, out: &mut [f32]) {
     debug_assert_eq!(data.len(), out.len() * cols);
     for (o, row) in out.iter_mut().zip(data.chunks_exact(cols)) {
         *o = sq_norm(row);
+    }
+}
+
+/// The score masked-out attention logits are filled with before the
+/// softmax (`masked_fill(_, -1e9)` in the autograd composition).
+pub const MASK_FILL: f32 = -1e9;
+
+/// One scaled-dot-product attention slice,
+/// `ctx = softmax(mask(q·kᵀ · scale)) [⊙ keep] · v`, over plain slices: `q`
+/// is `lq × dh`, `k`/`v` are `lk × dh`, and score `(i, j)` becomes
+/// [`MASK_FILL`] where `blocked(i, j)`. The one attention forward: the
+/// fused `Tensor::sdpa` runs it per `[B*H]` slice, the inference engine per
+/// batch·head.
+///
+/// `dropout` is a `lq × lk` keep/scale mask applied to the probabilities
+/// with a same-length buffer for their product. On return `probs`
+/// (`lq × lk`) holds the softmax probabilities and `ctx` (`lq × dh`) the
+/// context; `kt` (`dh × lk`) is scratch. Every buffer is overwritten or
+/// zeroed before it is accumulated into, so stale contents are fine. Runs
+/// the softmax serially on the calling thread and opens no span.
+// `#[inline]`: without it the engine's per-head loop ran 2–4% slower, and
+// with one select per element in place of the separate scale and mask
+// loops below, 4–8% slower (model shapes, 2-vCPU x86-64 VM).
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn sdpa_slice(
+    q: &[f32],
+    k: &[f32],
+    v: &[f32],
+    (lq, lk, dh): (usize, usize, usize),
+    scale: f32,
+    blocked: impl Fn(usize, usize) -> bool,
+    dropout: Option<(&[f32], &mut [f32])>,
+    probs: &mut [f32],
+    kt: &mut [f32],
+    ctx: &mut [f32],
+) {
+    let (probs, kt, ctx) = (&mut probs[..lq * lk], &mut kt[..lk * dh], &mut ctx[..lq * dh]);
+    // kᵀ must be materialized: `gemm_nt`'s dot-chain accumulation differs
+    // bitwise from the `gemm_nn(q, kᵀ)` the unfused bmm runs.
+    transpose(&k[..lk * dh], kt, lk, dh);
+    probs.fill(0.0);
+    gemm_nn(&q[..lq * dh], kt, probs, lq, dh, lk);
+    for s in probs.iter_mut() {
+        *s *= scale;
+    }
+    for i in 0..lq {
+        for (j, s) in probs[i * lk..][..lk].iter_mut().enumerate() {
+            if blocked(i, j) {
+                *s = MASK_FILL;
+            }
+        }
+    }
+    softmax_rows_serial(probs, lk);
+    ctx.fill(0.0);
+    let v = &v[..lk * dh];
+    match dropout {
+        Some((keep, dropped)) => {
+            let dropped = &mut dropped[..lq * lk];
+            for ((d, &p), &m) in dropped.iter_mut().zip(probs.iter()).zip(&keep[..lq * lk]) {
+                *d = p * m;
+            }
+            gemm_nn(dropped, v, ctx, lq, lk, dh);
+        }
+        None => gemm_nn(probs, v, ctx, lq, lk, dh),
     }
 }
 

@@ -5,8 +5,11 @@
 //! compares the forward bits and every leaf gradient exactly.
 //!
 //! These run under MBSSL_THREADS=1/2/default in ci.sh; the fused kernels
-//! dispatch per `[B*H]` slice, so pool size must never change a bit.
+//! dispatch per `[B*H]` slice, so pool size must never change a bit. The
+//! slice kernel both sdpa and the inference engine run, `sdpa_slice`, is
+//! also checked on its own: stale scratch and fully masked rows.
 
+use mbssl_tensor::kernels::{sdpa_slice, NR};
 use mbssl_tensor::{dropout_mask, Tensor};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -233,5 +236,65 @@ proptest! {
         prop_assert_eq!(da1.grad().unwrap(), da2.grad().unwrap());
         prop_assert_eq!(g1.grad().unwrap(), g2.grad().unwrap());
         prop_assert_eq!(beta1.grad().unwrap(), beta2.grad().unwrap());
+    }
+}
+
+/// Runs `sdpa_slice` on seeded inputs with every output and scratch
+/// buffer pre-filled with `stale`; returns `(probs, ctx, v)`.
+fn sdpa_slice_with_stale(
+    (lq, lk, dh): (usize, usize, usize),
+    blocked: impl Fn(usize, usize) -> bool,
+    keep: Option<&[f32]>,
+    stale: f32,
+) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    let mut rng = StdRng::seed_from_u64((lq * 100 + lk * 10 + dh) as u64);
+    let (q, k, v) = (fill(&mut rng, lq * dh), fill(&mut rng, lk * dh), fill(&mut rng, lk * dh));
+    let mut probs = vec![stale; lq * lk];
+    let mut kt = vec![stale; lk * dh];
+    let mut dropped = vec![stale; lq * lk];
+    let mut ctx = vec![stale; lq * dh];
+    let dropout = keep.map(|m| (m, &mut dropped[..]));
+    let dims = (lq, lk, dh);
+    sdpa_slice(&q, &k, &v, dims, 0.7, blocked, dropout, &mut probs, &mut kt, &mut ctx);
+    (probs, ctx, v)
+}
+
+fn bits(x: &[f32]) -> Vec<u32> {
+    x.iter().map(|v| v.to_bits()).collect()
+}
+
+// The shared slice kernel zeroes what it accumulates into: NaN or garbage
+// scratch gives the bits zeroed scratch gives. Shapes cover lq ≠ lk (the
+// hypergraph's edge queries over nodes), lk = 1, and dh off the NR grid.
+#[test]
+fn sdpa_slice_ignores_stale_scratch() {
+    for dims @ (lq, lk, _) in [(3, 7, 11), (4, 1, 9), (1, 6, 3), (5, 5, NR)] {
+        let keep: Vec<f32> = (0..lq * lk).map(|i| if i % 3 == 0 { 0.0 } else { 1.25 }).collect();
+        for keep in [None, Some(&keep[..])] {
+            let blocked = |i: usize, j: usize| (i + 2 * j) % 4 == 1;
+            let (p0, c0, _) = sdpa_slice_with_stale(dims, blocked, keep, 0.0);
+            for stale in [f32::NAN, 7.5, -3.0e38] {
+                let (p, c, _) = sdpa_slice_with_stale(dims, blocked, keep, stale);
+                assert_eq!(bits(&p), bits(&p0), "{dims:?} stale {stale}");
+                assert_eq!(bits(&c), bits(&c0), "{dims:?} stale {stale}");
+            }
+        }
+    }
+}
+
+// A fully masked query row softmaxes to uniform weights, so its context is
+// the mean of the value rows.
+#[test]
+fn sdpa_slice_fully_masked_row_averages_values() {
+    let (lq, lk, dh) = (3, 6, 5);
+    let blocked = |i: usize, j: usize| i == 1 || j == 4;
+    let (probs, ctx, v) = sdpa_slice_with_stale((lq, lk, dh), blocked, None, f32::NAN);
+    for j in 0..lk {
+        assert_eq!(probs[lk + j], 1.0 / lk as f32, "uniform weights");
+        assert_eq!(probs[j] == 0.0, j == 4, "masked key of a live row");
+    }
+    for c in 0..dh {
+        let mean = (0..lk).map(|j| v[j * dh + c]).sum::<f32>() / lk as f32;
+        assert!((ctx[dh + c] - mean).abs() < 1e-5, "ctx {} vs mean {mean}", ctx[dh + c]);
     }
 }

@@ -13,9 +13,14 @@
 #                             parallel row-split paths are all exercised. The
 #                             serving-engine suite (micro-batched == sequential
 #                             recommend_top_n, cache/hot-swap/budget gates)
-#                             runs inside the same pool-size loop.
+#                             and the infer-parity suite (stage 6) run inside
+#                             the same pool-size loop.
 #   3. fused-op parity      — bit-for-bit fused==unfused forward + gradients
-#                             (also per pool size; sdpa dispatches per slice).
+#                             (also per pool size): the fused ops' one
+#                             production path against the unfused oracle.
+#                             sdpa splits its [B*H] slices across the pool,
+#                             each running kernels::sdpa_slice, so pool size
+#                             must never change a bit.
 #   4. allocation regression — counting-allocator budget test (also per pool
 #                             size; the recycler is thread-local + shared).
 #   5. portable data path   — the .mbds format suite under
@@ -24,14 +29,19 @@
 #                             production path; fused ops, allocator, sharded
 #                             scatter and engine are pinned to their oracles
 #                             by the parity suites of stages 2–4 and 6.)
-#   6. inference engine     — infer-parity suite (engine vs the autograd
-#                             `_reference` oracles) under ambient SIMD and
-#                             under MBSSL_SIMD=off (the scalar microkernels
-#                             hosts without AVX2/VNNI run must not change a
-#                             bit), the fused catalog top-n suite
-#                             (tests/catalog_topn.rs), the exact i8 screen
-#                             suite (tests/catalog_screen.rs) and the screened IVF
-#                             re-rank suite (tests/ann_screen.rs) under
+#   6. inference engine     — infer-parity suite: engine == fused autograd
+#                             bit for bit (`score_batch` and the `_reference`
+#                             oracles). Both sides run kernels::sdpa_slice,
+#                             the autograd side split across the pool and the
+#                             engine serially, so the suite runs in stage 2's
+#                             pool-size loop and again under MBSSL_SIMD=off
+#                             (the scalar microkernels hosts without
+#                             AVX2/VNNI run must not change a bit); with
+#                             stage 3 pinning fused == unfused, replies equal
+#                             the unfused composition too. Then the fused
+#                             catalog top-n suite (tests/catalog_topn.rs), the
+#                             exact i8 screen suite (tests/catalog_screen.rs)
+#                             and the screened IVF re-rank suite (tests/ann_screen.rs) under
 #                             MBSSL_SIMD=off and MBSSL_THREADS=1 (the fused
 #                             pass, the screened pass and the list-ordered
 #                             screened re-rank must match their oracles
@@ -55,7 +65,8 @@
 #   7. traced tests         — full workspace tests with MBSSL_TRACE=jsonl:…
 #                             so every suite also passes with live telemetry
 #                             (determinism + near-zero-overhead contract).
-#   8. trace workflow       — synth → traced 2-epoch training with a run
+#   8. trace workflow       — synth → traced 2-epoch training (one pool
+#                             worker, as the baseline was recorded) with a run
 #                             ledger → `mbssl trace summary`, then
 #                             `mbssl trace diff` against the committed
 #                             BENCH_trace_baseline.jsonl on the share metric
@@ -143,6 +154,13 @@ for threads in 1 2 ""; do
         env -u MBSSL_THREADS cargo test --release -p mbssl-core --test serve -q
     fi
 
+    echo "==> inference-engine parity (engine == fused autograd, MBSSL_THREADS=$label)"
+    if [[ -n "$threads" ]]; then
+        MBSSL_THREADS="$threads" cargo test --release -p mbssl-core --test infer_parity -q
+    else
+        env -u MBSSL_THREADS cargo test --release -p mbssl-core --test infer_parity -q
+    fi
+
     echo "==> sharded embedding-gradient parity (MBSSL_THREADS=$label)"
     if [[ -n "$threads" ]]; then
         MBSSL_THREADS="$threads" cargo test --release -p mbssl-tensor --test shard_parity -q
@@ -153,9 +171,6 @@ done
 
 echo "==> portable data path (MBSSL_DATA_MMAP=off, buffered .mbds reads)"
 MBSSL_DATA_MMAP=off cargo test --release -p mbssl-data --test format -q
-
-echo "==> inference-engine parity (engine on, ambient SIMD)"
-cargo test --release -p mbssl-core --test infer_parity -q
 
 echo "==> portable kernels (MBSSL_SIMD=off, scalar microkernels)"
 MBSSL_SIMD=off cargo test --release -p mbssl-tensor --test simd_parity -q
@@ -196,7 +211,10 @@ MBSSL_TRACE="jsonl:$trace_file" cargo test --workspace -q
 echo "==> trace workflow (synth → traced train + ledger → trace summary/diff → report)"
 mbssl=target/release/mbssl
 "$mbssl" synth --out "$trace_dir/log.tsv" --scale 0.05 --seed 11
-"$mbssl" train --data "$trace_dir/log.tsv" --target purchase \
+# One worker, like the baseline (recorded with `cores:1`): pool size moves
+# where training time goes, so a default-pool run on a multi-core host
+# would not compare like with like.
+MBSSL_THREADS=1 "$mbssl" train --data "$trace_dir/log.tsv" --target purchase \
     --model "$trace_dir/model.ckpt" --epochs 2 --dim 16 --interests 2 \
     --trace "jsonl:$trace_dir/trace.jsonl" --run-dir "$trace_dir/run0"
 "$mbssl" trace summary "$trace_dir/trace.jsonl" \
