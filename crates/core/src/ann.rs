@@ -14,13 +14,24 @@
 //! [`crate::infer::InferenceModel::score_candidates`].
 //!
 //! - **Build** is deterministic for a given `(table, nlist, seed)` at any
-//!   worker-pool size: Lloyd iterations assign items in parallel pool
-//!   chunks, each chunk one GEMM against the pre-packed transposed centroid
-//!   matrix (the same MR=4/NR=8/KC=256 microkernels — and therefore the
-//!   same SIMD dispatch — as every other hot GEMM), and the centroid update
-//!   is a sequential pass. Runs under an `index.build` span.
+//!   worker-pool size and SIMD setting. Lloyd iterations assign each item
+//!   to `argmax_c fl(fl(e·c) − ½‖c‖²)`, strict `>` so ties go to the
+//!   lowest id, in parallel pool chunks; the centroid update is a
+//!   sequential pass. With the AVX-512 VNNI screen kernels on and a finite
+//!   table, a pass runs the exact i8 screen (`crate::screen`) over its
+//!   centroids: every item's codes (quantized once per build) give an
+//!   upper bound `UB_c` on each exact dot, the centroid with the highest
+//!   gap `fl(UB_c − ½‖c‖²)` is scored exactly to set a floor, and only
+//!   centroids whose gap reaches the floor are scored exactly. Rounding is
+//!   monotone, so a pruned centroid scores below the floor and the
+//!   assignment equals the exhaustive one bit for bit. Otherwise, or when
+//!   the screen refuses the centroids, a pass runs one GEMM per chunk
+//!   against the packed transposed centroids. Runs under an
+//!   `index.build` span with `index.iterations`, `index.assign_exact` and
+//!   `index.assign_fallbacks` counters ([`BuildStats`]).
 //! - **Serialization** is a small versioned binary written next to the
-//!   checkpoint (conventionally `<ckpt>.ivf`), loadable without retraining.
+//!   checkpoint (conventionally `<ckpt>.ivf`), loadable without retraining
+//!   and published atomically (temp file, sync, rename).
 //!   Corrupt, truncated, or version-mismatched files fail with a clear
 //!   [`AnnError`]; consumers degrade to exhaustive scoring (warn-and-
 //!   degrade, like the run ledger's IO handling).
@@ -39,12 +50,16 @@
 
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 use mbssl_data::ItemId;
 use mbssl_telemetry as telemetry;
 use mbssl_tensor::kernels::PackedB;
+use mbssl_tensor::simd::{self, SCREEN_LANES};
 use mbssl_tensor::{kernels, pool};
+
+use crate::screen::{CatalogScreen, InterestCodes};
 
 /// Serialization magic: 8 bytes so a truncated checkpoint can never alias.
 const MAGIC: &[u8; 8] = b"MBSSLIVF";
@@ -55,6 +70,9 @@ const VERSION: u32 = 1;
 const KMEANS_ITERS: usize = 12;
 /// Items assigned per parallel chunk of the k-means assignment pass.
 const ASSIGN_CHUNK: usize = 512;
+/// Items a screened assignment pass runs through the screen at once: four
+/// independent `vpdpbusd` chains per centroid block.
+const SCREEN_ITEMS: usize = 4;
 
 /// Whether ANN probing is allowed. Defaults to on; `MBSSL_ANN=off` (or
 /// `0` / `none`) keeps every consumer on the exhaustive path even when an
@@ -192,6 +210,192 @@ pub struct IvfIndex {
     /// `centroids` on build/load; never serialized.
     packed_centroids: PackedB,
     lists: Vec<Vec<ItemId>>,
+    /// Counts of the build; never serialized.
+    build_stats: BuildStats,
+}
+
+/// What one [`IvfIndex::build`] did, also added to the `index.iterations`,
+/// `index.assign_exact` and `index.assign_fallbacks` counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BuildStats {
+    /// Lloyd passes run, the last one the first with an unchanged
+    /// assignment (or the budget's last).
+    pub iterations: usize,
+    /// Exact f32 item–centroid scores computed over all passes: items ×
+    /// `nlist` for a GEMM pass, the screen's survivors for a screened one.
+    pub assign_exact: u64,
+    /// Items a screened pass scanned exactly because the screen refused
+    /// their codes.
+    pub assign_fallbacks: u64,
+}
+
+/// Centroidsᵀ prepacked for the probe GEMM.
+fn pack_transposed(centroids: &[f32], nlist: usize, dim: usize) -> PackedB {
+    let mut centroids_t = vec![0.0f32; nlist * dim];
+    kernels::transpose(centroids, &mut centroids_t, nlist, dim);
+    PackedB::pack(&centroids_t, dim, nlist)
+}
+
+/// Every item's i8 codes for the screened assignment pass, quantized once
+/// per build: `groups` code words per item, item-major, and per item the
+/// catalog-free terms of its slack.
+struct ItemCodes {
+    words: Vec<i32>,
+    codes: Vec<InterestCodes>,
+    groups: usize,
+}
+
+impl ItemCodes {
+    fn quantize(items: &[f32], dim: usize) -> ItemCodes {
+        let groups = dim.div_ceil(4);
+        let mut words = vec![0i32; items.len() / dim * groups];
+        let codes = items
+            .chunks_exact(dim)
+            .zip(words.chunks_exact_mut(groups))
+            .map(|(item, words)| InterestCodes::quantize(item, words))
+            .collect();
+        ItemCodes {
+            words,
+            codes,
+            groups,
+        }
+    }
+}
+
+/// The first centroid of the strict-`>` max score from `-inf` (ties go
+/// to the lowest id), centroid 0 if no score exceeds `-inf`.
+fn first_max(scores: impl Iterator<Item = (usize, f32)>) -> u32 {
+    let first = |best: (usize, f32), (c, v): (usize, f32)| if v > best.1 { (c, v) } else { best };
+    scores.fold((0, f32::NEG_INFINITY), first).0 as u32
+}
+
+/// The inputs of one Lloyd assignment pass.
+struct Pass<'a> {
+    items: &'a [f32],
+    dim: usize,
+    centroids: &'a [f32],
+    /// `fl(½‖c‖²)` per centroid, padded to whole screen blocks.
+    half_sq: &'a [f32],
+}
+
+impl Pass<'_> {
+    fn nlist(&self) -> usize {
+        self.centroids.len() / self.dim
+    }
+
+    /// Item `i`'s exact score against centroid `c`: `fl(fl(e·c) − ½‖c‖²)`,
+    /// the dot summed from +0.0 in ascending dim, each term a separate mul
+    /// then add. With finite centroids that is bit for bit the element of
+    /// the assignment GEMM, whose skip of zero item entries only drops
+    /// ±0.0 terms, which a sum from +0.0 absorbs.
+    #[inline]
+    fn score(&self, i: usize, c: usize) -> f32 {
+        let item = &self.items[i * self.dim..][..self.dim];
+        let centroid = &self.centroids[c * self.dim..][..self.dim];
+        let terms = item.iter().zip(centroid);
+        let dot = terms.fold(0.0f32, |s, (&e, &v)| s + e * v);
+        dot - self.half_sq[c]
+    }
+
+    /// Item `i`'s centroid, every centroid scored exactly.
+    fn argmax_all(&self, i: usize) -> u32 {
+        first_max((0..self.nlist()).map(|c| (c, self.score(i, c))))
+    }
+
+    /// The GEMM pass: per pool chunk one GEMM of its items against the
+    /// packed transposed centroids, then the argmax per item. Returns
+    /// `(exact scores, 0)`.
+    fn assign_gemm(&self, assign: &mut [u32]) -> (u64, u64) {
+        let (dim, nlist) = (self.dim, self.nlist());
+        let mut centroids_t = vec![0.0f32; nlist * dim];
+        kernels::transpose(self.centroids, &mut centroids_t, nlist, dim);
+        let packed = PackedB::pack(&centroids_t, dim, nlist);
+        pool::parallel_chunks_mut(assign, ASSIGN_CHUNK, |ci, window| {
+            let start = ci * ASSIGN_CHUNK;
+            let m = window.len();
+            let mut dots = vec![0.0f32; m * nlist];
+            let mut scratch = vec![0.0f32; PackedB::SCRATCH_LEN];
+            kernels::gemm_nn_prepacked_scratch(
+                &self.items[start * dim..(start + m) * dim],
+                &packed,
+                &mut dots,
+                m,
+                &mut scratch,
+            );
+            for (slot, row) in window.iter_mut().zip(dots.chunks_exact(nlist)) {
+                let scores = row.iter().zip(self.half_sq).map(|(&d, &h)| d - h);
+                *slot = first_max(scores.enumerate());
+            }
+        });
+        ((assign.len() * nlist) as u64, 0)
+    }
+
+    /// The screened pass (DESIGN.md §14): the i8 screen of the centroids
+    /// bounds every item's exact scores, the centroid of the best bounded
+    /// gap sets a floor, and only the centroids whose gap reaches it are
+    /// scored exactly. Items go through the screen four at a time. Returns
+    /// `(exact scores, items scanned without the screen)`.
+    fn assign_screened(
+        &self,
+        screen: &CatalogScreen,
+        codes: &ItemCodes,
+        assign: &mut [u32],
+    ) -> (u64, u64) {
+        let nlist = self.nlist();
+        let lanes = nlist.next_multiple_of(SCREEN_LANES);
+        let groups = codes.groups;
+        let (exact, fallbacks) = (AtomicU64::new(0), AtomicU64::new(0));
+        pool::parallel_chunks_mut(assign, ASSIGN_CHUNK, |ci, window| {
+            let mut acc = vec![0i32; SCREEN_ITEMS * lanes];
+            let mut gaps = vec![0.0f32; lanes];
+            let mut mask = vec![0u16; lanes / SCREEN_LANES];
+            let (mut scored, mut refused) = (0u64, 0u64);
+            for (g, slots) in window.chunks_mut(SCREEN_ITEMS).enumerate() {
+                let (i0, k) = (ci * ASSIGN_CHUNK + g * SCREEN_ITEMS, slots.len());
+                screen.dots(&codes.words[i0 * groups..(i0 + k) * groups], k, &mut acc);
+                for (kk, slot) in slots.iter_mut().enumerate() {
+                    let (i, item) = (i0 + kk, codes.codes[i0 + kk]);
+                    let Some(slack) = screen.slack(&item) else {
+                        refused += 1;
+                        scored += nlist as u64;
+                        *slot = self.argmax_all(i);
+                        continue;
+                    };
+                    let (floor_c, floor) = simd::screen_prune(
+                        &acc,
+                        k,
+                        kk,
+                        (item.offset, item.scale, slack),
+                        screen.scales(),
+                        self.half_sq,
+                        nlist,
+                        &mut gaps,
+                        |c| self.score(i, c),
+                        &mut mask,
+                    );
+                    // A pruned centroid's gap is below the floor, so its
+                    // score is too and it cannot be the first max; the
+                    // survivors go in ascending id order.
+                    scored += 1;
+                    let survivors = mask.iter().enumerate().flat_map(|(b, &bits)| {
+                        let next = |&m: &u16| Some(m & m.wrapping_sub(1));
+                        let set = std::iter::successors(Some(bits), next).take_while(|&m| m != 0);
+                        set.map(move |m| b * SCREEN_LANES + m.trailing_zeros() as usize)
+                    });
+                    *slot = first_max(survivors.map(|c| {
+                        if c == floor_c {
+                            return (c, floor);
+                        }
+                        scored += 1;
+                        (c, self.score(i, c))
+                    }));
+                }
+            }
+            exact.fetch_add(scored, Ordering::Relaxed);
+            fallbacks.fetch_add(refused, Ordering::Relaxed);
+        });
+        (exact.into_inner(), fallbacks.into_inner())
+    }
 }
 
 impl std::fmt::Debug for IvfIndex {
@@ -243,54 +447,41 @@ impl IvfIndex {
             }
         }
 
+        // The screened pass needs the i8 screen's kernels and a finite
+        // table; item codes never change, so they are quantized once.
+        let codes = (simd::vnni_active() && items.iter().all(|v| v.is_finite()))
+            .then(|| ItemCodes::quantize(items, dim));
         let mut assign = vec![0u32; num_items];
-        let mut centroids_t = vec![0.0f32; nlist * dim];
-        let mut half_sq = vec![0.0f32; nlist];
+        let mut next_assign = vec![0u32; num_items];
+        // ½‖c‖², padded to whole screen blocks for `simd::screen_prune`.
+        let mut half_sq = vec![0.0f32; nlist.next_multiple_of(SCREEN_LANES)];
+        let mut stats = BuildStats::default();
         for _ in 0..KMEANS_ITERS {
             // Assignment: nearest centroid by L2, computed as
             // argmax(dot(e, c) - ||c||²/2) since ||e||² is constant per
-            // item. One GEMM per pool chunk against the packed transpose.
-            kernels::transpose(&centroids, &mut centroids_t, nlist, dim);
-            let packed = PackedB::pack(&centroids_t, dim, nlist);
-            kernels::row_sq_norms(&centroids, dim, &mut half_sq);
+            // item; strict > keeps the lowest centroid id on ties.
+            kernels::row_sq_norms(&centroids, dim, &mut half_sq[..nlist]);
             for h in half_sq.iter_mut() {
                 *h *= 0.5;
             }
-            let mut next_assign = vec![0.0f32; num_items];
-            pool::parallel_chunks_mut(&mut next_assign, ASSIGN_CHUNK, |ci, window| {
-                let start = ci * ASSIGN_CHUNK;
-                let m = window.len();
-                let mut dots = vec![0.0f32; m * nlist];
-                let mut scratch = vec![0.0f32; PackedB::SCRATCH_LEN];
-                kernels::gemm_nn_prepacked_scratch(
-                    &items[start * dim..(start + m) * dim],
-                    &packed,
-                    &mut dots,
-                    m,
-                    &mut scratch,
-                );
-                for (i, slot) in window.iter_mut().enumerate() {
-                    let row = &dots[i * nlist..][..nlist];
-                    let mut best = 0usize;
-                    let mut best_v = f32::NEG_INFINITY;
-                    for (c, &d) in row.iter().enumerate() {
-                        let v = d - half_sq[c];
-                        // Strict > keeps the lowest centroid id on ties.
-                        if v > best_v {
-                            best_v = v;
-                            best = c;
-                        }
-                    }
-                    // nlist < 2^24, so the index is exact as f32.
-                    *slot = best as f32;
-                }
-            });
-            let mut changed = false;
-            for (a, &v) in assign.iter_mut().zip(next_assign.iter()) {
-                let c = v as u32;
-                changed |= *a != c;
-                *a = c;
-            }
+            let screen = codes
+                .as_ref()
+                .and_then(|codes| Some((codes, CatalogScreen::build(&centroids, dim)?)));
+            let pass = Pass {
+                items,
+                dim,
+                centroids: &centroids,
+                half_sq: &half_sq,
+            };
+            let (exact, fallbacks) = match screen {
+                Some((codes, screen)) => pass.assign_screened(&screen, codes, &mut next_assign),
+                None => pass.assign_gemm(&mut next_assign),
+            };
+            stats.iterations += 1;
+            stats.assign_exact += exact;
+            stats.assign_fallbacks += fallbacks;
+            let changed = assign != next_assign;
+            std::mem::swap(&mut assign, &mut next_assign);
             if !changed {
                 break;
             }
@@ -316,22 +507,29 @@ impl IvfIndex {
                 }
             }
         }
+        telemetry::counter_add("index.iterations", stats.iterations as u64);
+        telemetry::counter_add("index.assign_exact", stats.assign_exact);
+        telemetry::counter_add("index.assign_fallbacks", stats.assign_fallbacks);
 
         let mut lists: Vec<Vec<ItemId>> = vec![Vec::new(); nlist];
         for (i, &c) in assign.iter().enumerate() {
             // Ascending ids per list by construction.
             lists[c as usize].push((i + 1) as ItemId);
         }
-        kernels::transpose(&centroids, &mut centroids_t, nlist, dim);
-        let packed_centroids = PackedB::pack(&centroids_t, dim, nlist);
         IvfIndex {
             dim,
             num_items,
             seed,
+            packed_centroids: pack_transposed(&centroids, nlist, dim),
             centroids,
-            packed_centroids,
             lists,
+            build_stats: stats,
         }
+    }
+
+    /// What [`build`](IvfIndex::build) did; all zero for a loaded index.
+    pub fn build_stats(&self) -> BuildStats {
+        self.build_stats
     }
 
     /// Embedding dimension the index was built over.
@@ -374,6 +572,11 @@ impl IvfIndex {
                 + self.lists.len() * 8
                 + self.num_items * 4,
         }
+    }
+
+    /// The `nlist × dim` row-major centroids.
+    pub fn centroids(&self) -> &[f32] {
+        &self.centroids
     }
 
     /// The ids of list `c`, ascending.
@@ -510,10 +713,31 @@ impl IvfIndex {
         Ok(())
     }
 
-    /// Saves to a file path (conventionally `<checkpoint>.ivf`).
+    /// Saves to a file path (conventionally `<checkpoint>.ivf`)
+    /// atomically: the bytes go to a sibling temp file, which is synced
+    /// and then renamed over `path`, so a reader never sees a partial
+    /// index. On error the temp file is removed and an earlier file at
+    /// `path` is left as it was.
     pub fn save_to_file(&self, path: impl AsRef<Path>) -> Result<(), AnnError> {
-        let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-        self.save(&mut file)
+        let path = path.as_ref();
+        let mut name = path.file_name().unwrap_or_default().to_os_string();
+        name.push(format!(".{}.tmp", std::process::id()));
+        let tmp = path.with_file_name(name);
+        let written = (|| {
+            let mut writer = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
+            self.save(&mut writer)?;
+            let file = writer.into_inner().map_err(|e| e.into_error())?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            // The rename is durable once the directory entry is.
+            let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+            std::fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()?;
+            Ok(())
+        })();
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// Reads an index back, validating the header, geometry plausibility,
@@ -599,16 +823,14 @@ impl IvfIndex {
         if reader.read(&mut trailing)? != 0 {
             return Err(AnnError::Corrupt("trailing bytes after the last list".into()));
         }
-        let mut centroids_t = vec![0.0f32; nlist * dim];
-        kernels::transpose(&centroids, &mut centroids_t, nlist, dim);
-        let packed_centroids = PackedB::pack(&centroids_t, dim, nlist);
         Ok(IvfIndex {
             dim,
             num_items,
             seed,
+            packed_centroids: pack_transposed(&centroids, nlist, dim),
             centroids,
-            packed_centroids,
             lists,
+            build_stats: BuildStats::default(),
         })
     }
 
@@ -746,6 +968,38 @@ mod tests {
         let b = IvfIndex::build(&t, n, d, 12, 5);
         assert_eq!(a.centroids, b.centroids);
         assert_eq!(a.lists, b.lists);
+    }
+
+    #[test]
+    fn save_to_file_replaces_atomically() {
+        let dir = std::env::temp_dir().join(format!("mbssl_ivf_save_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.ckpt.ivf");
+        let (n, d) = (60usize, 4usize);
+        let old = IvfIndex::build(&toy_table(n, d), n, d, 5, 3);
+        let new = IvfIndex::build(&toy_table(n, d), n, d, 7, 4);
+        old.save_to_file(&path).unwrap();
+        new.save_to_file(&path).unwrap();
+        let entries = || -> Vec<_> {
+            let dir = std::fs::read_dir(&dir).unwrap();
+            dir.map(|e| e.unwrap().file_name()).collect()
+        };
+        assert_eq!(entries(), ["m.ckpt.ivf"], "a temp file is left");
+        let loaded = IvfIndex::load_from_file(&path).unwrap();
+        assert_eq!((loaded.nlist(), loaded.seed()), (7, 4));
+        assert_eq!(loaded.lists, new.lists);
+
+        // A failed save (the target is a directory) leaves no temp file
+        // and no other change.
+        let blocked = dir.join("blocked.ivf");
+        std::fs::create_dir(&blocked).unwrap();
+        assert!(new.save_to_file(&blocked).is_err());
+        assert!(blocked.is_dir());
+        let mut names = entries();
+        names.sort();
+        assert_eq!(names, ["blocked.ivf", "m.ckpt.ivf"]);
+        assert_eq!(IvfIndex::load_from_file(&path).unwrap().lists, new.lists);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -146,6 +146,55 @@ impl ScreenQuery<'_> {
     }
 }
 
+/// One interest's i8 quantization and the terms of its slack that do not
+/// depend on the catalog. An IVF build quantizes every item once and
+/// reuses the codes against each pass's centroid screen.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct InterestCodes {
+    /// `128·Σpᵢ`, which the screen codes' offset adds to every integer dot.
+    pub offset: i32,
+    /// The scale `t`.
+    pub scale: f32,
+    /// `‖z‖₁`.
+    l1: f64,
+    /// `E_z = max |zᵢ − t·pᵢ|`.
+    err: f64,
+    /// `t·Σ|pᵢ|`.
+    p1: f64,
+}
+
+impl InterestCodes {
+    /// Quantizes the finite interest `z` into `words` (`dim / 4` rounded
+    /// up, four i8 codes per word, pad dims 0).
+    pub(crate) fn quantize(z: &[f32], words: &mut [i32]) -> InterestCodes {
+        let t = z.iter().fold(0.0f32, |m, &v| m.max(v.abs())) / 127.0;
+        let (mut l1, mut err, mut code_l1, mut code_sum) = (0.0f64, 0.0f64, 0.0f64, 0);
+        for (word, zg) in words.iter_mut().zip(z.chunks(4)) {
+            let mut bytes = [0u8; 4];
+            for (byte, &zi) in bytes.iter_mut().zip(zg) {
+                let p = if t > 0.0 {
+                    quant::round_code(zi / t)
+                } else {
+                    0
+                };
+                *byte = p as u8;
+                l1 += (zi as f64).abs();
+                err = err.max((zi as f64 - t as f64 * p as f64).abs());
+                code_l1 += (p as f64).abs();
+                code_sum += p as i32;
+            }
+            *word = i32::from_le_bytes(bytes);
+        }
+        InterestCodes {
+            offset: 128 * code_sum,
+            scale: t,
+            l1,
+            err,
+            p1: t as f64 * code_l1,
+        }
+    }
+}
+
 impl CatalogScreen {
     /// Builds the screen of a row-major `table` of `dim`-wide rows, or
     /// `None` if the table is not screenable (a non-finite entry, `dim`
@@ -258,50 +307,16 @@ impl CatalogScreen {
         let scale = arena.alloc(k);
         let slack = arena.alloc(k);
         let lanes = arena.alloc(k.next_multiple_of(EXACT_LANES) * d);
-        let gamma = d as f64 * UNIT / (1.0 - d as f64 * UNIT);
-        let item_max = self.max_abs + self.err;
-        for (kk, zk) in z.chunks_exact(d).enumerate() {
-            let t = zk.iter().fold(0.0f32, |m, &v| m.max(v.abs())) / 127.0;
-            let (mut l1, mut err, mut code_l1, mut code_sum) = (0.0f64, 0.0f64, 0.0f64, 0);
-            for (word, zg) in words[kk * self.groups..].iter_mut().zip(zk.chunks(4)) {
-                let mut bytes = [0u8; 4];
-                for (byte, &zi) in bytes.iter_mut().zip(zg) {
-                    let p = if t > 0.0 {
-                        quant::round_code(zi / t)
-                    } else {
-                        0
-                    };
-                    *byte = p as u8;
-                    l1 += (zi as f64).abs();
-                    err = err.max((zi as f64 - t as f64 * p as f64).abs());
-                    code_l1 += (p as f64).abs();
-                    code_sum += p as i32;
-                }
-                *word = i32::from_le_bytes(bytes);
-            }
-            let p1 = t as f64 * code_l1;
-            let bound = (l1 * self.err
-                + err * self.mass
-                + gamma * l1 * self.max_abs
-                + d as f64 * TINY
-                + 3.0 * UNIT * p1 * item_max
-                + TINY * (t as f64 + 1.0))
-                * F64_PAD;
-            if (l1 + p1) * item_max >= QUERY_LIMIT || bound >= QUERY_LIMIT {
-                return None;
-            }
+        let code_words = words.chunks_exact_mut(self.groups);
+        for (kk, (zk, code_words)) in z.chunks_exact(d).zip(code_words).enumerate() {
+            let codes = InterestCodes::quantize(zk, code_words);
+            slack[kk] = self.slack(&codes)?;
+            offset[kk] = codes.offset;
+            scale[kk] = codes.scale;
             let group = &mut lanes[(kk / EXACT_LANES) * EXACT_LANES * d..];
             for (i, &zi) in zk.iter().enumerate() {
                 group[i * EXACT_LANES + kk % EXACT_LANES] = zi;
             }
-            let rounded = bound as f32;
-            offset[kk] = 128 * code_sum;
-            scale[kk] = t;
-            slack[kk] = if (rounded as f64) < bound {
-                rounded.next_up()
-            } else {
-                rounded
-            };
         }
         Some(ScreenQuery {
             words,
@@ -310,6 +325,51 @@ impl CatalogScreen {
             slack,
             lanes,
         })
+    }
+
+    /// The rounded-up slack of one quantized interest against this
+    /// screen's `E`, `Q` and `V` (see the module docs), or `None` past the
+    /// query guard.
+    pub(crate) fn slack(&self, codes: &InterestCodes) -> Option<f32> {
+        let d = self.dim as f64;
+        let gamma = d * UNIT / (1.0 - d * UNIT);
+        let item_max = self.max_abs + self.err;
+        let InterestCodes {
+            scale: t,
+            l1,
+            err,
+            p1,
+            ..
+        } = *codes;
+        let bound = (l1 * self.err
+            + err * self.mass
+            + gamma * l1 * self.max_abs
+            + d * TINY
+            + 3.0 * UNIT * p1 * item_max
+            + TINY * (t as f64 + 1.0))
+            * F64_PAD;
+        if (l1 + p1) * item_max >= QUERY_LIMIT || bound >= QUERY_LIMIT {
+            return None;
+        }
+        let rounded = bound as f32;
+        Some(if (rounded as f64) < bound {
+            rounded.next_up()
+        } else {
+            rounded
+        })
+    }
+
+    /// The integer dots of `k` interests' code `words` (`k × groups`, as
+    /// [`InterestCodes::quantize`] writes them) against every block, in
+    /// the layout of [`simd::screen_dots`]; `acc` needs `k · rows`
+    /// words, rows padded to whole blocks.
+    pub(crate) fn dots(&self, words: &[i32], k: usize, acc: &mut [i32]) {
+        simd::screen_dots(words, &self.codes, k, acc);
+    }
+
+    /// Per row, padded to whole blocks: the scale `s_v`.
+    pub(crate) fn scales(&self) -> &[f32] {
+        &self.scales
     }
 
     /// Runs the integer screen over `blocks` and hands `visit(row0, ub)`

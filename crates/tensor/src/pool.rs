@@ -130,10 +130,10 @@ pub fn parallel_for(chunks: usize, f: impl Fn(usize) + Sync) {
 /// Splits `data` into consecutive chunks of `chunk_len` elements (the last
 /// may be shorter) and runs `f(chunk_index, chunk)` for each across the
 /// global pool.
-pub fn parallel_chunks_mut(
-    data: &mut [f32],
+pub fn parallel_chunks_mut<T: Send>(
+    data: &mut [T],
     chunk_len: usize,
-    f: impl Fn(usize, &mut [f32]) + Sync,
+    f: impl Fn(usize, &mut [T]) + Sync,
 ) {
     if data.is_empty() || chunk_len == 0 {
         return;
@@ -145,7 +145,7 @@ pub fn parallel_chunks_mut(
     let base = SendPtr(data.as_mut_ptr());
     parallel_for(chunks, move |i| {
         // Bind the wrapper itself: edition-2021 disjoint capture would
-        // otherwise capture the bare `*mut f32` field, which is not `Sync`.
+        // otherwise capture the bare `*mut T` field, which is not `Sync`.
         let base = base;
         let start = i * chunk_len;
         let len = chunk_len.min(total - start);
@@ -154,11 +154,18 @@ pub fn parallel_chunks_mut(
     });
 }
 
-#[derive(Clone, Copy)]
-struct SendPtr(*mut f32);
-// Safety: only used to carve disjoint subslices, one per chunk index.
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
+struct SendPtr<T>(*mut T);
+impl<T> Clone for SendPtr<T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+impl<T> Copy for SendPtr<T> {}
+// SAFETY: the pointer is only used to carve disjoint subslices, one per
+// chunk index, so no two threads alias; `T: Send` lets each chunk's
+// elements be mutated on another thread.
+unsafe impl<T: Send> Send for SendPtr<T> {}
+unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 impl ThreadPool {
     fn new(size: usize) -> ThreadPool {
@@ -317,6 +324,17 @@ mod tests {
         for (i, v) in data.iter().enumerate() {
             assert_eq!(*v, i as f32);
         }
+    }
+
+    #[test]
+    fn chunked_writes_take_any_send_element() {
+        let mut ids = vec![0u32; 1_001];
+        parallel_chunks_mut(&mut ids, 64, |ci, chunk| {
+            for (j, v) in chunk.iter_mut().enumerate() {
+                *v = (ci * 64 + j) as u32;
+            }
+        });
+        assert!(ids.iter().enumerate().all(|(i, &v)| v == i as u32));
     }
 
     #[test]

@@ -28,11 +28,12 @@
 //! public so the tests can drive both variants directly regardless of the
 //! ambient `MBSSL_SIMD` setting.
 //!
-//! The two kernels of the exact catalog screen (DESIGN.md §13) have
-//! AVX-512 variants under the same gate: [`screen_dots`] is exact i32
-//! arithmetic, and [`screen_bounds`] runs the same IEEE operations per
-//! lane as its scalar twin, so both agree to the bit.
-//! `tests/catalog_screen.rs` at the workspace root checks them.
+//! The kernels of the exact catalog screen (DESIGN.md §13) have AVX-512
+//! variants under the same gate: [`screen_dots`] is exact i32 arithmetic,
+//! and [`screen_bounds`] and the IVF build's [`screen_prune`] (§14) run
+//! the same IEEE operations per lane as their scalar twins, so both agree
+//! to the bit. `tests/catalog_screen.rs` at the workspace root checks the
+//! first two and `tests/simd_parity.rs` the third.
 
 use std::sync::OnceLock;
 
@@ -548,6 +549,213 @@ pub unsafe fn screen_bounds_avx512(
         }
         _mm512_storeu_ps(ub.as_mut_ptr().add(b * SCREEN_LANES), best);
     }
+}
+
+/// The survivors of one screened nearest-centroid search (DESIGN.md §14):
+/// query row `kk` of [`screen_dots`]' accumulators for `k` rows, against
+/// the first `rows` screen rows.
+///
+/// Per row `r < rows` the gap is the [`screen_bounds`] bound less
+/// `half[r]`,
+///
+/// `gaps[r] = fl(fl(fl(fl(fl(acc − offset) · scale[r]) · t) + slack) − half[r])`,
+///
+/// with `acc = acc[(b·k + kk)·16 + j]` for `r = b·16 + j`; pad lanes
+/// (`r ≥ rows`) get `-inf`. `best` is the first row of the strict-`>`
+/// max gap from `-inf` (row 0 if no gap exceeds `-inf`). The kernel calls
+/// `floor(best)` once, then sets bit `j` of `mask[b]` iff `r < rows` and
+/// `!(gaps[r] < floor)`, so a NaN gap survives and a pad lane never does.
+/// Returns `(best, floor)`. `gaps` and `mask` cover whole blocks. Each
+/// lane runs the same IEEE operations in both variants (no FMA), so they
+/// agree to the bit. Dispatches to AVX-512 when [`vnni_active`].
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub fn screen_prune(
+    acc: &[i32],
+    k: usize,
+    kk: usize,
+    (offset, t, slack): (i32, f32, f32),
+    scale: &[f32],
+    half: &[f32],
+    rows: usize,
+    gaps: &mut [f32],
+    floor: impl FnOnce(usize) -> f32,
+    mask: &mut [u16],
+) -> (usize, f32) {
+    #[cfg(target_arch = "x86_64")]
+    if vnni_active() {
+        // SAFETY: `vnni_active()` implies AVX-512F was detected.
+        return unsafe {
+            screen_prune_avx512(
+                acc,
+                k,
+                kk,
+                (offset, t, slack),
+                scale,
+                half,
+                rows,
+                gaps,
+                floor,
+                mask,
+            )
+        };
+    }
+    screen_prune_scalar(
+        acc,
+        k,
+        kk,
+        (offset, t, slack),
+        scale,
+        half,
+        rows,
+        gaps,
+        floor,
+        mask,
+    )
+}
+
+/// Checks [`screen_prune`]'s shapes; returns the block count.
+#[allow(clippy::too_many_arguments)]
+fn prune_blocks(
+    acc: &[i32],
+    k: usize,
+    kk: usize,
+    scale: &[f32],
+    half: &[f32],
+    rows: usize,
+    gaps: &[f32],
+    mask: &[u16],
+) -> usize {
+    let blocks = rows.div_ceil(SCREEN_LANES);
+    let lanes = blocks * SCREEN_LANES;
+    assert!(
+        kk < k
+            && acc.len() >= lanes * k
+            && scale.len() >= lanes
+            && half.len() >= lanes
+            && gaps.len() >= lanes
+            && mask.len() >= blocks,
+        "screen_prune shapes"
+    );
+    blocks
+}
+
+/// Portable reference for [`screen_prune`].
+// `!(gap < floor)`, not `gap >= floor`: a NaN gap survives.
+#[allow(clippy::too_many_arguments, clippy::neg_cmp_op_on_partial_ord)]
+pub fn screen_prune_scalar(
+    acc: &[i32],
+    k: usize,
+    kk: usize,
+    (offset, t, slack): (i32, f32, f32),
+    scale: &[f32],
+    half: &[f32],
+    rows: usize,
+    gaps: &mut [f32],
+    floor: impl FnOnce(usize) -> f32,
+    mask: &mut [u16],
+) -> (usize, f32) {
+    let blocks = prune_blocks(acc, k, kk, scale, half, rows, gaps, mask);
+    let (mut best, mut best_gap) = (0, f32::NEG_INFINITY);
+    for b in 0..blocks {
+        let lanes = &acc[(b * k + kk) * SCREEN_LANES..][..SCREEN_LANES];
+        for (j, &a) in lanes.iter().enumerate() {
+            let r = b * SCREEN_LANES + j;
+            let gap = if r < rows {
+                (a.wrapping_sub(offset) as f32 * scale[r]) * t + slack - half[r]
+            } else {
+                f32::NEG_INFINITY
+            };
+            gaps[r] = gap;
+            if gap > best_gap {
+                (best, best_gap) = (r, gap);
+            }
+        }
+    }
+    let floor = floor(best);
+    for (b, bits) in mask[..blocks].iter_mut().enumerate() {
+        *bits = 0;
+        for j in 0..SCREEN_LANES {
+            let r = b * SCREEN_LANES + j;
+            if r < rows && !(gaps[r] < floor) {
+                *bits |= 1 << j;
+            }
+        }
+    }
+    (best, floor)
+}
+
+/// AVX-512 variant of [`screen_prune`]: one `__m512` per block; the
+/// running `max(x, m)` keeps `m` unless `x > m`, the scalar strict max,
+/// and the first lane equal to the max is the scalar's first strict
+/// winner.
+///
+/// # Safety
+/// The CPU must support AVX-512F (check [`vnni_available`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn screen_prune_avx512(
+    acc: &[i32],
+    k: usize,
+    kk: usize,
+    (offset, t, slack): (i32, f32, f32),
+    scale: &[f32],
+    half: &[f32],
+    rows: usize,
+    gaps: &mut [f32],
+    floor: impl FnOnce(usize) -> f32,
+    mask: &mut [u16],
+) -> (usize, f32) {
+    use std::arch::x86_64::*;
+    let blocks = prune_blocks(acc, k, kk, scale, half, rows, gaps, mask);
+    let lane_mask = |b: usize| -> u16 {
+        let live = rows - b * SCREEN_LANES;
+        if live >= SCREEN_LANES {
+            u16::MAX
+        } else {
+            (1u16 << live) - 1
+        }
+    };
+    let (off, tv, sv) = (
+        _mm512_set1_epi32(offset),
+        _mm512_set1_ps(t),
+        _mm512_set1_ps(slack),
+    );
+    let neg_inf = _mm512_set1_ps(f32::NEG_INFINITY);
+    let mut top = neg_inf;
+    for b in 0..blocks {
+        let a = _mm512_loadu_si512(acc.as_ptr().add((b * k + kk) * SCREEN_LANES) as *const _);
+        let x = _mm512_mul_ps(
+            _mm512_cvtepi32_ps(_mm512_sub_epi32(a, off)),
+            _mm512_loadu_ps(scale.as_ptr().add(b * SCREEN_LANES)),
+        );
+        let x = _mm512_add_ps(_mm512_mul_ps(x, tv), sv);
+        let x = _mm512_sub_ps(x, _mm512_loadu_ps(half.as_ptr().add(b * SCREEN_LANES)));
+        let x = _mm512_mask_mov_ps(neg_inf, lane_mask(b), x);
+        _mm512_storeu_ps(gaps.as_mut_ptr().add(b * SCREEN_LANES), x);
+        top = _mm512_max_ps(x, top);
+    }
+    let top = _mm512_reduce_max_ps(top);
+    let mut best = 0;
+    if top > f32::NEG_INFINITY {
+        let tv = _mm512_set1_ps(top);
+        for b in 0..blocks {
+            let g = _mm512_loadu_ps(gaps.as_ptr().add(b * SCREEN_LANES));
+            let hit = _mm512_cmp_ps_mask::<_CMP_EQ_OQ>(g, tv);
+            if hit != 0 {
+                best = b * SCREEN_LANES + hit.trailing_zeros() as usize;
+                break;
+            }
+        }
+    }
+    let floor = floor(best);
+    let fv = _mm512_set1_ps(floor);
+    for (b, bits) in mask[..blocks].iter_mut().enumerate() {
+        let g = _mm512_loadu_ps(gaps.as_ptr().add(b * SCREEN_LANES));
+        *bits = _mm512_cmp_ps_mask::<_CMP_NLT_UQ>(g, fv) & lane_mask(b);
+    }
+    (best, floor)
 }
 
 #[cfg(test)]

@@ -128,3 +128,100 @@ fn gemm_nn_dispatch_bitwise_large_packed_shapes() {
         assert_eq!(pre, naive, "prepacked m={m} k={k} n={n}");
     }
 }
+
+/// One `screen_prune` call: the gaps, masks, result and the row the floor
+/// was asked for.
+fn run_prune(
+    avx512: bool,
+    acc: &[i32],
+    (k, kk): (usize, usize),
+    query: (i32, f32, f32),
+    (scale, half): (&[f32], &[f32]),
+    rows: usize,
+    floor_of: impl Fn(usize, f32) -> f32,
+) -> (Vec<u32>, Vec<u16>, (usize, u32), usize) {
+    let blocks = rows.div_ceil(simd::SCREEN_LANES);
+    // Stale scratch: the kernel must overwrite every lane it reports.
+    let mut gaps = vec![f32::NAN; blocks * simd::SCREEN_LANES];
+    let mut mask = vec![0xA5A5u16; blocks];
+    let mut asked = usize::MAX;
+    let mut floor = |best: usize| {
+        asked = best;
+        floor_of(best, f32::NAN)
+    };
+    let (best, floor) = if avx512 {
+        // SAFETY: the caller checked vnni_available().
+        unsafe {
+            simd::screen_prune_avx512(
+                acc, k, kk, query, scale, half, rows, &mut gaps, &mut floor, &mut mask,
+            )
+        }
+    } else {
+        simd::screen_prune_scalar(
+            acc, k, kk, query, scale, half, rows, &mut gaps, &mut floor, &mut mask,
+        )
+    };
+    let gaps = gaps.iter().map(|g| g.to_bits()).collect();
+    (gaps, mask, (best, floor.to_bits()), asked)
+}
+
+proptest! {
+    /// The screened k-means survivor kernel: AVX-512 vs its scalar
+    /// reference, bit for bit, over partial last blocks, every query row
+    /// of a 1–4 row accumulator, gaps of `-inf` (an infinite ½‖c‖²) and
+    /// NaN, and floors below, at, above and beside the best gap. Pad lanes
+    /// must read `-inf` and never survive.
+    #[test]
+    fn screen_prune_scalar_matches_avx512(
+        rows in 1usize..90,
+        k in 1usize..=4,
+        seed in 0u64..300,
+        floor_kind in 0usize..6,
+    ) {
+        if !simd::vnni_available() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lanes = rows.div_ceil(simd::SCREEN_LANES) * simd::SCREEN_LANES;
+        let kk = rng.gen_range(0..k);
+        let acc: Vec<i32> = (0..k * lanes)
+            .map(|_| if rng.gen_range(0..50) == 0 { i32::MIN + rng.gen_range(0..4) } else { rng.gen_range(-400_000..400_000) })
+            .collect();
+        let scale: Vec<f32> = (0..lanes).map(|_| rng.gen_range(0.0f32..0.02)).collect();
+        let half: Vec<f32> = (0..lanes)
+            .map(|_| match rng.gen_range(0..40) {
+                0 => f32::INFINITY,
+                1 => f32::NAN,
+                _ => rng.gen_range(0.0f32..3.0),
+            })
+            .collect();
+        let query = (rng.gen_range(-20_000..20_000), rng.gen_range(0.0f32..0.05), rng.gen_range(0.0f32..0.01));
+        let (nudge, fixed) = (rng.gen_range(-0.5f32..0.5), rng.gen_range(-5.0f32..5.0));
+        let mut reference_gaps = Vec::new();
+        {
+            let blocks = lanes / simd::SCREEN_LANES;
+            let mut gaps = vec![0.0f32; lanes];
+            let mut mask = vec![0u16; blocks];
+            simd::screen_prune_scalar(&acc, k, kk, query, &scale, &half, rows, &mut gaps, |_| 0.0, &mut mask);
+            reference_gaps.extend_from_slice(&gaps);
+        }
+        let floor_of = |best: usize, _: f32| match floor_kind {
+            0 => reference_gaps[best],
+            1 => reference_gaps[best] - nudge.abs(),
+            2 => reference_gaps[best] + nudge,
+            3 => f32::NEG_INFINITY,
+            4 => f32::NAN,
+            _ => fixed,
+        };
+        let scalar = run_prune(false, &acc, (k, kk), query, (&scale, &half), rows, floor_of);
+        let avx512 = run_prune(true, &acc, (k, kk), query, (&scale, &half), rows, floor_of);
+        prop_assert_eq!(&scalar, &avx512);
+        let (gaps, mask, (best, _), asked) = scalar;
+        prop_assert_eq!(asked, best);
+        prop_assert!(best < rows);
+        for r in rows..lanes {
+            prop_assert_eq!(gaps[r], f32::NEG_INFINITY.to_bits(), "pad lane {} gap", r);
+            prop_assert_eq!(mask[r / simd::SCREEN_LANES] >> (r % simd::SCREEN_LANES) & 1, 0, "pad lane {} survives", r);
+        }
+    }
+}

@@ -323,11 +323,6 @@ fn model_config(args: &Args, seed: u64) -> ModelConfig {
     }
 }
 
-/// `mbssl serve`: the micro-batched request engine over a line protocol
-/// (see the module docs for the command set). Consecutive `rec` lines are
-/// submitted as one concurrent wave — that concurrency is what the
-/// batcher converts into shared encoder forwards — and replies print in
-/// input order so replay output is deterministic.
 /// Write-then-rename so `mbssl top` (or any scraper) polling the file
 /// never reads a torn snapshot.
 fn write_snapshot_atomic(path: &std::path::Path, body: &str) -> Result<(), String> {
@@ -339,6 +334,11 @@ fn write_snapshot_atomic(path: &std::path::Path, body: &str) -> Result<(), Strin
     std::fs::rename(&tmp, path).map_err(|e| format!("renaming {}: {e}", tmp.display()))
 }
 
+/// `mbssl serve`: the micro-batched request engine over a line protocol
+/// (see the module docs for the command set). Consecutive `rec` lines are
+/// submitted as one concurrent wave — that concurrency is what the
+/// batcher converts into shared encoder forwards — and replies print in
+/// input order so replay output is deterministic.
 fn serve_command(args: &Args, seed: u64) -> Result<(), String> {
     use std::io::BufRead;
     use std::sync::Arc;
@@ -936,6 +936,15 @@ fn run() -> Result<(), String> {
                 println!(
                     "  list sizes: min {} / mean {:.1} / max {} (imbalance {:.2}), {} bytes on disk",
                     stats.min_len, stats.mean_len, stats.max_len, stats.imbalance, stats.bytes
+                );
+                let build = index.build_stats();
+                let full = (build.iterations * index.num_items() * stats.lists).max(1);
+                println!(
+                    "  k-means: {} passes, {:.1} exact scores per item ({:.2}% of passes × items × lists), {} items scanned without the screen",
+                    build.iterations,
+                    build.assign_exact as f64 / index.num_items() as f64,
+                    100.0 * build.assign_exact as f64 / full as f64,
+                    build.assign_fallbacks
                 );
                 Ok(())
             }

@@ -546,3 +546,184 @@ fn detach_and_reattach_keep_replies_exact() {
     engine.detach_index();
     exhaustive(&engine, "detached at the end");
 }
+
+/// A naive Lloyd k-means with `IvfIndex::build`'s init and rules: plain
+/// dot products from +0.0 in ascending dim that skip zero item entries,
+/// minus `½‖c‖²` (the norm kernel the build uses), the first strict-`>` max
+/// from `-inf` (centroid 0 if none exceeds it), at most 12 passes ending at
+/// the first unchanged assignment, f64 member means, and empty clusters
+/// keeping their centroid. Returns the centroids, the lists and the passes
+/// run.
+fn naive_lloyd(
+    table: &[f32],
+    n: usize,
+    d: usize,
+    nlist: usize,
+    seed: u64,
+) -> (Vec<f32>, Vec<Vec<ItemId>>, usize) {
+    let items = &table[d..];
+    let nlist = nlist.clamp(1, n);
+    let mut state = seed ^ 0x9E37_79B9_7F4A_7C15;
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let mut taken = vec![false; n];
+    let mut centroids = Vec::with_capacity(nlist * d);
+    for _ in 0..nlist {
+        let mut idx = (next() % n as u64) as usize;
+        while taken[idx] {
+            idx = (idx + 1) % n;
+        }
+        taken[idx] = true;
+        centroids.extend_from_slice(&items[idx * d..][..d]);
+    }
+    let mut assign = vec![0usize; n];
+    let mut passes = 0;
+    for _ in 0..12 {
+        passes += 1;
+        let mut half = vec![0.0f32; nlist];
+        kernels::row_sq_norms(&centroids, d, &mut half);
+        let fresh: Vec<usize> = items
+            .chunks_exact(d)
+            .map(|e| {
+                let mut best = (0, f32::NEG_INFINITY);
+                for (c, row) in centroids.chunks_exact(d).enumerate() {
+                    let mut dot = 0.0f32;
+                    for (&x, &y) in e.iter().zip(row).filter(|(&x, _)| x != 0.0) {
+                        dot += x * y;
+                    }
+                    let v = dot - half[c] * 0.5;
+                    if v > best.1 {
+                        best = (c, v);
+                    }
+                }
+                best.0
+            })
+            .collect();
+        let changed = fresh != assign;
+        assign = fresh;
+        if !changed {
+            break;
+        }
+        let mut sums = vec![0.0f64; nlist * d];
+        let mut counts = vec![0usize; nlist];
+        for (e, &c) in items.chunks_exact(d).zip(&assign) {
+            counts[c] += 1;
+            for (s, &x) in sums[c * d..][..d].iter_mut().zip(e) {
+                *s += x as f64;
+            }
+        }
+        for c in (0..nlist).filter(|&c| counts[c] > 0) {
+            for j in 0..d {
+                centroids[c * d + j] = (sums[c * d + j] / counts[c] as f64) as f32;
+            }
+        }
+    }
+    let mut lists = vec![Vec::new(); nlist];
+    for (i, &c) in assign.iter().enumerate() {
+        lists[c].push((i + 1) as ItemId);
+    }
+    (centroids, lists, passes)
+}
+
+/// A `(n + 1) × d` table (row 0 padding) of uniform draws in `[-1, 1)`.
+fn random_table(n: usize, d: usize, seed: u64) -> Vec<f32> {
+    let mut state = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) | 1;
+    let mut table = vec![0.0f32; (n + 1) * d];
+    for x in &mut table[d..] {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        *x = (state >> 40) as f32 / (1u64 << 23) as f32 - 1.0;
+    }
+    table
+}
+
+/// `IvfIndex::build` ≡ the naive Lloyd, centroids and lists bit for bit,
+/// over score ties, zero rows, spread norms, widths 5, 13 and 32, `nlist`
+/// ∈ {1, 2, 37, N/2}, rows big enough that the screen refuses their codes,
+/// and a non-finite entry. CI runs it under `MBSSL_SIMD=off` and
+/// `MBSSL_THREADS=1` too, so both assignment routes are covered. With the
+/// screen kernels on, a finite table takes the screened route (fewer exact
+/// scores than the GEMM's `passes × items × nlist`) and a non-finite one
+/// the GEMM route.
+#[test]
+fn index_build_matches_naive_lloyd() {
+    let _serial = serial();
+    let n = 300;
+    let mut cases: Vec<(String, usize, Vec<f32>)> = Vec::new();
+    for d in [5, 13, 32] {
+        let plain = random_table(n, d, d as u64);
+        let mut ties = plain.clone();
+        near_ties(&mut ties, d, n);
+        let mut spread = plain.clone();
+        spread_norms(&mut spread, d, n);
+        let mut sixteen = plain.clone();
+        sixteen_rows(&mut sixteen, d, n);
+        let mut zero = plain.clone();
+        zero[7 * d..8 * d].fill(0.0);
+        cases.push((format!("d={d} random, one zero row"), d, zero));
+        cases.push((format!("d={d} near ties"), d, ties));
+        cases.push((format!("d={d} spread norms"), d, spread));
+        cases.push((format!("d={d} sixteen rows"), d, sixteen));
+    }
+    let mut huge = random_table(n, 13, 99);
+    for v in [3, 150, 299] {
+        for x in &mut huge[v * 13..(v + 1) * 13] {
+            *x *= 1e19;
+        }
+    }
+    cases.push(("d=13 huge rows".into(), 13, huge));
+    let mut non_finite = random_table(n, 13, 7);
+    non_finite[40 * 13 + 2] = f32::INFINITY;
+    non_finite[41 * 13] = f32::NAN;
+    cases.push(("d=13 non-finite".into(), 13, non_finite));
+
+    let screened = mbssl::tensor::simd::vnni_active();
+    for (label, d, table) in &cases {
+        for nlist in [1, 2, 37, n / 2] {
+            let ctx = format!("{label} nlist={nlist}");
+            let index = IvfIndex::build(table, n, *d, nlist, INDEX_SEED);
+            let (centroids, lists, passes) = naive_lloyd(table, n, *d, nlist, INDEX_SEED);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(index.centroids()),
+                bits(&centroids),
+                "{ctx}: centroids"
+            );
+            let got: Vec<&[ItemId]> = (0..index.nlist()).map(|c| index.list(c)).collect();
+            assert_eq!(
+                got,
+                lists.iter().map(Vec::as_slice).collect::<Vec<_>>(),
+                "{ctx}: lists"
+            );
+            let stats = index.build_stats();
+            assert_eq!(stats.iterations, passes, "{ctx}: passes");
+            let full = (passes * n * nlist) as u64;
+            let finite = table.iter().all(|x| x.is_finite());
+            if !screened || !finite {
+                assert_eq!(
+                    (stats.assign_exact, stats.assign_fallbacks),
+                    (full, 0),
+                    "{ctx}: GEMM route"
+                );
+            } else if nlist >= 37 {
+                assert!(
+                    stats.assign_exact < full,
+                    "{ctx}: {} exact scores, not screened",
+                    stats.assign_exact
+                );
+            }
+            if screened && label.contains("huge") && nlist >= 37 {
+                assert!(
+                    stats.assign_fallbacks > 0,
+                    "{ctx}: huge rows must be scanned without the screen"
+                );
+            }
+        }
+    }
+}

@@ -70,6 +70,25 @@ fn cli_full_workflow() {
     assert!(ok, "recommend failed: {text}");
     assert!(text.contains("1."), "no ranked list printed: {text}");
 
+    // index build, twice over the same path, then stats
+    for _ in 0..2 {
+        let (ok, text) = run(&[
+            "index", "build", "--data", log_s, "--target", "favorite", "--model", ckpt_s,
+            "--dim", "16", "--interests", "2", "--nlist", "6",
+        ]);
+        assert!(ok, "index build failed: {text}");
+        assert!(text.contains("k-means: ") && text.contains(" passes, "), "no build counts: {text}");
+    }
+    let ivf = format!("{ckpt_s}.ivf");
+    let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.ends_with(".tmp"))
+        .collect();
+    assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+    let (ok, text) = run(&["index", "stats", &ivf]);
+    assert!(ok, "index stats failed: {text}");
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
