@@ -9,8 +9,8 @@
 //! items live in exactly one list, so the union never duplicates), and
 //! hands the probed lists to the inference engine's re-ranker. An engine
 //! with an exact i8 screen keeps it in list order and screens only the
-//! probed lists' blocks; a quantized catalog, or a query the screen cannot
-//! take, gathers the lists' items and scores them like
+//! probed lists' blocks; a catalog or a query the screen cannot take
+//! gathers the lists' items and scores them like
 //! [`crate::infer::InferenceModel::score_candidates`].
 //!
 //! - **Build** is deterministic for a given `(table, nlist, seed)` at any

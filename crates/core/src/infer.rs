@@ -17,10 +17,7 @@
 //! - exhaustive ranking of a finite f32 table runs through an exact i8
 //!   screen ([`crate::screen`]): integer upper bounds skip the items that
 //!   cannot reach the top-n, and only the survivors are scored in f32, so
-//!   replies stay bit-identical while the pass reads 4× fewer bytes;
-//! - optionally the catalog scorer runs against an i8 (per-row scale) or
-//!   bf16 copy of the item table ([`QuantMode`], opt-in via
-//!   `MBSSL_QUANT`).
+//!   replies stay bit-identical while the pass reads 4× fewer bytes.
 //!
 //! # Parity contract
 //!
@@ -34,9 +31,7 @@
 //! serve workers do not fork-join into the pool for them. Its f32 scores are
 //! therefore **bit-for-bit identical** to `Mbmissl::score_batch` (engine ≡
 //! fused autograd); the tensor crate's `fused_parity` suite separately pins
-//! the fused ops to the unfused composition. Quantized catalog scoring is
-//! the one deliberate exception and is gated by an HR/NDCG drift tolerance
-//! instead (`MBSSL_QUANT_TOL`).
+//! the fused ops to the unfused composition.
 //! `tests/infer_parity.rs` pins all of this against the autograd
 //! reference (`evaluate_reference` / `recommend_top_n_reference`).
 //!
@@ -57,8 +52,8 @@
 //! index (`index.probe` span), and the probed lists are re-ranked
 //! (`index.rerank` span). Attaching re-lays the screen in list order, so a
 //! probed list is a run of screen blocks and the re-rank screens only
-//! those; a quantized catalog, or a query the screen cannot take, gathers
-//! the lists' items and scores them like
+//! those; a catalog or a query the screen cannot take gathers the lists'
+//! items and scores them like
 //! [`InferenceModel::score_candidates`]. Re-ranked scores are bit-identical
 //! to the exhaustive scores of the same items, so the output is exactly the
 //! exhaustive ranking restricted to the retrieved set — recall is the only
@@ -75,7 +70,7 @@ use mbssl_data::{Behavior, ItemId, Sequence};
 use mbssl_hypergraph::{build_batch_incidence, BatchIncidence, HypergraphConfig};
 use mbssl_telemetry as telemetry;
 use mbssl_tensor::kernels::{self, PackedB, PackedBView, MASK_FILL, NR};
-use mbssl_tensor::quant::{Bf16Rows, QuantMode, QuantizedRows};
+use mbssl_tensor::quant::QuantMode;
 use mbssl_tensor::simd::SCREEN_LANES;
 
 use crate::ann::{self, AnnError, IvfIndex, ProbeScratch};
@@ -623,18 +618,6 @@ impl ExtractorWeights {
     }
 }
 
-/// The catalog-scoring table: the f32 item table pre-transposed and
-/// packed for the fused catalog pass, with the exact i8 screen of a finite
-/// table, or a quantized copy scored by row dots.
-enum CatalogTable {
-    F32 {
-        packed: PackedB,
-        screen: Option<CatalogScreen>,
-    },
-    I8(QuantizedRows),
-    Bf16(Bf16Rows),
-}
-
 /// An attached IVF index plus its probe width and its lists' place in the
 /// list-ordered screen.
 struct AnnState {
@@ -790,8 +773,10 @@ pub struct InferenceModel {
     input_ln: LayerNormWeights,
     backbone: BackboneWeights,
     extractor: ExtractorWeights,
-    catalog: CatalogTable,
-    quant_mode: QuantMode,
+    /// The item table pre-transposed and packed for the fused catalog pass.
+    catalog: PackedB,
+    /// The exact i8 screen of a finite item table.
+    screen: Option<CatalogScreen>,
     ann: Option<AnnState>,
     name: String,
     arenas: Mutex<Vec<Arena>>,
@@ -800,14 +785,15 @@ pub struct InferenceModel {
 }
 
 impl InferenceModel {
-    /// Compiles `model` with the ambient [`mbssl_tensor::quant::mode`].
-    pub fn compile(model: &Mbmissl) -> InferenceModel {
-        Self::compile_with_mode(model, mbssl_tensor::quant::mode())
+    /// [`compile`](Self::compile), kept for the benchmark harness until
+    /// ROADMAP item 3's benchmark revision deletes it with [`QuantMode`].
+    #[doc(hidden)]
+    pub fn compile_with_mode(model: &Mbmissl, _mode: QuantMode) -> InferenceModel {
+        Self::compile(model)
     }
 
-    /// Compiles `model`, pre-packing every weight once. `qmode` selects
-    /// the catalog-scorer representation (`Off` = bit-exact f32).
-    pub fn compile_with_mode(model: &Mbmissl, qmode: QuantMode) -> InferenceModel {
+    /// Compiles `model`, pre-packing every weight once.
+    pub fn compile(model: &Mbmissl) -> InferenceModel {
         let mut pack_sp = telemetry::span("infer.pack");
         let params = model.named_params();
         let total_param_elems: usize = params
@@ -920,41 +906,29 @@ impl InferenceModel {
         let item_rows = num_items + 1;
         let item_table = get("mbmissl.input.item_emb.weight");
         assert_eq!(item_table.len(), item_rows * dim, "item table shape");
-        let catalog = match qmode {
-            QuantMode::Off => {
-                let mut t = vec![0.0f32; item_table.len()];
-                kernels::transpose(&item_table, &mut t, item_rows, dim);
-                CatalogTable::F32 {
-                    packed: PackedB::pack(&t, dim, item_rows),
-                    screen: CatalogScreen::build(&item_table, dim),
-                }
-            }
-            QuantMode::I8 => CatalogTable::I8(QuantizedRows::quantize(
-                &item_table,
-                item_rows,
-                dim,
-            )),
-            QuantMode::Bf16 => CatalogTable::Bf16(Bf16Rows::convert(&item_table, item_rows, dim)),
+        // The transpose is dropped here, before the engine's other buffers
+        // are allocated: `peak_rss_mb` counts it otherwise.
+        let (catalog, screen) = {
+            let mut t = vec![0.0f32; item_table.len()];
+            kernels::transpose(&item_table, &mut t, item_rows, dim);
+            (PackedB::pack(&t, dim, item_rows), CatalogScreen::build(&item_table, dim))
         };
 
         let k = config.num_interests;
         let l = config.max_seq_len;
         // Loose serving-shape (B=1) estimate; the arena self-sizes to the
         // true high-water mark after the first request anyway.
-        let screen_scratch = match &catalog {
-            CatalogTable::F32 {
-                screen: Some(s), ..
-            } => s.query_len(k) + CatalogScreen::acc_len(k) + CatalogScreen::BOUNDS_LEN,
-            _ => 0,
-        };
+        let screen_scratch = screen.as_ref().map_or(0, |s| {
+            s.query_len(k) + CatalogScreen::acc_len(k) + CatalogScreen::BOUNDS_LEN
+        });
         let arena_base = 32 * l * dim * (config.num_layers + 1)
             + 8 * PackedB::SCRATCH_LEN
             + screen_scratch
             + 1024;
 
         let name = format!(
-            "MBMISSL-infer(dim={}, K={}, {:?}, {:?}, quant={:?})",
-            dim, k, config.encoder, config.extractor, qmode
+            "MBMISSL-infer(dim={}, K={}, {:?}, {:?})",
+            dim, k, config.encoder, config.extractor
         );
         InferenceModel {
             num_items,
@@ -967,18 +941,13 @@ impl InferenceModel {
             backbone,
             extractor,
             catalog,
-            quant_mode: qmode,
+            screen,
             ann: None,
             name,
             arenas: Mutex::new(vec![Arena::with_capacity(arena_base)]),
             arena_base,
             config,
         }
-    }
-
-    /// The catalog-scorer representation this engine was compiled with.
-    pub fn quant_mode(&self) -> QuantMode {
-        self.quant_mode
     }
 
     /// Builds an IVF index over this engine's item table with the default
@@ -1038,7 +1007,7 @@ impl InferenceModel {
 
     /// Re-lays the screen, if the catalog has one, in row order `order`.
     fn relay_screen(&mut self, order: &[u32]) {
-        if let CatalogTable::F32 { screen: Some(screen), .. } = &mut self.catalog {
+        if let Some(screen) = &mut self.screen {
             screen.relay(order);
         }
     }
@@ -1048,12 +1017,11 @@ impl InferenceModel {
         self.ann.is_some()
     }
 
-    /// Scores `history` against an explicit candidate subset through the
-    /// catalog table (exact f32 or the `MBSSL_QUANT` copy), returning one
-    /// score per candidate. Scores are bit-identical to what the same
-    /// items get from exhaustive `recommend_catalog` ranking; this is the
-    /// re-rank half of two-stage retrieval, exposed for callers that bring
-    /// their own retrieval.
+    /// Scores `history` against an explicit candidate subset of the item
+    /// table, returning one score per candidate. Scores are bit-identical
+    /// to what the same items get from exhaustive `recommend_catalog`
+    /// ranking; this is the re-rank half of two-stage retrieval, exposed
+    /// for callers that bring their own retrieval.
     pub fn score_candidates(&self, history: &Sequence, candidates: &[ItemId]) -> Vec<f32> {
         if candidates.is_empty() {
             return Vec::new();
@@ -1072,23 +1040,15 @@ impl InferenceModel {
 
     /// Gather-based candidate scoring: hands `visit(j0, scores)` runs of
     /// max-over-interest scores, `scores[i]` for `candidates[j0 + i]` given
-    /// interests `z [k, d]`, in candidate order, through whichever catalog
-    /// table the engine was compiled with; returns the catalog bytes it
-    /// streamed. Quantized paths run the same per-row dots as exhaustive
-    /// ranking, so every path is bit-identical to exhaustive scoring.
+    /// interests `z [k, d]`, in candidate order, bit-identical to
+    /// exhaustive scoring; returns the catalog bytes it streamed.
     fn candidate_scores(
         &self,
         z: &[f32],
         candidates: &[ItemId],
         arena: &Arena,
-        mut visit: impl FnMut(usize, &[f32]),
+        visit: impl FnMut(usize, &[f32]),
     ) -> u64 {
-        if !matches!(self.catalog, CatalogTable::F32 { .. }) {
-            for (j, &id) in candidates.iter().enumerate() {
-                visit(j, &[self.quant_score(id as usize, z)]);
-            }
-            return (candidates.len() * self.quant_row_bytes()) as u64;
-        }
         // The panel lives in the request arena: recycled global buffers
         // cost ~30% here in cache locality.
         let panel = arena.alloc(PackedB::packed_len(self.dim, candidates.len()));
@@ -1114,26 +1074,6 @@ impl InferenceModel {
         let packed = PackedB::pack_select_into(&self.item_table, self.dim, candidates, panel);
         let cols = 0..candidates.len();
         stream_max_scores(z, self.num_interests, packed, cols, arena, |_, j0, s| visit(j0, s));
-    }
-
-    /// Max-over-interest score of catalog row `item` for interests
-    /// `z [k, d]` through a quantized catalog table.
-    fn quant_score(&self, item: usize, z: &[f32]) -> f32 {
-        let dot = |zk: &[f32]| match &self.catalog {
-            CatalogTable::I8(q) => q.dot(item, zk),
-            CatalogTable::Bf16(q) => q.dot(item, zk),
-            CatalogTable::F32 { .. } => unreachable!("f32 catalogs take the fused pass"),
-        };
-        let strict_max = |best: f32, v: f32| if v > best { v } else { best };
-        z.chunks_exact(self.dim).map(dot).fold(f32::NEG_INFINITY, strict_max)
-    }
-
-    /// Bytes of one quantized catalog row.
-    fn quant_row_bytes(&self) -> usize {
-        match self.catalog {
-            CatalogTable::I8(_) => self.dim + std::mem::size_of::<f32>(),
-            _ => 2 * self.dim,
-        }
     }
 
     /// Arena slots a serving request is expected to take: the forward, the
@@ -1338,9 +1278,9 @@ impl InferenceModel {
     }
 
     /// Ranks items `1..=num_items` into `tops`, one query per `k × d` block
-    /// of `z`, and returns the catalog bytes read. An f32 catalog with a
-    /// screen ranks each query through it; a query the screen cannot take,
-    /// or a catalog without one, takes the fused pass.
+    /// of `z`, and returns the catalog bytes read. A catalog with a screen
+    /// ranks each query through it; a query the screen cannot take, or a
+    /// catalog without one, takes the fused pass.
     fn rank_exhaustive(
         &self,
         z: &[f32],
@@ -1349,20 +1289,9 @@ impl InferenceModel {
         arena: &Arena,
     ) -> u64 {
         let kd = self.num_interests * self.dim;
-        let (packed, screen) = match &self.catalog {
-            CatalogTable::F32 { packed, screen } => (packed, screen),
-            _ => {
-                for (z, top) in z.chunks_exact(kd).zip(&mut *tops) {
-                    for item in 1..=num_items {
-                        top.offer(item, &[self.quant_score(item, z)], |v| v as ItemId);
-                    }
-                }
-                return (tops.len() * num_items * self.quant_row_bytes()) as u64;
-            }
-        };
-        let Some(screen) = screen else {
+        let Some(screen) = &self.screen else {
             telemetry::counter_add("infer.screen_fallbacks", tops.len() as u64);
-            return self.rank_fused(z, tops, packed, num_items, arena);
+            return self.rank_fused(z, tops, num_items, arena);
         };
         let acc = arena.alloc_i32(CatalogScreen::acc_len(self.num_interests));
         let ub = arena.alloc(CatalogScreen::BOUNDS_LEN);
@@ -1375,7 +1304,7 @@ impl InferenceModel {
                 }
                 None => {
                     telemetry::counter_add("infer.screen_fallbacks", 1);
-                    self.rank_fused(z, std::slice::from_mut(top), packed, num_items, arena)
+                    self.rank_fused(z, std::slice::from_mut(top), num_items, arena)
                 }
             };
         }
@@ -1445,13 +1374,13 @@ impl InferenceModel {
         &self,
         z: &[f32],
         tops: &mut [TopN<'_>],
-        packed: &PackedB,
         num_items: usize,
         arena: &Arena,
     ) -> u64 {
         // Column v of the packed transpose is item v's embedding.
         let cols = 1..num_items + 1;
-        stream_max_scores(z, self.num_interests, packed.view(), cols, arena, |qi, v0, s| {
+        let panel = self.catalog.view();
+        stream_max_scores(z, self.num_interests, panel, cols, arena, |qi, v0, s| {
             tops[qi].offer(v0, s, |v| v as ItemId)
         });
         (PackedB::packed_len(self.dim, num_items + 1) * std::mem::size_of::<f32>()) as u64
@@ -1463,9 +1392,9 @@ impl InferenceModel {
     /// fewer than `n` rankable items — an ANN result must never be shorter
     /// than the exhaustive one.
     ///
-    /// A screened f32 catalog screens the probed lists' blocks of the
-    /// list-ordered screen; a quantized catalog, a catalog without a
-    /// screen, or a query the screen refuses gathers the items instead.
+    /// A screened catalog screens the probed lists' blocks of the
+    /// list-ordered screen; a catalog without a screen, or a query the
+    /// screen refuses, gathers the items instead.
     fn rank_by_probe(
         &self,
         st: &AnnState,
@@ -1497,16 +1426,10 @@ impl InferenceModel {
             return false;
         }
         let mut rerank_sp = telemetry::span("index.rerank");
-        let screened = match &self.catalog {
-            CatalogTable::F32 { screen, .. } => {
-                let query = screen.as_ref().and_then(|s| Some((s, s.prepare(z, arena)?)));
-                if query.is_none() {
-                    telemetry::counter_add("infer.screen_fallbacks", 1);
-                }
-                query
-            }
-            _ => None,
-        };
+        let screened = self.screen.as_ref().and_then(|s| Some((s, s.prepare(z, arena)?)));
+        if screened.is_none() {
+            telemetry::counter_add("infer.screen_fallbacks", 1);
+        }
         let bytes = match screened {
             Some((screen, query)) => {
                 let acc = arena.alloc_i32(CatalogScreen::acc_len(k));
@@ -1570,7 +1493,6 @@ impl SequentialRecommender for InferenceModel {
         {
             let (_batch, z) = self.interests_for(histories, &arena);
             let panel = arena.alloc(PackedB::packed_len(self.dim, c));
-            // Always the exact f32 table, whatever the catalog's QuantMode.
             let kd = self.num_interests * self.dim;
             let rows = z.chunks_exact(kd).zip(candidates).zip(out.chunks_exact_mut(c));
             for ((zb, list), row) in rows {

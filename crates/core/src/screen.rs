@@ -4,7 +4,7 @@
 //! Exhaustive ranking scores every item against every interest in f32. At
 //! serving shapes that pass is bound by streaming the f32 catalog, which
 //! does not fit in L2. The screen is an i8 copy of the catalog, 4× smaller
-//! (the `QuantizedRows` scheme of `mbssl_tensor::quant`, stored as `q + 128`
+//! (the row scheme of `mbssl_tensor::quant::quantize_row`, stored as `q + 128`
 //! and laid out 16 items × 4 dims per 64-byte group for `vpdpbusd`). Its exact integer dots give
 //! every item an **upper bound** on its exact f32 score. The engine scores
 //! in f32 only the items whose bound reaches the heap's n-th best score, so

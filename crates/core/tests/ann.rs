@@ -29,7 +29,6 @@ use mbssl_core::{
 };
 use mbssl_data::synthetic::SyntheticConfig;
 use mbssl_data::{Dataset, ItemId};
-use mbssl_tensor::quant::QuantMode;
 use proptest::prelude::*;
 
 /// The tiny serving model of `infer_parity.rs`: ~400-item taobao-like
@@ -459,9 +458,7 @@ proptest! {
                 data[item * dim..][..dim].copy_from_slice(&distinct[class * dim..][..dim]);
             }
         }
-        // The assertions are f32 bit-identity, so the engines compile the
-        // exact catalog whatever the ambient MBSSL_QUANT.
-        let engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+        let engine = InferenceModel::compile(&model);
         let history = &dataset.sequences[user];
         let exclude: HashSet<ItemId> = history.items.iter().copied().collect();
         let n = 25;
@@ -472,7 +469,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&reference, &via_engine, "exhaustive engine vs chunked reference");
 
-        let mut full_probe = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+        let mut full_probe = InferenceModel::compile(&model);
         let index = full_probe.build_index_with(8, seed);
         let nlist = index.nlist();
         full_probe.attach_index_with(index, nlist).unwrap();
@@ -481,7 +478,7 @@ proptest! {
             .unwrap();
         prop_assert_eq!(&reference, &via_full_probe, "full-probe ANN vs chunked reference");
 
-        let mut partial = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+        let mut partial = InferenceModel::compile(&model);
         let index = partial.build_index_with(8, seed);
         partial.attach_index_with(index, 2).unwrap();
         let via_partial = partial

@@ -7,9 +7,7 @@
 //! - `evaluate` / `recommend_top_n` (which route through the engine by
 //!   default) return exactly what the `_reference` paths return;
 //! - [`Mbmissl::prepare_inference`] compiles every encoder × extractor
-//!   combination;
-//! - the quantized catalog scorers (i8, bf16) keep HR@5/10 and NDCG@5/10
-//!   within `MBSSL_QUANT_TOL` of the f32 engine.
+//!   combination.
 
 use std::collections::HashSet;
 
@@ -21,8 +19,6 @@ use mbssl_data::preprocess::{leave_one_out, SplitConfig};
 use mbssl_data::sampler::EvalCandidates;
 use mbssl_data::synthetic::SyntheticConfig;
 use mbssl_data::{Dataset, ItemId};
-use mbssl_metrics::RankingMetrics;
-use mbssl_tensor::quant::{self, QuantMode};
 
 fn tiny_model(encoder: EncoderKind, extractor: ExtractorKind) -> (Mbmissl, Dataset) {
     let g = SyntheticConfig::taobao_like(31).scaled(0.05).generate();
@@ -54,7 +50,7 @@ const VARIANTS: [(EncoderKind, ExtractorKind); 4] = [
 fn engine_scores_bit_identical_to_autograd_model() {
     for (encoder, extractor) in VARIANTS {
         let (model, dataset) = tiny_model(encoder, extractor);
-        let engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+        let engine = InferenceModel::compile(&model);
         // Varied batch sizes (incl. 1) and candidate-list lengths; long
         // histories exercise the max_seq_len truncation.
         // The last batch mixes a one-event history with the longest one:
@@ -134,67 +130,5 @@ fn prepare_inference_compiles_every_variant() {
             model.prepare_inference().is_some(),
             "no compiled engine for {encoder:?}/{extractor:?}"
         );
-    }
-}
-
-/// Full-catalog ranking metrics for one engine: rank of each test target
-/// in the engine's catalog ordering (history items excluded).
-fn catalog_metrics(engine: &InferenceModel, dataset: &Dataset) -> RankingMetrics {
-    let split = leave_one_out(
-        dataset,
-        &SplitConfig {
-            max_seq_len: 20,
-            ..Default::default()
-        },
-    );
-    let instances = &split.test[..split.test.len().min(32)];
-    let mut ranks = Vec::new();
-    for inst in instances {
-        let exclude: HashSet<ItemId> = inst
-            .history
-            .items
-            .iter()
-            .copied()
-            .filter(|&i| i != inst.target)
-            .collect();
-        let recs = engine
-            .recommend_catalog(&inst.history, dataset.num_items, dataset.num_items, &exclude)
-            .expect("engine always has a catalog path");
-        let rank = recs
-            .iter()
-            .position(|r| r.item == inst.target)
-            .expect("target must appear in the full catalog ranking");
-        ranks.push(rank);
-    }
-    RankingMetrics::from_ranks(&ranks)
-}
-
-#[test]
-fn quantized_catalog_ranking_stays_within_drift_tolerance() {
-    let tol = quant::drift_tol();
-    for (encoder, extractor) in [
-        (EncoderKind::Hypergraph, ExtractorKind::SelfAttentive),
-        (EncoderKind::Transformer, ExtractorKind::DynamicRouting),
-    ] {
-        let (model, dataset) = tiny_model(encoder, extractor);
-        let f32_engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
-        let base = catalog_metrics(&f32_engine, &dataset);
-        for qmode in [QuantMode::I8, QuantMode::Bf16] {
-            let q_engine = InferenceModel::compile_with_mode(&model, qmode);
-            let q = catalog_metrics(&q_engine, &dataset);
-            for (metric, a, b) in [
-                ("HR@5", base.hr5, q.hr5),
-                ("HR@10", base.hr10, q.hr10),
-                ("NDCG@5", base.ndcg5, q.ndcg5),
-                ("NDCG@10", base.ndcg10, q.ndcg10),
-            ] {
-                assert!(
-                    (a - b).abs() <= tol,
-                    "{qmode:?} {metric} drift {:.4} exceeds tol {tol} \
-                     for {encoder:?}/{extractor:?} (f32 {a:.4} vs quant {b:.4})",
-                    (a - b).abs()
-                );
-            }
-        }
     }
 }

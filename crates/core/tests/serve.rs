@@ -24,7 +24,6 @@ use mbssl_core::{
 };
 use mbssl_data::synthetic::SyntheticConfig;
 use mbssl_data::{Behavior, Dataset, ItemId, UserId};
-use mbssl_tensor::quant::QuantMode;
 
 fn tiny_model(encoder: EncoderKind, extractor: ExtractorKind) -> (Mbmissl, Dataset) {
     tiny_model_seeded(encoder, extractor, None)
@@ -222,7 +221,7 @@ fn ann_budget_degrades_probe_width_but_responses_stay_well_formed() {
         return; // MBSSL_ANN=off: the policy has nothing to degrade
     }
     let (model, dataset) = tiny_model(EncoderKind::Transformer, ExtractorKind::DynamicRouting);
-    let mut engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+    let mut engine = InferenceModel::compile(&model);
     let index = engine.build_index_with(8, 7);
     engine.attach_index_with(index, 4).unwrap();
     let n = 5;

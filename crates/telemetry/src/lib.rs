@@ -475,12 +475,11 @@ pub fn drain() -> Vec<LabelStats> {
 // ---------------------------------------------------------------------------
 
 /// The `MBSSL_*` variables stamped into every meta record: the pool size,
-/// the four path selectors (SIMD kernels, catalog quantization, IVF
-/// retrieval, mmap'd `.mbds` reads) and the run's own trace settings.
-const META_ENV_KEYS: [&str; 8] = [
+/// the three path selectors (SIMD kernels, IVF retrieval, mmap'd `.mbds`
+/// reads) and the run's own trace settings.
+const META_ENV_KEYS: [&str; 7] = [
     "MBSSL_THREADS",
     "MBSSL_SIMD",
-    "MBSSL_QUANT",
     "MBSSL_ANN",
     "MBSSL_DATA_MMAP",
     "MBSSL_TRACE",

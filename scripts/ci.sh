@@ -46,18 +46,8 @@
 #                             pass, the screened pass and the list-ordered
 #                             screened re-rank must match their oracles
 #                             through the scalar tile kernel and the portable
-#                             screen kernels too), and the
-#                             quantized-catalog drift gates under
-#                             MBSSL_QUANT=i8 and MBSSL_QUANT=bf16 (the
-#                             exact-parity top-n test is skipped there: a
-#                             quantized catalog is *supposed* to differ from
-#                             the f32 reference within tol; the two-stage
-#                             retrieval suite also runs under MBSSL_QUANT=i8,
-#                             its tie-break parity compiling the exact
-#                             catalog explicitly, and so does the screened
-#                             re-rank suite, whose catalogs are then
-#                             quantized and must keep the gather route), and
-#                             the two-stage retrieval suite (recall gate +
+#                             screen kernels too), and the two-stage
+#                             retrieval suite (recall gate +
 #                             serialization rejection + tie-break parity)
 #                             under ambient ANN and MBSSL_ANN=off. The
 #                             SIMD microkernel parity proptests also run
@@ -183,18 +173,6 @@ MBSSL_SIMD=off cargo test --release --test catalog_screen -q
 MBSSL_THREADS=1 cargo test --release --test catalog_screen -q
 MBSSL_SIMD=off cargo test --release --test ann_screen -q
 MBSSL_THREADS=1 cargo test --release --test ann_screen -q
-
-# The exact-parity top-n test is skipped under ambient i8/bf16: a quantized
-# catalog intentionally reorders near-ties; the drift gate below bounds it.
-echo "==> quantized catalog drift gate (MBSSL_QUANT=i8)"
-MBSSL_QUANT=i8 cargo test --release -p mbssl-core --test infer_parity -q \
-    -- --skip engine_top_n_matches_chunked_reference_exactly
-MBSSL_QUANT=i8 cargo test --release -p mbssl-core --test ann -q
-MBSSL_QUANT=i8 cargo test --release --test ann_screen -q
-
-echo "==> quantized catalog drift gate (MBSSL_QUANT=bf16)"
-MBSSL_QUANT=bf16 cargo test --release -p mbssl-core --test infer_parity -q \
-    -- --skip engine_top_n_matches_chunked_reference_exactly
 
 echo "==> two-stage retrieval (IVF index + rerank, ambient ANN)"
 cargo test --release -p mbssl-core --test ann -q

@@ -299,13 +299,8 @@ fn write_synth_tsv(
 }
 
 /// One-line stderr note for scoring commands: they run on the compiled
-/// inference engine, with this catalog quantization (`MBSSL_QUANT`).
-fn engine_banner() -> String {
-    format!(
-        "scoring via inference engine (quant={:?})",
-        mbssl::tensor::quant::mode()
-    )
-}
+/// inference engine.
+const ENGINE_BANNER: &str = "scoring via inference engine";
 
 fn model_config(args: &Args, seed: u64) -> ModelConfig {
     ModelConfig {
@@ -384,7 +379,7 @@ fn serve_command(args: &Args, seed: u64) -> Result<(), String> {
         chain,
         config.clone(),
     );
-    eprintln!("{}", engine_banner());
+    eprintln!("{ENGINE_BANNER}");
     eprintln!(
         "serve: up — {} sessions, batch≤{}, wait {}µs, {} workers, cache {}",
         dataset.num_users,
@@ -580,6 +575,12 @@ fn serve_command(args: &Args, seed: u64) -> Result<(), String> {
 }
 
 fn run() -> Result<(), String> {
+    // A retired option left in the environment must not pass silently.
+    if !matches!(std::env::var("MBSSL_QUANT").as_deref(), Err(_) | Ok("" | "off")) {
+        return Err("MBSSL_QUANT is retired: the engine always ranks the exact catalog \
+                    through its i8 screen (DESIGN.md §13); unset it"
+            .into());
+    }
     let Some(args) = Args::parse() else {
         usage();
         return Err("no command given".into());
@@ -647,7 +648,7 @@ fn run() -> Result<(), String> {
             let model = Mbmissl::new(dataset.num_items, schema, model_config(&args, seed));
             model.load(ckpt).map_err(|e| format!("loading {ckpt}: {e}"))?;
             let candidates = EvalCandidates::build(&split.test, &sampler, 99, seed);
-            eprintln!("{}", engine_banner());
+            eprintln!("{ENGINE_BANNER}");
             let metrics = evaluate(&model, &split.test, &candidates, 256).aggregate();
             println!("test metrics (1-vs-99): {}", metrics.summary());
             Ok(())
@@ -668,7 +669,7 @@ fn run() -> Result<(), String> {
             model.load(ckpt).map_err(|e| format!("loading {ckpt}: {e}"))?;
             let history = &dataset.sequences[user];
             let seen: HashSet<_> = history.items.iter().copied().collect();
-            eprintln!("{}", engine_banner());
+            eprintln!("{ENGINE_BANNER}");
             // Two-stage retrieval: `--index PATH`, or `<model>.ivf` if one
             // sits next to the checkpoint. A missing/corrupt/mismatched
             // index degrades to exhaustive ranking with a warning rather

@@ -7,18 +7,15 @@
 //! `num_items` and excluded ids, score the rest with `score_candidates` and
 //! sort by score descending, then id. They also pin the fill rule (when a
 //! short probe falls back to exhaustive ranking), the gather route of
-//! quantized catalogs and of queries the screen refuses, detaching and
-//! re-attaching an index, and the telemetry of both routes.
-//!
-//! The catalog tests compile with the ambient `MBSSL_QUANT` mode: by
-//! default an exact f32 catalog with a screen, under `MBSSL_QUANT=i8` a
-//! quantized one, which must keep the gather route and the same replies.
+//! catalogs and of queries the screen refuses, detaching and re-attaching
+//! an index, and the telemetry of both routes.
 
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
 
 use mbssl::core::ann::{self, IvfIndex, ProbeScratch};
 use mbssl::core::infer::{CatalogQuery, RankedQuery};
+use mbssl::core::screen::CatalogScreen;
 use mbssl::core::{
     BehaviorSchema, InferenceModel, Mbmissl, ModelConfig, Recommendation, TrainableRecommender,
 };
@@ -26,7 +23,6 @@ use mbssl::data::synthetic::SyntheticConfig;
 use mbssl::data::{Dataset, ItemId, Sequence};
 use mbssl::telemetry::{self, LabelStats, RecordKind, TraceMode};
 use mbssl::tensor::kernels::{self, PackedB};
-use mbssl::tensor::quant::{self, QuantMode};
 use mbssl::tensor::simd::{SCREEN_GROUP_BYTES, SCREEN_LANES};
 
 /// The k-means seed of every index here.
@@ -82,6 +78,15 @@ fn near_ties(table: &mut [f32], dim: usize, num_items: usize) {
             let c = &mut table[v * dim + v % dim];
             *c = c.next_up();
         }
+    }
+}
+
+/// Near ties with `bad` in item 7's row: a NaN or an entry past the
+/// screen's magnitude guard makes a catalog `CatalogScreen::build` refuses.
+fn unscreenable(bad: f32) -> impl Fn(&mut [f32], usize, usize) {
+    move |table, dim, num_items| {
+        near_ties(table, dim, num_items);
+        table[7 * dim + 2] = bad;
     }
 }
 
@@ -230,12 +235,12 @@ fn check_batch(
 /// 40} and the fill boundary, excludes holding 0, ids past the catalog and
 /// the would-be top-1, a `num_items` below the compiled table, and batches
 /// of 1, 2, 3 and 5 queries.
-fn assert_matches_reference(model: &Mbmissl, dataset: &Dataset, mode: QuantMode, label: &str) {
-    let plain = InferenceModel::compile_with_mode(model, mode);
+fn assert_matches_reference(model: &Mbmissl, dataset: &Dataset, label: &str) {
+    let plain = InferenceModel::compile(model);
     let histories: Vec<&Sequence> = dataset.sequences.iter().take(5).collect();
     let full = dataset.num_items;
     for (nlist, nprobe) in PROBES {
-        let mut engine = InferenceModel::compile_with_mode(model, mode);
+        let mut engine = InferenceModel::compile(model);
         let (index, oracle) = index_pair(&engine, nlist);
         engine
             .attach_index_with(index, nprobe)
@@ -299,7 +304,7 @@ fn assert_matches_reference(model: &Mbmissl, dataset: &Dataset, mode: QuantMode,
 fn screened_rerank_matches_reference_on_near_ties() {
     let _serial = serial();
     let (model, dataset) = model_with(16, 3, near_ties);
-    assert_matches_reference(&model, &dataset, quant::mode(), "near ties");
+    assert_matches_reference(&model, &dataset, "near ties");
 }
 
 #[test]
@@ -307,22 +312,25 @@ fn screened_rerank_matches_reference_on_spread_norms_and_odd_width() {
     let _serial = serial();
     // 18 is not a multiple of 4: the last code group is half padding.
     let (model, dataset) = model_with(18, 4, spread_norms);
-    assert_matches_reference(&model, &dataset, quant::mode(), "spread norms");
+    assert_matches_reference(&model, &dataset, "spread norms");
 }
 
 #[test]
 fn screened_rerank_matches_reference_on_sixteen_distinct_rows() {
     let _serial = serial();
     let (model, dataset) = model_with(16, 3, sixteen_rows);
-    assert_matches_reference(&model, &dataset, quant::mode(), "16 rows");
+    assert_matches_reference(&model, &dataset, "16 rows");
 }
 
 #[test]
-fn quantized_catalogs_keep_the_gather_route() {
+fn unscreenable_catalogs_keep_the_gather_route() {
     let _serial = serial();
-    let (model, dataset) = model_with(16, 3, near_ties);
-    for mode in [QuantMode::I8, QuantMode::Bf16] {
-        assert_matches_reference(&model, &dataset, mode, &format!("{mode:?}"));
+    for bad in [f32::NAN, 1e31] {
+        let (model, dataset) = model_with(16, 3, unscreenable(bad));
+        let params = model.named_params();
+        let table = params.get("mbmissl.input.item_emb.weight").expect("item table");
+        assert!(CatalogScreen::build(&table.to_vec(), 16).is_none(), "{bad}: a screen was built");
+        assert_matches_reference(&model, &dataset, &format!("item 7 holds {bad}"));
     }
 }
 
@@ -399,7 +407,7 @@ fn nan_interest_takes_the_gather_route_and_counters_follow_the_route() {
     let _serial = serial();
     let (model, dataset) = model_with(16, 3, near_ties);
     let (nlist, nprobe) = (24, 3);
-    let mut engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+    let mut engine = InferenceModel::compile(&model);
     let (index, oracle) = index_pair(&engine, nlist);
     engine
         .attach_index_with(index, nprobe)
@@ -463,16 +471,21 @@ fn nan_interest_takes_the_gather_route_and_counters_follow_the_route() {
     let panel = PackedB::packed_len(d, cands.len()) * 4;
     assert_eq!(span_bytes(&records, "index.rerank"), Some(panel as u64));
 
-    // A quantized catalog gathers without counting a screen fallback.
-    let mut quantized = InferenceModel::compile_with_mode(&model, QuantMode::I8);
-    quantized
-        .attach_index_with(oracle, nprobe)
+    // A catalog without a screen gathers and counts a screen fallback.
+    let (model, _) = model_with(16, 3, unscreenable(f32::NAN));
+    let mut unscreened = InferenceModel::compile(&model);
+    let (index, oracle) = index_pair(&unscreened, nlist);
+    unscreened
+        .attach_index_with(index, nprobe)
         .expect("index matches the engine");
-    let records = traced(|| {
-        quantized.rank_from_interests(&z, &query, num_items, None);
-    });
-    assert_eq!(counter(&records, "infer.screen_fallbacks"), 0);
+    let mut gathered: Vec<RankedQuery> = Vec::new();
+    let records = traced(|| gathered = unscreened.rank_from_interests(&z, &query, num_items, None));
+    let cands = candidates(&oracle, &z, nprobe, num_items, &none);
+    assert!(gathered[0].used_ann, "the unscreened catalog still fills");
+    assert_eq!(counter(&records, "infer.screen_fallbacks"), 1);
     assert_eq!(counter(&records, "infer.screen_survivors"), 0);
+    let panel = PackedB::packed_len(d, cands.len()) * 4;
+    assert_eq!(span_bytes(&records, "index.rerank"), Some(panel as u64));
 }
 
 #[test]

@@ -23,7 +23,6 @@ use mbssl::core::{
 use mbssl::data::synthetic::SyntheticConfig;
 use mbssl::data::{Dataset, ItemId, Sequence};
 use mbssl::tensor::kernels;
-use mbssl::tensor::quant::QuantMode;
 use mbssl::tensor::simd::{self, SCREEN_GROUP_BYTES, SCREEN_LANES};
 use proptest::prelude::*;
 
@@ -170,7 +169,7 @@ fn oracle(
 /// count, excludes holding 0 and the would-be top-1, a catalog argument
 /// below the compiled table, and batches of 1, 2, 3 and 5 queries.
 fn assert_matches_reference(model: &Mbmissl, dataset: &Dataset, label: &str) {
-    let engine = InferenceModel::compile_with_mode(model, QuantMode::Off);
+    let engine = InferenceModel::compile(model);
     let (k, d) = (engine.num_interests(), engine.dim());
     let histories: Vec<&Sequence> = dataset.sequences.iter().take(5).collect();
     let z_all: Vec<f32> = histories
@@ -267,7 +266,7 @@ fn screened_ranking_matches_reference_on_spread_norms_and_odd_width() {
 fn hand_made_interests_match_the_exact_oracle() {
     let k = 3;
     let (model, dataset) = model_with(16, k, near_ties);
-    let engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+    let engine = InferenceModel::compile(&model);
     let (d, num_items) = (engine.dim(), dataset.num_items);
     let table = item_table(&model);
     let encoded = engine.encode_interests(&[&dataset.sequences[0]]);
@@ -350,7 +349,7 @@ fn non_finite_catalog_builds_no_screen_and_ranks_exactly() {
             CatalogScreen::build(&table, 16).is_none(),
             "{bad}: a screen was built"
         );
-        let engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+        let engine = InferenceModel::compile(&model);
         let z = engine.encode_interests(&[&dataset.sequences[1]]);
         let none = HashSet::new();
         for n in [1, 10, dataset.num_items] {
@@ -373,7 +372,7 @@ fn non_finite_catalog_builds_no_screen_and_ranks_exactly() {
 fn screen_counts_survivors_and_fallbacks() {
     use mbssl::telemetry::{self, RecordKind, TraceMode};
     let (model, dataset) = model_with(16, 3, near_ties);
-    let engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+    let engine = InferenceModel::compile(&model);
     let mut z = engine.encode_interests(&[&dataset.sequences[0]]);
     let none = HashSet::new();
     let query = [CatalogQuery {
@@ -408,7 +407,7 @@ fn screen_counts_survivors_and_fallbacks() {
 #[test]
 fn screen_leaves_few_items_to_exact_scoring() {
     let (model, dataset) = model_with(16, 3, near_ties);
-    let engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+    let engine = InferenceModel::compile(&model);
     let table = item_table(&model);
     let screen = CatalogScreen::build(&table, 16).expect("a finite catalog");
     for history in dataset.sequences.iter().take(5) {

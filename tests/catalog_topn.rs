@@ -18,7 +18,6 @@ use mbssl::core::{
 use mbssl::data::synthetic::SyntheticConfig;
 use mbssl::data::{Dataset, ItemId, Sequence};
 use mbssl::tensor::kernels::{self, PackedB, NR};
-use mbssl::tensor::quant::QuantMode;
 
 /// A tiny `k`-interest model whose item table repeats every embedding
 /// row three times, so most scores tie exactly and only the id
@@ -118,7 +117,7 @@ fn strip_gemm_matches_prepacked_gemm_bit_for_bit() {
 fn fused_top_n_matches_reference_and_solo_calls() {
     for k in [3, 4, 5] {
         let (model, dataset) = model_with_ties(k);
-        let engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+        let engine = InferenceModel::compile(&model);
         let histories: Vec<&Sequence> = dataset.sequences.iter().take(5).collect();
         // Interests encoded one history at a time, so every row is the
         // solo encoding whatever the histories' lengths.
@@ -213,7 +212,7 @@ fn fused_top_n_matches_reference_and_solo_calls() {
 fn short_probe_fallback_counts_only_rankable_exclusions() {
     let k = 4;
     let (model, dataset) = model_with_ties(k);
-    let mut engine = InferenceModel::compile_with_mode(&model, QuantMode::Off);
+    let mut engine = InferenceModel::compile(&model);
     let num_items = dataset.num_items;
     let history = &dataset.sequences[0];
     let z = engine.encode_interests(&[history]);

@@ -280,3 +280,26 @@ fn cli_rejects_bad_input() {
     assert!(text.contains("error"), "{text}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn cli_refuses_retired_quant_option() {
+    let dir = std::env::temp_dir().join("mbssl_cli_test_quant");
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = setup_log(&dir);
+    let stats = |quant: &str| {
+        let out = Command::new(bin())
+            .args(["stats", "--data", log.to_str().unwrap(), "--target", "favorite"])
+            .env("MBSSL_QUANT", quant)
+            .output()
+            .expect("spawn mbssl CLI");
+        (out.status.success(), String::from_utf8_lossy(&out.stderr).into_owned())
+    };
+    let (ok, err) = stats("i8");
+    assert!(!ok, "MBSSL_QUANT=i8 was accepted");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.contains("MBSSL_QUANT is retired"), "{err}");
+    assert!(err.contains("exact catalog through its i8 screen (DESIGN.md §13)"), "{err}");
+    let (ok, err) = stats("off");
+    assert!(ok, "MBSSL_QUANT=off failed: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
