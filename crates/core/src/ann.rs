@@ -714,30 +714,11 @@ impl IvfIndex {
     }
 
     /// Saves to a file path (conventionally `<checkpoint>.ivf`)
-    /// atomically: the bytes go to a sibling temp file, which is synced
-    /// and then renamed over `path`, so a reader never sees a partial
-    /// index. On error the temp file is removed and an earlier file at
-    /// `path` is left as it was.
+    /// atomically ([`mbssl_tensor::serialize::write_atomic`]): a reader
+    /// never sees a partial index, and on error an earlier file at `path`
+    /// is left as it was.
     pub fn save_to_file(&self, path: impl AsRef<Path>) -> Result<(), AnnError> {
-        let path = path.as_ref();
-        let mut name = path.file_name().unwrap_or_default().to_os_string();
-        name.push(format!(".{}.tmp", std::process::id()));
-        let tmp = path.with_file_name(name);
-        let written = (|| {
-            let mut writer = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
-            self.save(&mut writer)?;
-            let file = writer.into_inner().map_err(|e| e.into_error())?;
-            file.sync_all()?;
-            std::fs::rename(&tmp, path)?;
-            // The rename is durable once the directory entry is.
-            let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
-            std::fs::File::open(parent.unwrap_or(Path::new(".")))?.sync_all()?;
-            Ok(())
-        })();
-        if written.is_err() {
-            let _ = std::fs::remove_file(&tmp);
-        }
-        written
+        mbssl_tensor::serialize::write_atomic(path.as_ref(), |writer| self.save(writer))
     }
 
     /// Reads an index back, validating the header, geometry plausibility,

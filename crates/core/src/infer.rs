@@ -10,14 +10,16 @@
 //!   graph nodes, no refcounts, no allocator churn; the arena is rented
 //!   from a free list, `reset()` once per request, and reaches a
 //!   steady-state capacity after the first request;
-//! - the full item-embedding table is pre-transposed and packed so
-//!   catalog ranking is **one** fused pass over all items — score, max
-//!   over interests and top-n admission per strip — instead of a
-//!   re-encoded forward per candidate chunk;
-//! - exhaustive ranking of a finite f32 table runs through an exact i8
-//!   screen ([`crate::screen`]): integer upper bounds skip the items that
-//!   cannot reach the top-n, and only the survivors are scored in f32, so
-//!   replies stay bit-identical while the pass reads 4× fewer bytes.
+//! - the engine holds the catalog once, as the row-major item table;
+//!   exhaustive ranking of a finite table runs through an exact i8 screen
+//!   ([`crate::screen`]): integer upper bounds skip the items that cannot
+//!   reach the top-n, and only the survivors are scored in f32, so replies
+//!   stay bit-identical while the pass reads 4× fewer bytes;
+//! - every other f32 scoring — a query or a catalog the screen refuses,
+//!   the ANN gather route, `score_candidates` and `score_batch` — is one
+//!   gathered pass: the wanted rows are packed off the item table a chunk
+//!   at a time into an arena panel, and each chunk is scored, reduced to a
+//!   max over interests and offered to the top-n strip by strip.
 //!
 //! # Parity contract
 //!
@@ -53,8 +55,7 @@
 //! (`index.rerank` span). Attaching re-lays the screen in list order, so a
 //! probed list is a run of screen blocks and the re-rank screens only
 //! those; a catalog or a query the screen cannot take gathers the lists'
-//! items and scores them like
-//! [`InferenceModel::score_candidates`]. Re-ranked scores are bit-identical
+//! items through the gathered pass. Re-ranked scores are bit-identical
 //! to the exhaustive scores of the same items, so the output is exactly the
 //! exhaustive ranking restricted to the retrieved set — recall is the only
 //! approximation. `MBSSL_ANN=off` ignores any attached index.
@@ -723,27 +724,32 @@ impl<'a> TopN<'a> {
     }
 }
 
-/// The fused f32 catalog pass (DESIGN.md §13): streams `panel` one NR-wide
-/// strip at a time, reduces each query's `k` interest rows of the strip to
-/// a strict-`>` max in ascending interest order, and hands `visit(query,
-/// col0, scores)` the scores of the strip's columns that fall in `cols`,
-/// starting at column `col0`. `z` holds the queries' interests back to back
-/// (`queries × k × d`). Scores are bit-identical to a full GEMM followed by
-/// the max loop, without the `queries·k × columns` score matrix.
+/// Items the gathered pass packs per panel: a whole number of NR-wide
+/// strips, and 128 KiB of panel at d = 32, so a chunk stays in L2 while
+/// every query of the batch streams it. Public so tests can place ties
+/// across a chunk boundary.
+pub const GATHER_CHUNK: usize = 1024;
+
+/// The fused f32 pass over one packed panel (DESIGN.md §13): streams
+/// `panel` one NR-wide strip at a time, reduces each query's `k` interest
+/// rows of the strip to a strict-`>` max in ascending interest order, and
+/// hands `visit(query, col0, scores)` the scores of the strip's real
+/// columns, starting at column `col0`. `z` holds the queries' interests
+/// back to back (`queries × k × d`); `scratch` holds
+/// [`kernels::strips_scratch_len`] of its rows. Scores are bit-identical
+/// to a full GEMM followed by the max loop, without the `queries·k ×
+/// columns` score matrix.
 fn stream_max_scores(
     z: &[f32],
     k: usize,
     panel: PackedBView<'_>,
-    cols: Range<usize>,
-    arena: &Arena,
+    scratch: &mut [f32],
     mut visit: impl FnMut(usize, usize, &[f32]),
 ) {
-    let m = z.len() / panel.k();
-    let scratch = arena.alloc(kernels::strips_scratch_len(m, panel.k()));
-    let strips = cols.start / NR..cols.end.div_ceil(NR);
-    kernels::gemm_nn_prepacked_strips(z, panel, m, strips, scratch, |s, block| {
+    let (m, n) = (z.len() / panel.k(), panel.n());
+    kernels::gemm_nn_prepacked_strips(z, panel, m, 0..n.div_ceil(NR), scratch, |s, block| {
         let j0 = s * NR;
-        let lanes = cols.start.max(j0) - j0..(cols.end - j0).min(NR);
+        let lanes = (n - j0).min(NR);
         for (qi, rows) in block.chunks_exact(k * NR).enumerate() {
             let mut best = [f32::NEG_INFINITY; NR];
             for row in rows.chunks_exact(NR) {
@@ -753,7 +759,7 @@ fn stream_max_scores(
                     }
                 }
             }
-            visit(qi, j0 + lanes.start, &best[lanes.clone()]);
+            visit(qi, j0, &best[..lanes]);
         }
     });
 }
@@ -773,8 +779,6 @@ pub struct InferenceModel {
     input_ln: LayerNormWeights,
     backbone: BackboneWeights,
     extractor: ExtractorWeights,
-    /// The item table pre-transposed and packed for the fused catalog pass.
-    catalog: PackedB,
     /// The exact i8 screen of a finite item table.
     screen: Option<CatalogScreen>,
     ann: Option<AnnState>,
@@ -903,16 +907,9 @@ impl InferenceModel {
         };
 
         let num_items = model.num_items();
-        let item_rows = num_items + 1;
         let item_table = get("mbmissl.input.item_emb.weight");
-        assert_eq!(item_table.len(), item_rows * dim, "item table shape");
-        // The transpose is dropped here, before the engine's other buffers
-        // are allocated: `peak_rss_mb` counts it otherwise.
-        let (catalog, screen) = {
-            let mut t = vec![0.0f32; item_table.len()];
-            kernels::transpose(&item_table, &mut t, item_rows, dim);
-            (PackedB::pack(&t, dim, item_rows), CatalogScreen::build(&item_table, dim))
-        };
+        assert_eq!(item_table.len(), (num_items + 1) * dim, "item table shape");
+        let screen = CatalogScreen::build(&item_table, dim);
 
         let k = config.num_interests;
         let l = config.max_seq_len;
@@ -940,7 +937,6 @@ impl InferenceModel {
             input_ln: norm("mbmissl.input.ln"),
             backbone,
             extractor,
-            catalog,
             screen,
             ann: None,
             name,
@@ -1023,57 +1019,55 @@ impl InferenceModel {
     /// ranking; this is the re-rank half of two-stage retrieval, exposed
     /// for callers that bring their own retrieval.
     pub fn score_candidates(&self, history: &Sequence, candidates: &[ItemId]) -> Vec<f32> {
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-        let arena = self.rent_arena();
         let mut out = vec![0.0f32; candidates.len()];
-        {
-            let (_batch, z) = self.interests_for(&[history], &arena);
-            self.candidate_scores(z, candidates, &arena, |j, s| {
-                out[j..][..s.len()].copy_from_slice(s)
-            });
-        }
-        self.return_arena(arena);
+        self.score_batch_into(&[history], &[candidates], &mut out);
         out
     }
 
-    /// Gather-based candidate scoring: hands `visit(j0, scores)` runs of
-    /// max-over-interest scores, `scores[i]` for `candidates[j0 + i]` given
-    /// interests `z [k, d]`, in candidate order, bit-identical to
-    /// exhaustive scoring; returns the catalog bytes it streamed.
-    fn candidate_scores(
+    /// The gathered f32 pass (DESIGN.md §13), every unscreened scoring's
+    /// one route. `z` holds the queries' interests (`queries × k × d`);
+    /// with one list in `lists` every query scores it, else query `i`
+    /// scores `lists[i]`. The rows of each list are packed straight off the
+    /// item table, [`GATHER_CHUNK`] items at a time, into one request-arena
+    /// panel (stale contents are fine), and each chunk is streamed once for
+    /// its queries. `visit(query, j0, scores)` gets runs of max-over-interest
+    /// scores, `scores[i]` for `list[j0 + i]`, in list order.
+    ///
+    /// `pack_select_into` puts the same values in the same panel slots as
+    /// transposing the gathered rows and packing them, so the scores are
+    /// bit-identical to the autograd `bmm(z, candᵀ)` + strict-`>` max of
+    /// `Mbmissl::score_against`. Returns the panel bytes packed.
+    fn gather_scores(
         &self,
         z: &[f32],
-        candidates: &[ItemId],
+        lists: &[&[ItemId]],
         arena: &Arena,
-        visit: impl FnMut(usize, &[f32]),
+        mut visit: impl FnMut(usize, usize, &[f32]),
     ) -> u64 {
+        let (d, kd) = (self.dim, self.num_interests * self.dim);
+        let shared = lists.len() == 1;
+        debug_assert!(shared || lists.len() * kd == z.len(), "one list per query");
+        let longest = lists.iter().map(|l| l.len()).max().unwrap_or(0);
         // The panel lives in the request arena: recycled global buffers
         // cost ~30% here in cache locality.
-        let panel = arena.alloc(PackedB::packed_len(self.dim, candidates.len()));
-        let bytes = std::mem::size_of_val(panel) as u64;
-        self.packed_scores(z, candidates, panel, arena, visit);
-        bytes
-    }
-
-    /// Exact f32 candidate scoring: packs the `candidates` rows straight
-    /// off the item table into `panel` (`PackedB::packed_len(d, c)` long,
-    /// stale contents are fine) and runs the fused pass over it. The same
-    /// values meet the same tile kernel as in exhaustive ranking, so the
-    /// scores are bit-identical to it and to the autograd `bmm(z, candᵀ)`
-    /// + strict-`>` max of `Mbmissl::score_against`.
-    fn packed_scores(
-        &self,
-        z: &[f32],
-        candidates: &[ItemId],
-        panel: &mut [f32],
-        arena: &Arena,
-        mut visit: impl FnMut(usize, &[f32]),
-    ) {
-        let packed = PackedB::pack_select_into(&self.item_table, self.dim, candidates, panel);
-        let cols = 0..candidates.len();
-        stream_max_scores(z, self.num_interests, packed, cols, arena, |_, j0, s| visit(j0, s));
+        let panel = arena.alloc(PackedB::packed_len(d, longest.min(GATHER_CHUNK)));
+        let rows = if shared { z.len() / d } else { self.num_interests };
+        let scratch = arena.alloc(kernels::strips_scratch_len(rows, d));
+        let mut bytes = 0;
+        for (li, list) in lists.iter().enumerate() {
+            let (zl, q0) = if shared { (z, 0) } else { (&z[li * kd..][..kd], li) };
+            for (c, chunk) in list.chunks(GATHER_CHUNK).enumerate() {
+                let len = PackedB::packed_len(d, chunk.len());
+                let table = &self.item_table;
+                let packed = PackedB::pack_select_into(table, d, chunk, &mut panel[..len]);
+                let c0 = c * GATHER_CHUNK;
+                stream_max_scores(zl, self.num_interests, packed, scratch, |qi, j0, s| {
+                    visit(q0 + qi, c0 + j0, s)
+                });
+                bytes += len;
+            }
+        }
+        (bytes * std::mem::size_of::<f32>()) as u64
     }
 
     /// Arena slots a serving request is expected to take: the forward, the
@@ -1218,8 +1212,8 @@ impl InferenceModel {
     /// Per query this is **bit-identical** to
     /// [`recommend_catalog`](SequentialRecommender::recommend_catalog)
     /// given the same interests (which itself delegates here): the
-    /// exhaustive f32 path screens the catalog query by query (or, without
-    /// a screen, streams it once for all queries' interest rows), and
+    /// exhaustive f32 path screens the catalog query by query, the queries
+    /// it cannot screen share one gathered pass over the catalog, and
     /// every score accumulates independently per row, so batching changes
     /// nothing. The ANN path probes per query with arena-rented scratch.
     ///
@@ -1279,8 +1273,9 @@ impl InferenceModel {
 
     /// Ranks items `1..=num_items` into `tops`, one query per `k × d` block
     /// of `z`, and returns the catalog bytes read. A catalog with a screen
-    /// ranks each query through it; a query the screen cannot take, or a
-    /// catalog without one, takes the fused pass.
+    /// ranks each query through it; the queries the screen cannot take, or
+    /// all of them without a screen, share one gathered pass over the
+    /// catalog.
     fn rank_exhaustive(
         &self,
         z: &[f32],
@@ -1289,26 +1284,37 @@ impl InferenceModel {
         arena: &Arena,
     ) -> u64 {
         let kd = self.num_interests * self.dim;
-        let Some(screen) = &self.screen else {
-            telemetry::counter_add("infer.screen_fallbacks", tops.len() as u64);
-            return self.rank_fused(z, tops, num_items, arena);
-        };
         let acc = arena.alloc_i32(CatalogScreen::acc_len(self.num_interests));
         let ub = arena.alloc(CatalogScreen::BOUNDS_LEN);
-        let mut bytes = 0;
-        for (z, top) in z.chunks_exact(kd).zip(tops) {
-            bytes += match screen.prepare(z, arena) {
-                Some(query) => {
+        // The refused queries: their indices and their interests, packed.
+        let (refused, zr) = (arena.alloc_u32(tops.len()), arena.alloc(z.len()));
+        let (mut bytes, mut count) = (0, 0);
+        for (qi, (zq, top)) in z.chunks_exact(kd).zip(tops.iter_mut()).enumerate() {
+            match self.screen.as_ref().and_then(|s| Some((s, s.prepare(zq, arena)?))) {
+                Some((screen, query)) => {
                     let blocks = 0..screen.blocks();
-                    self.screen_blocks(screen, &query, [blocks], top, num_items, acc, ub)
+                    bytes += self.screen_blocks(screen, &query, [blocks], top, num_items, acc, ub);
                 }
                 None => {
-                    telemetry::counter_add("infer.screen_fallbacks", 1);
-                    self.rank_fused(z, std::slice::from_mut(top), num_items, arena)
+                    zr[count * kd..][..kd].copy_from_slice(zq);
+                    refused[count] = qi as u32;
+                    count += 1;
                 }
-            };
+            }
         }
-        bytes
+        if count == 0 {
+            return bytes;
+        }
+        telemetry::counter_add("infer.screen_fallbacks", count as u64);
+        let (refused, zr) = (&refused[..count], &zr[..count * kd]);
+        let ids = arena.alloc_u32(num_items);
+        for (id, v) in ids.iter_mut().zip(1..) {
+            *id = v;
+        }
+        let ids = &*ids;
+        bytes + self.gather_scores(zr, &[ids], arena, |qi, j0, s| {
+            tops[refused[qi] as usize].offer(j0, s, |j| ids[j])
+        })
     }
 
     /// Screens one query over each block range of `ranges`, scores the
@@ -1365,25 +1371,6 @@ impl InferenceModel {
             top.offer(v, &[score], |v| v as ItemId);
         }
         scored
-    }
-
-    /// The fused f32 pass over items `1..=num_items` for the queries of
-    /// `z` (the catalog is streamed once for all of them); returns the
-    /// catalog bytes streamed.
-    fn rank_fused(
-        &self,
-        z: &[f32],
-        tops: &mut [TopN<'_>],
-        num_items: usize,
-        arena: &Arena,
-    ) -> u64 {
-        // Column v of the packed transpose is item v's embedding.
-        let cols = 1..num_items + 1;
-        let panel = self.catalog.view();
-        stream_max_scores(z, self.num_interests, panel, cols, arena, |qi, v0, s| {
-            tops[qi].offer(v0, s, |v| v as ItemId)
-        });
-        (PackedB::packed_len(self.dim, num_items + 1) * std::mem::size_of::<f32>()) as u64
     }
 
     /// Two-stage route for one query: probe the attached index per
@@ -1449,7 +1436,7 @@ impl InferenceModel {
                     *slot = id;
                 }
                 let cands = &*cands;
-                self.candidate_scores(z, cands, arena, |j0, s| top.offer(j0, s, |j| cands[j]))
+                self.gather_scores(z, &[cands], arena, |_, j0, s| top.offer(j0, s, |j| cands[j]))
             }
         };
         rerank_sp.add_bytes(bytes);
@@ -1492,14 +1479,9 @@ impl SequentialRecommender for InferenceModel {
         let arena = self.rent_arena();
         {
             let (_batch, z) = self.interests_for(histories, &arena);
-            let panel = arena.alloc(PackedB::packed_len(self.dim, c));
-            let kd = self.num_interests * self.dim;
-            let rows = z.chunks_exact(kd).zip(candidates).zip(out.chunks_exact_mut(c));
-            for ((zb, list), row) in rows {
-                self.packed_scores(zb, list, panel, &arena, |j, s| {
-                    row[j..][..s.len()].copy_from_slice(s)
-                });
-            }
+            self.gather_scores(z, candidates, &arena, |qi, j, s| {
+                out[qi * c + j..][..s.len()].copy_from_slice(s)
+            });
         }
         self.return_arena(arena);
     }

@@ -235,7 +235,7 @@ fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 
 /// A matrix packed once into the `pack_b_panels` layout, for GEMMs whose
 /// right-hand side is reused across many calls (inference weights, the
-/// catalog embedding table). Packing is pure data movement, so
+/// IVF centroids). Packing is pure data movement, so
 /// [`gemm_nn_prepacked`] over a `PackedB` is bit-identical to [`gemm_nn`]
 /// over the original row-major matrix.
 pub struct PackedB {
@@ -267,26 +267,16 @@ impl PackedB {
     }
 
     /// Packs selected rows of a row-major `table` (`rows × k`) directly
-    /// into microkernel panels, treating row `select[j]` as column `j` of
-    /// B. Equivalent to gathering the rows, transposing to `k × n`, and
-    /// calling [`PackedB::pack`] — the same values land in the same panel
-    /// slots, so GEMMs over the result are bit-identical — but fused into
-    /// a single pass over the table (no gather or transpose temporaries).
-    /// Built for the two-stage retrieval re-ranker, where the selection
-    /// changes every request.
-    pub fn pack_select(table: &[f32], k: usize, select: &[u32]) -> PackedB {
-        let n = select.len();
-        let mut data = alloc::zeroed(Self::packed_len(k, n));
-        pack_select_fill(table, k, select, &mut data);
-        PackedB { data, k, n }
-    }
-
-    /// [`PackedB::pack_select`] into caller-owned storage (stale contents
-    /// are fine — every slot, pad lanes included, is written). `buf` must
-    /// hold exactly [`PackedB::packed_len`]`(k, select.len())` elements.
-    /// The returned view borrows `buf`; built for the re-ranker, which
-    /// packs a fresh selection per request out of its bump arena instead
-    /// of round-tripping the recycling allocator.
+    /// into microkernel panels in caller-owned storage, treating row
+    /// `select[j]` as column `j` of B. Equivalent to gathering the rows,
+    /// transposing to `k × n`, and calling [`PackedB::pack`] — the same
+    /// values land in the same panel slots, so GEMMs over the result are
+    /// bit-identical — but fused into a single pass over the table (no
+    /// gather or transpose temporaries). `buf` must hold exactly
+    /// [`PackedB::packed_len`]`(k, select.len())` elements; stale contents
+    /// are fine, since every slot, pad lanes included, is written. The
+    /// returned view borrows `buf`: the inference engine packs a fresh
+    /// selection per request out of its bump arena.
     pub fn pack_select_into<'a>(
         table: &[f32],
         k: usize,
@@ -305,19 +295,14 @@ impl PackedB {
         k * n.div_ceil(NR) * NR
     }
 
-    /// A borrowed [`PackedBView`] of this packed matrix.
-    pub fn view(&self) -> PackedBView<'_> {
-        PackedBView { data: &self.data, k: self.k, n: self.n }
-    }
-
     /// Minimum scratch length callers of
     /// [`gemm_nn_prepacked_scratch`] must provide.
     pub const SCRATCH_LEN: usize = MR * KC;
 }
 
 /// A packed B matrix borrowed from caller-owned storage (same panel layout
-/// as [`PackedB`]); produced by [`PackedB::pack_select_into`] or
-/// [`PackedB::view`]. GEMM entry points accept either form.
+/// as [`PackedB`]); produced by [`PackedB::pack_select_into`] or borrowed
+/// from a [`PackedB`]. GEMM entry points accept either form.
 #[derive(Clone, Copy)]
 pub struct PackedBView<'a> {
     data: &'a [f32],
@@ -339,14 +324,13 @@ impl<'a> PackedBView<'a> {
 
 impl<'a> From<&'a PackedB> for PackedBView<'a> {
     fn from(b: &'a PackedB) -> PackedBView<'a> {
-        b.view()
+        PackedBView { data: &b.data, k: b.k, n: b.n }
     }
 }
 
-/// Shared fill for [`PackedB::pack_select`] / [`PackedB::pack_select_into`]:
-/// writes every slot of `data` (ragged-edge pad lanes are zeroed
-/// explicitly, full strips are fully overwritten), so stale buffers pack
-/// identically to fresh ones.
+/// The fill of [`PackedB::pack_select_into`]: writes every slot of `data`
+/// (ragged-edge pad lanes are zeroed explicitly, full strips are fully
+/// overwritten), so stale buffers pack identically to fresh ones.
 fn pack_select_fill(table: &[f32], k: usize, select: &[u32], data: &mut [f32]) {
     assert!(k > 0 && table.len() % k == 0, "table must be rows × k");
     let n = select.len();
@@ -433,7 +417,7 @@ pub fn strips_scratch_len(m: usize, k: usize) -> usize {
 
 /// A(m×k) · B streamed one NR-wide column strip of the packed B at a
 /// time, for consumers that reduce each strip as soon as it exists (the
-/// inference engine's fused catalog top-n) instead of materialising the
+/// inference engine's gathered catalog pass) instead of materialising the
 /// `m × n` product.
 ///
 /// A is repacked once into MR-row tiles. Then, for each strip `s` in
@@ -1468,33 +1452,37 @@ mod tests {
             }
         }
         let reference = PackedB::pack(&gathered_t, k, n);
-        let fused = PackedB::pack_select(&table, k, &select);
-        assert_eq!(fused.k(), k);
-        assert_eq!(fused.n(), n);
+        let mut buf = vec![0.0f32; PackedB::packed_len(k, n)];
+        let fused = PackedB::pack_select_into(&table, k, &select, &mut buf);
+        assert_eq!((fused.k(), fused.n()), (k, n));
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&fused.data), bits(&reference.data));
+        assert_eq!(bits(fused.data), bits(&reference.data));
         // And the GEMMs over both agree bit-for-bit.
         let a = seq(m * k);
         let mut c_ref = vec![0.0f32; m * n];
         let mut c_fused = vec![0.0f32; m * n];
+        let mut apack = vec![0.0f32; PackedB::SCRATCH_LEN];
         gemm_nn_prepacked(&a, &reference, &mut c_ref, m);
-        gemm_nn_prepacked(&a, &fused, &mut c_fused, m);
+        gemm_nn_prepacked_scratch(&a, fused, &mut c_fused, m, &mut apack);
         assert_eq!(bits(&c_ref), bits(&c_fused));
     }
 
     #[test]
     fn pack_select_into_stale_buffer_matches_owned() {
         // A stale (garbage-filled) caller buffer must pack bit-identically
-        // to the owned path — pad lanes included (n = 13 has a ragged edge).
+        // to a freshly zeroed one — pad lanes included (n = 13 has a ragged
+        // edge).
         let (rows, k) = (30usize, 17usize);
         let table = seq(rows * k);
         let select: Vec<u32> = (0..13u32).map(|j| (j * 7 + 2) % rows as u32).collect();
-        let owned = PackedB::pack_select(&table, k, &select);
-        let mut buf = vec![f32::NAN; PackedB::packed_len(k, select.len())];
+        let len = PackedB::packed_len(k, select.len());
+        let mut fresh = vec![0.0f32; len];
+        PackedB::pack_select_into(&table, k, &select, &mut fresh);
+        let mut buf = vec![f32::NAN; len];
         let view = PackedB::pack_select_into(&table, k, &select, &mut buf);
         assert_eq!((view.k(), view.n()), (k, select.len()));
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&buf), bits(&owned.data));
+        assert_eq!(bits(&buf), bits(&fresh));
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! the [`crate::nn::ParamMap`] names — no positional coupling.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::fs::File;
+use std::io::{self, BufWriter, Read, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::nn::ParamMap;
 use crate::shape::Shape;
@@ -98,10 +100,41 @@ pub fn save_params<W: Write>(params: &ParamMap, writer: &mut W) -> Result<(), Ch
     Ok(())
 }
 
-/// Saves to a file path.
+/// Saves to a file path atomically ([`write_atomic`]): a reader, such as
+/// a serving hot-swap, sees the earlier checkpoint or the whole new one.
 pub fn save_params_to_file(params: &ParamMap, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
-    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-    save_params(params, &mut file)
+    write_atomic(path.as_ref(), |writer| save_params(params, writer))
+}
+
+/// Publishes a file atomically. `write` fills a sibling temp file named
+/// `<name>.<pid>.<n>.tmp`, unique per process and call; the writer is
+/// flushed with its error checked, the file synced and then renamed over
+/// `path`, and the directory synced so the rename is durable. A reader
+/// never sees a partial file. On error the temp file is removed and an
+/// earlier file at `path` is left as it was.
+pub fn write_atomic<E: From<io::Error>>(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> Result<(), E>,
+) -> Result<(), E> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(format!(".{}.{call}.tmp", std::process::id()));
+    let tmp = path.with_file_name(name);
+    let written = (|| {
+        let mut writer = BufWriter::new(File::create(&tmp)?);
+        write(&mut writer)?;
+        let file = writer.into_inner().map_err(|e| e.into_error())?;
+        file.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+        File::open(parent.unwrap_or(Path::new(".")))?.sync_all()?;
+        Ok(())
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 fn read_u32<R: Read>(r: &mut R) -> Result<u32, CheckpointError> {
@@ -266,5 +299,45 @@ mod tests {
         load_params_from_file(&fresh, &path).unwrap();
         assert_eq!(fresh.get("w").unwrap().to_vec(), vec![1.0, 2.0, 3.0, 4.0]);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn save_to_file_replaces_atomically() {
+        let dir = std::env::temp_dir().join(format!("mbssl_ckpt_save_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("m.ckpt");
+        let params = sample_params();
+        save_params_to_file(&params, &path).unwrap();
+        params.get("w").unwrap().data_mut().fill(7.0);
+        save_params_to_file(&params, &path).unwrap();
+        let entries = || -> Vec<_> {
+            let dir = std::fs::read_dir(&dir).unwrap();
+            dir.map(|e| e.unwrap().file_name()).collect()
+        };
+        assert_eq!(entries(), ["m.ckpt"], "a temp file is left");
+        let saved = std::fs::read(&path).unwrap();
+        let loaded = read_checkpoint(&mut saved.as_slice()).unwrap();
+        assert_eq!(loaded["w"].to_vec(), vec![7.0; 4]);
+
+        // A write that fails part way leaves no temp file, and the earlier
+        // checkpoint byte for byte.
+        let failed = write_atomic(&path, |w| {
+            w.write_all(b"MBSL partial")?;
+            Err(io::Error::other("disk full"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(entries(), ["m.ckpt"], "a temp file is left");
+        assert_eq!(std::fs::read(&path).unwrap(), saved);
+
+        // So does one whose rename fails (the target is a directory).
+        let blocked = dir.join("blocked.ckpt");
+        std::fs::create_dir(&blocked).unwrap();
+        assert!(save_params_to_file(&params, &blocked).is_err());
+        assert!(blocked.is_dir());
+        let mut names = entries();
+        names.sort();
+        assert_eq!(names, ["blocked.ckpt", "m.ckpt"]);
+        assert_eq!(std::fs::read(&path).unwrap(), saved);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -244,7 +244,7 @@ pub unsafe fn nt_strip_avx2(a_row: &[f32], strip: &[f32], c_out: &mut [f32]) {
 }
 
 /// Transposes one NR-column strip of the fused gather-pack
-/// (`kernels::PackedB::pack_select`): `dst[p*NR + jj] = rows[jj][p]` for
+/// (`kernels::PackedB::pack_select_into`): `dst[p*NR + jj] = rows[jj][p]` for
 /// `p < kc`. Pure data movement — no arithmetic — so SIMD and scalar are
 /// trivially bit-identical. Dispatches to AVX2 when [`active`].
 #[inline]

@@ -38,13 +38,14 @@
 #                             (the scalar microkernels hosts without
 #                             AVX2/VNNI run must not change a bit); with
 #                             stage 3 pinning fused == unfused, replies equal
-#                             the unfused composition too. Then the fused
-#                             catalog top-n suite (tests/catalog_topn.rs), the
-#                             exact i8 screen suite (tests/catalog_screen.rs)
-#                             and the screened IVF re-rank suite (tests/ann_screen.rs) under
-#                             MBSSL_SIMD=off and MBSSL_THREADS=1 (the fused
-#                             pass, the screened pass and the list-ordered
-#                             screened re-rank must match their oracles
+#                             the unfused composition too. Then the catalog
+#                             top-n suite (tests/catalog_topn.rs: screened and
+#                             gathered exhaustive ranking), the exact i8
+#                             screen suite (tests/catalog_screen.rs) and the
+#                             screened IVF re-rank suite (tests/ann_screen.rs)
+#                             under MBSSL_SIMD=off and MBSSL_THREADS=1 (the
+#                             gathered pass, the screened pass and the
+#                             list-ordered screened re-rank must match their oracles
 #                             through the scalar tile kernel and the portable
 #                             screen kernels too), and the two-stage
 #                             retrieval suite (recall gate +
@@ -66,7 +67,9 @@
 #                             the index workflow: `mbssl index build` /
 #                             `index stats` / two-stage `recommend`, with an
 #                             MBSSL_ANN=off bit-parity diff against the
-#                             pre-index exhaustive output. Then the serve
+#                             pre-index exhaustive output; the trained
+#                             checkpoint and its .ivf must leave no `*.tmp`
+#                             sibling (atomic publication). Then the serve
 #                             smoke: a fixed replay served micro-batched
 #                             (batch 16, cache on) must be byte-identical to
 #                             the single-request run (batch 1, cache off) and
@@ -166,7 +169,7 @@ echo "==> portable kernels (MBSSL_SIMD=off, scalar microkernels)"
 MBSSL_SIMD=off cargo test --release -p mbssl-tensor --test simd_parity -q
 MBSSL_SIMD=off cargo test --release -p mbssl-core --test infer_parity -q
 
-echo "==> fused catalog top-n, exact screen and screened IVF re-rank (scalar/portable kernels, single thread)"
+echo "==> catalog top-n (screened and gathered), exact screen and screened IVF re-rank (scalar/portable kernels, single thread)"
 MBSSL_SIMD=off cargo test --release --test catalog_topn -q
 MBSSL_THREADS=1 cargo test --release --test catalog_topn -q
 MBSSL_SIMD=off cargo test --release --test catalog_screen -q
@@ -183,6 +186,16 @@ MBSSL_ANN=off cargo test --release -p mbssl-core --test ann -q
 trace_file=$(mktemp -t mbssl_ci_trace.XXXXXX.jsonl)
 trace_dir=$(mktemp -d -t mbssl_ci_tracewf.XXXXXX)
 trap 'rm -rf "$trace_file" "$trace_dir"' EXIT
+# Checkpoints and indexes publish atomically: a save must leave no
+# `<file>.*.tmp` sibling behind.
+no_temp_siblings() {
+    local left
+    left=$(find "$(dirname "$1")" -maxdepth 1 -name "$(basename "$1").*.tmp")
+    if [[ -n "$left" ]]; then
+        echo "temp files left next to $1: $left" >&2
+        exit 1
+    fi
+}
 echo "==> traced tests (MBSSL_TRACE=jsonl:$trace_file, full workspace)"
 MBSSL_TRACE="jsonl:$trace_file" cargo test --workspace -q
 
@@ -195,6 +208,7 @@ mbssl=target/release/mbssl
 MBSSL_THREADS=1 "$mbssl" train --data "$trace_dir/log.tsv" --target purchase \
     --model "$trace_dir/model.ckpt" --epochs 2 --dim 16 --interests 2 \
     --trace "jsonl:$trace_dir/trace.jsonl" --run-dir "$trace_dir/run0"
+no_temp_siblings "$trace_dir/model.ckpt"
 "$mbssl" trace summary "$trace_dir/trace.jsonl" \
     --collapsed "$trace_dir/trace.folded" > /dev/null
 # Share-of-wall regression gate against the committed baseline: machine-
@@ -215,6 +229,7 @@ echo "==> index workflow (build → stats → two-stage recommend → ANN-off pa
     > "$trace_dir/recs_exhaustive.txt"
 "$mbssl" index build --data "$trace_dir/log.tsv" --target purchase \
     --model "$trace_dir/model.ckpt" --dim 16 --interests 2
+no_temp_siblings "$trace_dir/model.ckpt.ivf"
 "$mbssl" index stats "$trace_dir/model.ckpt.ivf"
 # Two-stage smoke: the sibling .ivf is picked up automatically.
 "$mbssl" recommend --data "$trace_dir/log.tsv" --target purchase \

@@ -318,15 +318,15 @@ fn model_config(args: &Args, seed: u64) -> ModelConfig {
     }
 }
 
-/// Write-then-rename so `mbssl top` (or any scraper) polling the file
-/// never reads a torn snapshot.
+/// Publishes the snapshot atomically, so `mbssl top` (or any scraper)
+/// polling the file never reads a torn snapshot.
 fn write_snapshot_atomic(path: &std::path::Path, body: &str) -> Result<(), String> {
+    use std::io::Write;
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent).map_err(|e| format!("creating {}: {e}", parent.display()))?;
     }
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, format!("{body}\n")).map_err(|e| format!("writing {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, path).map_err(|e| format!("renaming {}: {e}", tmp.display()))
+    mbssl::tensor::serialize::write_atomic(path, |w| writeln!(w, "{body}"))
+        .map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
 /// `mbssl serve`: the micro-batched request engine over a line protocol

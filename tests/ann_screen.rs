@@ -10,16 +10,18 @@
 //! catalogs and of queries the screen refuses, detaching and re-attaching
 //! an index, and the telemetry of both routes.
 
+mod common;
+
 use std::collections::HashSet;
 use std::sync::{Mutex, MutexGuard};
 
+use common::{
+    bits, exact_scores, item_table, model_with, near_ties, rankable, spread_norms, unscreenable,
+};
 use mbssl::core::ann::{self, IvfIndex, ProbeScratch};
 use mbssl::core::infer::{CatalogQuery, RankedQuery};
 use mbssl::core::screen::CatalogScreen;
-use mbssl::core::{
-    BehaviorSchema, InferenceModel, Mbmissl, ModelConfig, Recommendation, TrainableRecommender,
-};
-use mbssl::data::synthetic::SyntheticConfig;
+use mbssl::core::{InferenceModel, Mbmissl};
 use mbssl::data::{Dataset, ItemId, Sequence};
 use mbssl::telemetry::{self, LabelStats, RecordKind, TraceMode};
 use mbssl::tensor::kernels::{self, PackedB};
@@ -40,70 +42,6 @@ fn serial() -> MutexGuard<'static, ()> {
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// A tiny `k`-interest model of width `dim` whose item table `edit`
-/// rewrites (`edit(table, dim, num_items)`).
-fn model_with(dim: usize, k: usize, edit: impl Fn(&mut [f32], usize, usize)) -> (Mbmissl, Dataset) {
-    let g = SyntheticConfig::taobao_like(31).scaled(0.05).generate();
-    let schema = BehaviorSchema::new(g.dataset.behaviors.clone(), g.dataset.target_behavior);
-    let config = ModelConfig {
-        dim,
-        heads: 2,
-        num_layers: 1,
-        ffn_hidden: 32,
-        num_interests: k,
-        extractor_hidden: 16,
-        max_seq_len: 20,
-        ..ModelConfig::default()
-    };
-    let num_items = g.dataset.num_items;
-    let model = Mbmissl::new(num_items, schema, config);
-    {
-        let params = model.named_params();
-        let mut table = params
-            .get("mbmissl.input.item_emb.weight")
-            .expect("item table param")
-            .data_mut();
-        edit(&mut table, dim, num_items);
-    }
-    (model, g.dataset)
-}
-
-/// Near-ties: items come in threes, the second a one-ulp nudge of the
-/// first in one coordinate and the third an exact copy of the first.
-fn near_ties(table: &mut [f32], dim: usize, num_items: usize) {
-    for v in (1..=num_items).filter(|v| v % 3 != 1) {
-        let src = v - (v - 1) % 3;
-        table.copy_within(src * dim..(src + 1) * dim, v * dim);
-        if v % 3 == 2 {
-            let c = &mut table[v * dim + v % dim];
-            *c = c.next_up();
-        }
-    }
-}
-
-/// Near ties with `bad` in item 7's row: a NaN or an entry past the
-/// screen's magnitude guard makes a catalog `CatalogScreen::build` refuses.
-fn unscreenable(bad: f32) -> impl Fn(&mut [f32], usize, usize) {
-    move |table, dim, num_items| {
-        near_ties(table, dim, num_items);
-        table[7 * dim + 2] = bad;
-    }
-}
-
-/// Row norms spread from 1e-6 to 1e3, every eleventh row all zero.
-fn spread_norms(table: &mut [f32], dim: usize, num_items: usize) {
-    for v in 1..=num_items {
-        let factor = if v % 11 == 0 {
-            0.0
-        } else {
-            10f32.powi((v * 7 % 10) as i32 - 6)
-        };
-        for x in &mut table[v * dim..(v + 1) * dim] {
-            *x *= factor;
-        }
-    }
-}
-
 /// Only 16 distinct rows: item `v` copies row `1 + (v - 1) % 16`, so every
 /// score ties with many others and only the id orders them.
 fn sixteen_rows(table: &mut [f32], dim: usize, num_items: usize) {
@@ -111,18 +49,6 @@ fn sixteen_rows(table: &mut [f32], dim: usize, num_items: usize) {
         let src = 1 + (v - 1) % 16;
         table.copy_within(src * dim..(src + 1) * dim, v * dim);
     }
-}
-
-/// Replies as `(item, score bits)`: `-0.0` and `+0.0` differ here.
-fn bits(recs: &[Recommendation]) -> Vec<(ItemId, u32)> {
-    recs.iter().map(|r| (r.item, r.score.to_bits())).collect()
-}
-
-fn rankable(exclude: &HashSet<ItemId>, num_items: usize) -> usize {
-    let excluded = exclude
-        .iter()
-        .filter(|&&id| (1..=num_items).contains(&(id as usize)));
-    num_items - excluded.count()
 }
 
 /// The reference's candidates: the `probe_into` union less ids past
@@ -327,33 +253,10 @@ fn unscreenable_catalogs_keep_the_gather_route() {
     let _serial = serial();
     for bad in [f32::NAN, 1e31] {
         let (model, dataset) = model_with(16, 3, unscreenable(bad));
-        let params = model.named_params();
-        let table = params.get("mbmissl.input.item_emb.weight").expect("item table");
-        assert!(CatalogScreen::build(&table.to_vec(), 16).is_none(), "{bad}: a screen was built");
+        let table = item_table(&model);
+        assert!(CatalogScreen::build(&table, 16).is_none(), "{bad}: a screen was built");
         assert_matches_reference(&model, &dataset, &format!("item 7 holds {bad}"));
     }
-}
-
-/// Exact max-over-interest scores of `cands` for interests `z` through
-/// the GEMM kernels, strict `>` in interest order.
-fn gemm_scores(table: &[f32], d: usize, z: &[f32], cands: &[ItemId]) -> Vec<f32> {
-    let k = z.len() / d;
-    let mut t = vec![0.0f32; d * cands.len()];
-    for (j, &id) in cands.iter().enumerate() {
-        for (i, &v) in table[id as usize * d..][..d].iter().enumerate() {
-            t[i * cands.len() + j] = v;
-        }
-    }
-    let mut all = vec![0.0f32; k * cands.len()];
-    kernels::gemm_nn(z, &t, &mut all, k, d, cands.len());
-    let strict_max = |best: f32, s: f32| if s > best { s } else { best };
-    (0..cands.len())
-        .map(|j| {
-            (0..k)
-                .map(|kk| all[kk * cands.len() + j])
-                .fold(f32::NEG_INFINITY, strict_max)
-        })
-        .collect()
 }
 
 /// Runs `f` with summary tracing on and returns what it recorded.
@@ -413,13 +316,7 @@ fn nan_interest_takes_the_gather_route_and_counters_follow_the_route() {
         .attach_index_with(index, nprobe)
         .expect("index matches the engine");
     let (d, num_items) = (engine.dim(), dataset.num_items);
-    let table = {
-        let params = model.named_params();
-        params
-            .get("mbmissl.input.item_emb.weight")
-            .expect("item table")
-            .to_vec()
-    };
+    let table = item_table(&model);
     let none = HashSet::new();
     let query = [CatalogQuery {
         n: 10,
@@ -462,10 +359,9 @@ fn nan_interest_takes_the_gather_route_and_counters_follow_the_route() {
     let records = traced(|| gathered = engine.rank_from_interests(&nan, &query, num_items, None));
     let cands = candidates(&oracle, &nan, nprobe, num_items, &none);
     assert!(gathered[0].used_ann, "the NaN query still fills");
-    assert_eq!(
-        bits(&gathered[0].recs),
-        top_n(&cands, &gemm_scores(&table, d, &nan, &cands), 10)
-    );
+    let scores = exact_scores(&table, d, &nan);
+    let cand_scores: Vec<f32> = cands.iter().map(|&c| scores[c as usize]).collect();
+    assert_eq!(bits(&gathered[0].recs), top_n(&cands, &cand_scores, 10));
     assert_eq!(counter(&records, "infer.screen_fallbacks"), 1);
     assert_eq!(counter(&records, "infer.screen_survivors"), 0);
     let panel = PackedB::packed_len(d, cands.len()) * 4;

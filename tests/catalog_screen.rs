@@ -12,17 +12,15 @@
 //! holds over extreme magnitudes, and check the VNNI kernels against their
 //! portable twins.
 
+mod common;
+
 use std::collections::HashSet;
 
+use common::{bits, exact_scores, item_table, model_with, near_ties, rankable, spread_norms};
 use mbssl::core::infer::{Arena, CatalogQuery};
 use mbssl::core::screen::CatalogScreen;
-use mbssl::core::{
-    recommend_top_n_reference, BehaviorSchema, InferenceModel, Mbmissl, ModelConfig,
-    Recommendation, SequentialRecommender, TrainableRecommender,
-};
-use mbssl::data::synthetic::SyntheticConfig;
+use mbssl::core::{recommend_top_n_reference, InferenceModel, Mbmissl, SequentialRecommender};
 use mbssl::data::{Dataset, ItemId, Sequence};
-use mbssl::tensor::kernels;
 use mbssl::tensor::simd::{self, SCREEN_GROUP_BYTES, SCREEN_LANES};
 use proptest::prelude::*;
 
@@ -45,100 +43,6 @@ impl Stream {
     fn unit(&mut self) -> f32 {
         (self.next() >> 40) as f32 / (1u64 << 23) as f32 - 1.0
     }
-}
-
-/// A tiny `k`-interest model of width `dim` whose item table `edit`
-/// rewrites (`edit(table, dim, num_items)`).
-fn model_with(dim: usize, k: usize, edit: impl Fn(&mut [f32], usize, usize)) -> (Mbmissl, Dataset) {
-    let g = SyntheticConfig::taobao_like(31).scaled(0.05).generate();
-    let schema = BehaviorSchema::new(g.dataset.behaviors.clone(), g.dataset.target_behavior);
-    let config = ModelConfig {
-        dim,
-        heads: 2,
-        num_layers: 1,
-        ffn_hidden: 32,
-        num_interests: k,
-        extractor_hidden: 16,
-        max_seq_len: 20,
-        ..ModelConfig::default()
-    };
-    let num_items = g.dataset.num_items;
-    let model = Mbmissl::new(num_items, schema, config);
-    {
-        let params = model.named_params();
-        let mut table = params
-            .get("mbmissl.input.item_emb.weight")
-            .expect("item table param")
-            .data_mut();
-        edit(&mut table, dim, num_items);
-    }
-    (model, g.dataset)
-}
-
-/// Near-ties: items come in threes, the second a one-ulp nudge of the
-/// first in one coordinate and the third an exact copy of the first.
-fn near_ties(table: &mut [f32], dim: usize, num_items: usize) {
-    for v in (1..=num_items).filter(|v| v % 3 != 1) {
-        let src = v - (v - 1) % 3;
-        table.copy_within(src * dim..(src + 1) * dim, v * dim);
-        if v % 3 == 2 {
-            let c = &mut table[v * dim + v % dim];
-            *c = c.next_up();
-        }
-    }
-}
-
-/// Row norms spread from 1e-6 to 1e3, every eleventh row all zero.
-fn spread_norms(table: &mut [f32], dim: usize, num_items: usize) {
-    for v in 1..=num_items {
-        let factor = if v % 11 == 0 {
-            0.0
-        } else {
-            10f32.powi((v * 7 % 10) as i32 - 6)
-        };
-        for x in &mut table[v * dim..(v + 1) * dim] {
-            *x *= factor;
-        }
-    }
-}
-
-/// Replies as `(item, score bits)`: `-0.0` and `+0.0` differ here.
-fn bits(recs: &[Recommendation]) -> Vec<(ItemId, u32)> {
-    recs.iter().map(|r| (r.item, r.score.to_bits())).collect()
-}
-
-fn rankable(exclude: &HashSet<ItemId>, num_items: usize) -> usize {
-    let excluded = exclude
-        .iter()
-        .filter(|&&id| (1..=num_items).contains(&(id as usize)));
-    num_items - excluded.count()
-}
-
-/// The compiled item table of `model`, row-major `(num_items + 1) × dim`.
-fn item_table(model: &Mbmissl) -> Vec<f32> {
-    let params = model.named_params();
-    params
-        .get("mbmissl.input.item_emb.weight")
-        .expect("item table param")
-        .to_vec()
-}
-
-/// Exact max-over-interest scores of every table row for interests `z`
-/// (`k × d`) through the GEMM kernels, strict `>` in interest order.
-fn exact_scores(table: &[f32], d: usize, z: &[f32]) -> Vec<f32> {
-    let (rows, k) = (table.len() / d, z.len() / d);
-    let mut t = vec![0.0f32; table.len()];
-    kernels::transpose(table, &mut t, rows, d);
-    let mut all = vec![0.0f32; k * rows];
-    kernels::gemm_nn(z, &t, &mut all, k, d, rows);
-    (0..rows)
-        .map(|v| {
-            let strict_max = |best: f32, s: f32| if s > best { s } else { best };
-            (0..k)
-                .map(|kk| all[kk * rows + v])
-                .fold(f32::NEG_INFINITY, strict_max)
-        })
-        .collect()
 }
 
 /// The naive oracle for hand-made interests: score every item exactly,

@@ -1,67 +1,56 @@
-//! Fused catalog top-n parity (DESIGN.md §13–14).
+//! Catalog top-n parity (DESIGN.md §13–14).
 //!
-//! The engine ranks the catalog in one pass: it streams the packed item
-//! table strip by strip, reduces each item's max over interests in place,
-//! and admits an item into the top-n heap only when it beats the current
-//! n-th best. These tests pin that pass bit for bit against the naive
-//! chunked oracle (`recommend_top_n_reference`) and against one-query
-//! calls, on a catalog full of exact ties, and pin the short-probe
-//! fallback of two-stage retrieval.
+//! The engine ranks the catalog through the exact i8 screen, or, for a
+//! catalog the screen refuses, through one gathered pass: it packs the
+//! item table a chunk at a time, streams each chunk strip by strip,
+//! reduces each item's max over interests in place, and admits an item
+//! into the top-n heap only when it beats the current n-th best. These
+//! tests pin both routes bit for bit against the naive chunked oracle
+//! (`recommend_top_n_reference`) and against one-query calls, on catalogs
+//! full of exact ties, on catalogs the screen refuses, and across the
+//! gather chunk boundary, and pin the short-probe fallback of two-stage
+//! retrieval.
+
+mod common;
 
 use std::collections::HashSet;
 
-use mbssl::core::infer::CatalogQuery;
-use mbssl::core::{
-    recommend_top_n_reference, BehaviorSchema, InferenceModel, Mbmissl, ModelConfig,
-    Recommendation, SequentialRecommender, TrainableRecommender,
-};
-use mbssl::data::synthetic::SyntheticConfig;
+use common::{bits, item_table, model_over, model_with, rankable, unscreenable};
+use mbssl::core::infer::{CatalogQuery, GATHER_CHUNK};
+use mbssl::core::screen::CatalogScreen;
+use mbssl::core::{recommend_top_n_reference, InferenceModel, Mbmissl, SequentialRecommender};
 use mbssl::data::{Dataset, ItemId, Sequence};
 use mbssl::tensor::kernels::{self, PackedB, NR};
 
-/// A tiny `k`-interest model whose item table repeats every embedding
-/// row three times, so most scores tie exactly and only the id
-/// tie-break orders them.
+/// A `k`-interest model whose item table repeats every embedding row
+/// three times, so most scores tie exactly and only the id tie-break
+/// orders them.
 fn model_with_ties(k: usize) -> (Mbmissl, Dataset) {
-    let g = SyntheticConfig::taobao_like(31).scaled(0.05).generate();
-    let schema = BehaviorSchema::new(g.dataset.behaviors.clone(), g.dataset.target_behavior);
-    let config = ModelConfig {
-        dim: 16,
-        heads: 2,
-        num_layers: 1,
-        ffn_hidden: 32,
-        num_interests: k,
-        extractor_hidden: 16,
-        max_seq_len: 20,
-        ..ModelConfig::default()
-    };
-    let num_items = g.dataset.num_items;
-    let model = Mbmissl::new(num_items, schema, config);
-    let params = model.named_params();
-    let mut table = params
-        .get("mbmissl.input.item_emb.weight")
-        .expect("item table param")
-        .data_mut();
-    let groups = num_items / 3;
-    for v in groups + 1..=num_items {
-        let src = 1 + (v - 1) % groups;
-        table.copy_within(src * 16..(src + 1) * 16, v * 16);
-    }
-    drop(table);
-    (model, g.dataset)
+    model_with(16, k, |table, dim, num_items| {
+        let groups = num_items / 3;
+        for v in groups + 1..=num_items {
+            let src = 1 + (v - 1) % groups;
+            table.copy_within(src * dim..(src + 1) * dim, v * dim);
+        }
+    })
 }
 
-/// Replies as `(item, score bits)`: `-0.0` and `+0.0` differ here.
-fn bits(recs: &[Recommendation]) -> Vec<(ItemId, u32)> {
-    recs.iter().map(|r| (r.item, r.score.to_bits())).collect()
-}
-
-fn rankable(exclude: &HashSet<ItemId>, num_items: usize) -> usize {
-    num_items
-        - exclude
-            .iter()
-            .filter(|&&id| (1..=num_items).contains(&(id as usize)))
-            .count()
+/// An unscreenable near-tie catalog of two gather chunks and a ragged
+/// third. The triples that straddle the chunk boundaries (ids 1024–1026
+/// and 2047–2049 for a 1024-item chunk) are scaled by ±64, exactly, so
+/// they lead or trail every ranking and their near ties decide it.
+fn chunked_catalog(k: usize) -> (Mbmissl, Dataset) {
+    let num_items = 2 * GATHER_CHUNK + 37;
+    model_over(Some(num_items), 16, k, |table, dim, num_items| {
+        unscreenable(f32::NAN)(table, dim, num_items);
+        for (boundary, scale) in [(GATHER_CHUNK, 64.0f32), (2 * GATHER_CHUNK, -64.0)] {
+            let first = boundary - (boundary - 1) % 3;
+            assert!(boundary < first + 2, "a triple straddles {boundary}");
+            for x in &mut table[first * dim..(first + 3) * dim] {
+                *x *= scale;
+            }
+        }
+    })
 }
 
 #[test]
@@ -114,10 +103,23 @@ fn strip_gemm_matches_prepacked_gemm_bit_for_bit() {
 }
 
 #[test]
-fn fused_top_n_matches_reference_and_solo_calls() {
-    for k in [3, 4, 5] {
-        let (model, dataset) = model_with_ties(k);
-        let engine = InferenceModel::compile(&model);
+fn catalog_top_n_matches_reference_and_solo_calls() {
+    let mut catalogs: Vec<(String, usize, (Mbmissl, Dataset))> = [3, 4, 5]
+        .into_iter()
+        .map(|k| ("triplicated rows".to_string(), k, model_with_ties(k)))
+        .collect();
+    for bad in [f32::NAN, 1e31] {
+        let label = format!("item 7 holds {bad}");
+        catalogs.push((label, 3, model_with(16, 3, unscreenable(bad))));
+    }
+    catalogs.push(("two gather chunks".to_string(), 4, chunked_catalog(4)));
+    for (label, k, (model, dataset)) in &catalogs {
+        let (label, k) = (label.as_str(), *k);
+        if label != "triplicated rows" {
+            let screen = CatalogScreen::build(&item_table(model), 16);
+            assert!(screen.is_none(), "{label}: screened");
+        }
+        let engine = InferenceModel::compile(model);
         let histories: Vec<&Sequence> = dataset.sequences.iter().take(5).collect();
         // Interests encoded one history at a time, so every row is the
         // solo encoding whatever the histories' lengths.
@@ -126,7 +128,7 @@ fn fused_top_n_matches_reference_and_solo_calls() {
             .flat_map(|h| engine.encode_interests(&[h]))
             .collect();
         let z_of = |qi: usize| &z_all[qi * k * engine.dim()..][..k * engine.dim()];
-        let full = dataset.num_items;
+        let full = engine.num_items();
         // A catalog argument below the compiled table, off the strip grid.
         for num_items in [full, full * 2 / 3 - 3] {
             let excludes: Vec<HashSet<ItemId>> = histories
@@ -141,7 +143,7 @@ fn fused_top_n_matches_reference_and_solo_calls() {
                     _ => {
                         let none = HashSet::new();
                         let top1 =
-                            recommend_top_n_reference(&model, h, num_items, 1, &none, 64)[0].item;
+                            recommend_top_n_reference(model, h, num_items, 1, &none, 64)[0].item;
                         [0, top1].into_iter().collect()
                     }
                 })
@@ -165,10 +167,13 @@ fn fused_top_n_matches_reference_and_solo_calls() {
                 );
                 assert_eq!(batched.len(), r);
                 for (qi, (q, got)) in queries.iter().zip(&batched).enumerate() {
-                    let ctx = format!("K={k} num_items={num_items} r={r} query={qi} n={}", q.n);
+                    let ctx = format!(
+                        "{label} K={k} num_items={num_items} r={r} query={qi} n={}",
+                        q.n
+                    );
                     assert!(!got.used_ann, "{ctx}: no index is attached");
                     let reference = recommend_top_n_reference(
-                        &model,
+                        model,
                         histories[qi],
                         num_items,
                         q.n,
