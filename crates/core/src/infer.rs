@@ -71,6 +71,7 @@ use mbssl_data::{Behavior, ItemId, Sequence};
 use mbssl_hypergraph::{build_batch_incidence, BatchIncidence, HypergraphConfig};
 use mbssl_telemetry as telemetry;
 use mbssl_tensor::kernels::{self, PackedB, PackedBView, MASK_FILL, NR};
+use mbssl_tensor::nn::LAYER_NORM_EPS as LN_EPS;
 use mbssl_tensor::quant::QuantMode;
 use mbssl_tensor::simd::SCREEN_LANES;
 
@@ -82,9 +83,6 @@ use crate::model::Mbmissl;
 use crate::recommender::{RankKey, Recommendation, SequentialRecommender};
 use crate::screen::{CatalogScreen, ScreenQuery};
 use crate::trainer::TrainableRecommender;
-
-/// LayerNorm epsilon: every `LayerNorm::new` in the model uses 1e-5.
-const LN_EPS: f32 = 1e-5;
 
 /// A bump arena for per-request activation buffers.
 ///
@@ -681,9 +679,11 @@ struct TopN<'a> {
 }
 
 impl<'a> TopN<'a> {
-    fn new(q: &CatalogQuery<'a>) -> TopN<'a> {
+    /// Retention for `q` over a catalog of `num_items`: the heap never
+    /// holds more than the catalog, whatever `q.n` asks for.
+    fn new(q: &CatalogQuery<'a>, num_items: usize) -> TopN<'a> {
         assert!(q.n > 0);
-        let heap = BinaryHeap::with_capacity(q.n);
+        let heap = BinaryHeap::with_capacity(q.n.min(num_items));
         TopN { heap, n: q.n, exclude: q.exclude, floor: f32::NEG_INFINITY }
     }
 
@@ -1251,7 +1251,7 @@ impl InferenceModel {
             return Vec::new();
         }
         let mut score_sp = telemetry::span("infer.score_catalog");
-        let mut tops: Vec<TopN<'_>> = queries.iter().map(TopN::new).collect();
+        let mut tops: Vec<TopN<'_>> = queries.iter().map(|q| TopN::new(q, num_items)).collect();
         let mut used_ann = vec![false; queries.len()];
         match self.ann.as_ref().filter(|_| ann::enabled()) {
             // One exhaustive call for the whole batch.

@@ -10,6 +10,7 @@
 
 use mbssl_telemetry::Histogram;
 
+use super::protocol::MetricsFormat;
 use super::server::ServeStats;
 
 /// The serve pipeline stages, in request order (DESIGN.md §17). Stage
@@ -116,6 +117,14 @@ fn push_hist_json(out: &mut String, h: &Histogram) {
 }
 
 impl MetricsSnapshot {
+    /// The snapshot in `format`, as a `metrics` request asks for it.
+    pub fn render(&self, format: MetricsFormat) -> String {
+        match format {
+            MetricsFormat::Json => self.to_json(),
+            MetricsFormat::Prom => self.to_prometheus(),
+        }
+    }
+
     /// One-line JSON rendering (schema [`METRICS_SCHEMA`]). Latency
     /// histograms are in nanoseconds; buckets are `[lower, upper,
     /// count]` triples over the non-empty buckets only.

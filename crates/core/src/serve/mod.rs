@@ -11,6 +11,11 @@
 //!   `"seen:0.5,pop:0.2,topk:100"` style spec.
 //! - [`server`] — worker loop tying the three together, plus checkpoint
 //!   hot-swap and the ANN latency-budget policy.
+//! - [`protocol`] — the line protocol of `mbssl serve`: a pure parser
+//!   from one line to a [`Request`] or a typed [`ProtocolError`], and the
+//!   reply printer shared with `mbssl recommend`.
+//! - [`metrics`] — the point-in-time snapshot behind the `metrics`
+//!   request and `mbssl top`.
 //!
 //! Design notes live in DESIGN.md §15; the bit-identity argument for
 //! batched vs. solo serving is on
@@ -18,12 +23,14 @@
 
 pub mod batcher;
 pub mod metrics;
+pub mod protocol;
 pub mod rerank;
 pub mod server;
 pub mod session;
 
 pub use batcher::BatchQueue;
 pub use metrics::{MetricsSnapshot, Stage, METRICS_SCHEMA, NUM_STAGES};
+pub use protocol::{parse_line, MetricsFormat, ProtocolError, Request};
 pub use rerank::{RerankChain, RerankContext, RerankStage};
 pub use server::{ServeConfig, ServeError, ServeReply, ServeStats, Server};
 pub use session::{SessionStore, UserSnapshot};

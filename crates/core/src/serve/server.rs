@@ -397,6 +397,22 @@ impl Server {
         rx.recv().map_err(|_| ServeError::Closed)
     }
 
+    /// Submits every `(user, n)` request concurrently, one scoped thread
+    /// each, so they can share micro-batches, and returns the replies in
+    /// request order.
+    pub fn submit_all(&self, requests: &[(UserId, usize)]) -> Vec<Result<ServeReply, ServeError>> {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = requests
+                .iter()
+                .map(|&(user, n)| scope.spawn(move || self.submit(user, n)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("submit panics only on n == 0"))
+                .collect()
+        })
+    }
+
     /// Appends one event to `user`'s session (invalidating only that
     /// user's cached encoding).
     pub fn ingest(&self, user: UserId, item: ItemId, behavior: Behavior) -> Result<(), String> {
@@ -610,7 +626,7 @@ fn serve_batch(inner: &ServerInner, jobs: &mut Vec<ServeJob>) {
         .iter()
         .zip(sessions.iter())
         .map(|(job, session)| CatalogQuery {
-            n: (job.n * overscan).min(num_items),
+            n: job.n.saturating_mul(overscan).min(num_items),
             exclude: if inner.exclude_seen {
                 &session.seen
             } else {

@@ -92,14 +92,9 @@ fn batched_serving_is_bit_identical_to_sequential_top_n() {
             );
             // Concurrent submitters: one thread per user, all in flight at
             // once, so drains genuinely mix users into shared batches.
-            let server_ref = &server;
-            let replies: Vec<_> = std::thread::scope(|scope| {
-                let handles: Vec<_> = users
-                    .iter()
-                    .map(|&u| scope.spawn(move || server_ref.submit(u, n).unwrap()))
-                    .collect();
-                handles.into_iter().map(|h| h.join().unwrap()).collect()
-            });
+            let requests: Vec<(UserId, usize)> = users.iter().map(|&u| (u, n)).collect();
+            let replies: Vec<_> =
+                server.submit_all(&requests).into_iter().map(Result::unwrap).collect();
             for ((reply, want), &u) in replies.iter().zip(&expected).zip(&users) {
                 assert!(reply.batch_size >= 1 && reply.batch_size <= max_batch);
                 assert_eq!(
@@ -299,6 +294,32 @@ fn rerank_chain_composes_with_retrieval_overscan() {
     server.shutdown();
 }
 
+/// A top count near `usize::MAX` is a valid request: with a chain set,
+/// the 4× retrieval overscan saturates at the catalog size instead of
+/// overflowing (or wrapping to 0) inside a worker, and the reply is the
+/// whole unseen catalog in exhaustive order.
+#[test]
+fn huge_top_count_with_rerank_chain_gets_a_full_reply() {
+    let (model, dataset) = tiny_model(EncoderKind::Hypergraph, ExtractorKind::SelfAttentive);
+    let server = Server::start(
+        InferenceModel::compile(&model),
+        Arc::new(SessionStore::from_dataset(&dataset)),
+        RerankChain::parse("topk:1000000").unwrap(),
+        ServeConfig {
+            max_batch: 4,
+            workers: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let reply = server.submit(2, usize::MAX / 4 + 1).expect("worker must survive");
+    let seen: HashSet<ItemId> = dataset.sequences[2].items.iter().copied().collect();
+    assert_eq!(reply.recs.len(), dataset.num_items - seen.len());
+    assert_eq!(reply.recs, offline(&model, &dataset, 2, dataset.num_items));
+    // The server keeps serving after it.
+    assert_eq!(server.submit(2, 3).unwrap().recs, offline(&model, &dataset, 2, 3));
+    server.shutdown();
+}
+
 /// The observability layer must never change what is served:
 /// `MBSSL_TRACE=off` and an instrumented run produce bit-identical
 /// recommendations for the same workload (the stage histograms are
@@ -322,14 +343,9 @@ fn trace_mode_does_not_change_served_results() {
                 ..ServeConfig::default()
             },
         );
-        let server_ref = &server;
-        let replies: Vec<Vec<Recommendation>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = users
-                .iter()
-                .map(|&u| scope.spawn(move || server_ref.submit(u, n).unwrap().recs))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let requests: Vec<(UserId, usize)> = users.iter().map(|&u| (u, n)).collect();
+        let replies: Vec<Vec<Recommendation>> =
+            server.submit_all(&requests).into_iter().map(|r| r.unwrap().recs).collect();
         server.shutdown();
         replies
     };

@@ -534,12 +534,6 @@ impl MbdsFile {
         self.cast_slice(self.timestamps_at, self.num_events)
     }
 
-    /// Event range of one user within the column views.
-    pub fn user_range(&self, user: usize) -> std::ops::Range<usize> {
-        let offs = self.user_offsets();
-        offs[user] as usize..offs[user + 1] as usize
-    }
-
     /// Materializes a heap [`Dataset`] from the columns. `.mbds` files
     /// store already-preprocessed (k-cored, densely remapped) data, so no
     /// further preprocessing is applied on load.

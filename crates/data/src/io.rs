@@ -179,6 +179,8 @@ pub fn save_tsv(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), IoError
             writeln!(w, "{u}\t{it}\t{}\t{t}", b.token())?;
         }
     }
+    // A drop would flush too, but would swallow an error on the last buffer.
+    w.flush()?;
     Ok(())
 }
 
@@ -257,5 +259,15 @@ mod tests {
         assert_eq!(d2.num_items, d.num_items);
         assert_eq!(d2.num_interactions(), d.num_interactions());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `/dev/full` fails every write; this log fits in one buffer, so
+    /// only the final flush can report it.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn save_tsv_reports_a_failed_final_flush() {
+        let inters = read_interactions(SAMPLE.as_bytes()).unwrap();
+        let d = dataset_from_interactions("t", inters, Behavior::Purchase).unwrap();
+        assert!(save_tsv(&d, "/dev/full").is_err());
     }
 }

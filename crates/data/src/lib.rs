@@ -25,7 +25,6 @@ pub mod format;
 pub mod io;
 pub mod preprocess;
 pub mod sampler;
-pub mod sessionize;
 pub mod synthetic;
 pub mod types;
 

@@ -29,12 +29,6 @@ pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Tens
     uniform([fan_in, fan_out], -bound, bound, rng)
 }
 
-/// Kaiming/He normal for ReLU networks, `[fan_in, fan_out]`.
-pub fn kaiming_normal(fan_in: usize, fan_out: usize, rng: &mut impl Rng) -> Tensor {
-    let std = (2.0 / fan_in as f32).sqrt();
-    normal([fan_in, fan_out], 0.0, std, rng)
-}
-
 /// Embedding-table initialization: small normal, matching the common
 /// `N(0, 0.02)` transformer convention.
 pub fn embedding_table(vocab: usize, dim: usize, rng: &mut impl Rng) -> Tensor {

@@ -236,7 +236,7 @@ fn pack_b_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// A matrix packed once into the `pack_b_panels` layout, for GEMMs whose
 /// right-hand side is reused across many calls (inference weights, the
 /// IVF centroids). Packing is pure data movement, so
-/// [`gemm_nn_prepacked`] over a `PackedB` is bit-identical to [`gemm_nn`]
+/// [`gemm_nn_prepacked_scratch`] over a `PackedB` is bit-identical to [`gemm_nn`]
 /// over the original row-major matrix.
 pub struct PackedB {
     data: Vec<f32>,
@@ -362,36 +362,13 @@ fn pack_select_fill(table: &[f32], k: usize, select: &[u32], data: &mut [f32]) {
     }
 }
 
-/// C += A(m×k) · B with B pre-packed by [`PackedB::pack`]. Bit-identical
-/// to [`gemm_nn`] on the unpacked matrix (the packed and naive paths share
-/// the per-element accumulation order); skips the per-call pack entirely.
-pub fn gemm_nn_prepacked(a: &[f32], b: &PackedB, c: &mut [f32], m: usize) {
-    debug_assert_eq!(a.len(), m * b.k);
-    debug_assert_eq!(c.len(), m * b.n);
-    let mut sp = telemetry::span("kernel.gemm_nn");
-    sp.add_bytes(4 * (m * b.k + b.k * b.n + m * b.n) as u64);
-    let threads = thread_count(m * b.k * b.n, PAR_GEMM_THRESHOLD);
-    if threads <= 1 || m < 2 {
-        let mut apack = alloc::zeroed(MR * KC);
-        gemm_nn_packed_panel_with(a, &b.data, c, b.k, b.n, &mut apack);
-        alloc::recycle(apack);
-        return;
-    }
-    let (k, n) = (b.k, b.n);
-    let rows_per = rows_per_chunk(m, threads);
-    pool::parallel_chunks_mut(c, rows_per * n, |ci, c_chunk| {
-        let row = ci * rows_per;
-        let take = c_chunk.len() / n;
-        let mut apack = alloc::zeroed(MR * KC);
-        gemm_nn_packed_panel_with(&a[row * k..(row + take) * k], &b.data, c_chunk, k, n, &mut apack);
-        alloc::recycle(apack);
-    });
-}
-
-/// [`gemm_nn_prepacked`] with a caller-provided A-repack scratch buffer of
-/// at least [`PackedB::SCRATCH_LEN`] elements (no allocator traffic at
-/// all). Always sequential — the inference engine calls this per request
-/// with arena-owned scratch. Accepts `&PackedB` or a [`PackedBView`].
+/// C += A(m×k) · B with B pre-packed by [`PackedB::pack`], using a
+/// caller-provided A-repack scratch buffer of at least
+/// [`PackedB::SCRATCH_LEN`] elements (no allocator traffic at all).
+/// Bit-identical to [`gemm_nn`] on the unpacked matrix (the packed and
+/// naive paths share the per-element accumulation order). Always
+/// sequential — the inference engine calls this per request with
+/// arena-owned scratch. Accepts `&PackedB` or a [`PackedBView`].
 pub fn gemm_nn_prepacked_scratch<'p>(
     a: &[f32],
     b: impl Into<PackedBView<'p>>,
@@ -1462,7 +1439,7 @@ mod tests {
         let mut c_ref = vec![0.0f32; m * n];
         let mut c_fused = vec![0.0f32; m * n];
         let mut apack = vec![0.0f32; PackedB::SCRATCH_LEN];
-        gemm_nn_prepacked(&a, &reference, &mut c_ref, m);
+        gemm_nn_prepacked_scratch(&a, &reference, &mut c_ref, m, &mut apack);
         gemm_nn_prepacked_scratch(&a, fused, &mut c_fused, m, &mut apack);
         assert_eq!(bits(&c_ref), bits(&c_fused));
     }

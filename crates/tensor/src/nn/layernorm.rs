@@ -3,36 +3,31 @@
 use crate::nn::{join_name, Module, ParamMap};
 use crate::tensor::Tensor;
 
+/// The numerical-stability epsilon of every [`LayerNorm`].
+pub const LAYER_NORM_EPS: f32 = 1e-5;
+
 /// LayerNorm over the last axis with learnable affine parameters.
 pub struct LayerNorm {
     gamma: Tensor,
     beta: Tensor,
-    eps: f32,
     dim: usize,
 }
 
 impl LayerNorm {
     /// Fresh LayerNorm over a last axis of width `dim` (`gamma = 1`,
-    /// `beta = 0`, `eps = 1e-5`).
+    /// `beta = 0`, eps [`LAYER_NORM_EPS`]).
     pub fn new(dim: usize) -> Self {
         LayerNorm {
             gamma: Tensor::ones([dim]).requires_grad(),
             beta: Tensor::zeros([dim]).requires_grad(),
-            eps: 1e-5,
             dim,
         }
-    }
-
-    /// Overrides the numerical-stability epsilon.
-    pub fn with_eps(mut self, eps: f32) -> Self {
-        self.eps = eps;
-        self
     }
 
     /// Normalizes `x` over its last axis and applies the affine transform.
     pub fn forward(&self, x: &Tensor) -> Tensor {
         debug_assert_eq!(*x.dims().last().unwrap(), self.dim, "layernorm dim mismatch");
-        x.layer_norm(&self.gamma, &self.beta, self.eps)
+        x.layer_norm(&self.gamma, &self.beta, LAYER_NORM_EPS)
     }
 
     /// Normalized axis width.
@@ -45,7 +40,7 @@ impl LayerNorm {
     /// `self.forward(&a.add(b))`.
     pub fn residual_forward(&self, a: &Tensor, b: &Tensor) -> Tensor {
         debug_assert_eq!(*a.dims().last().unwrap(), self.dim, "layernorm dim mismatch");
-        a.residual_layer_norm(b, &self.gamma, &self.beta, self.eps)
+        a.residual_layer_norm(b, &self.gamma, &self.beta, LAYER_NORM_EPS)
     }
 }
 

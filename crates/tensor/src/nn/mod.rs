@@ -19,7 +19,7 @@ pub use attention::{causal_mask, key_padding_mask, MultiHeadAttention};
 pub use embedding::Embedding;
 pub use feedforward::{Activation, FeedForward};
 pub use gru::Gru;
-pub use layernorm::LayerNorm;
+pub use layernorm::{LayerNorm, LAYER_NORM_EPS};
 pub use linear::Linear;
 pub use transformer::TransformerBlock;
 
@@ -37,11 +37,6 @@ pub enum Mode<'a> {
 }
 
 impl Mode<'_> {
-    /// Whether this is a training pass.
-    pub fn is_train(&self) -> bool {
-        matches!(self, Mode::Train(_))
-    }
-
     /// Applies dropout with probability `p` in training mode; identity in
     /// eval mode or when `p == 0`.
     pub fn dropout(&mut self, x: &Tensor, p: f32) -> Tensor {

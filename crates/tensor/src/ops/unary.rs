@@ -89,14 +89,6 @@ impl Tensor {
         unary_op(self, |x| x * x, |x, _, g| g * 2.0 * x)
     }
 
-    /// Elementwise power with constant exponent.
-    pub fn pow_scalar(&self, p: f32) -> Tensor {
-        unary_op(
-            self,
-            move |x| x.powf(p),
-            move |x, _, g| g * p * x.powf(p - 1.0),
-        )
-    }
 
     /// Rectified linear unit.
     pub fn relu(&self) -> Tensor {
@@ -181,16 +173,6 @@ impl Tensor {
     /// [`Tensor::sigmoid`], reusing `self`'s buffer when possible.
     pub fn into_sigmoid(self) -> Tensor {
         unary_op_consuming(self, |x| 1.0 / (1.0 + (-x).exp()), |_, y, g| g * y * (1.0 - y))
-    }
-
-    /// [`Tensor::exp`], reusing `self`'s buffer when possible.
-    pub fn into_exp(self) -> Tensor {
-        unary_op_consuming(self, f32::exp, |_, y, g| g * y)
-    }
-
-    /// [`Tensor::neg`], reusing `self`'s buffer when possible.
-    pub fn into_neg(self) -> Tensor {
-        unary_op_consuming(self, |x| -x, |_, _, g| -g)
     }
 
     /// [`Tensor::mul_scalar`], reusing `self`'s buffer when possible.

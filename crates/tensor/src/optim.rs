@@ -19,12 +19,6 @@ pub trait Optimizer {
 
     /// The parameters being optimized.
     fn params(&self) -> &[Tensor];
-
-    /// Overrides the learning rate (for schedules).
-    fn set_lr(&mut self, lr: f32);
-
-    /// Current learning rate.
-    fn lr(&self) -> f32;
 }
 
 /// Clips the global L2 norm of all gradients to `max_norm`; returns the
@@ -46,142 +40,37 @@ pub fn clip_grad_norm(params: &[Tensor], max_norm: f32) -> f32 {
     norm
 }
 
-/// Plain SGD with optional momentum and L2 weight decay.
-pub struct Sgd {
-    params: Vec<Tensor>,
-    lr: f32,
-    momentum: f32,
-    weight_decay: f32,
-    velocity: HashMap<u64, Vec<f32>>,
-}
-
-impl Sgd {
-    /// Plain SGD (no momentum, no weight decay).
-    pub fn new(params: Vec<Tensor>, lr: f32) -> Self {
-        Sgd {
-            params,
-            lr,
-            momentum: 0.0,
-            weight_decay: 0.0,
-            velocity: HashMap::new(),
-        }
-    }
-
-    /// Enables classical (heavy-ball) momentum.
-    pub fn with_momentum(mut self, momentum: f32) -> Self {
-        self.momentum = momentum;
-        self
-    }
-
-    /// Enables L2 weight decay (added to the gradient).
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self) {
-        for p in &self.params {
-            let g_ref = p.grad_ref();
-            let Some(g) = g_ref.as_ref() else { continue };
-            let mut data = p.data_mut();
-            if self.momentum > 0.0 {
-                let v = self
-                    .velocity
-                    .entry(p.id())
-                    .or_insert_with(|| vec![0.0; data.len()]);
-                for i in 0..data.len() {
-                    let grad = g[i] + self.weight_decay * data[i];
-                    v[i] = self.momentum * v[i] + grad;
-                    data[i] -= self.lr * v[i];
-                }
-            } else {
-                for i in 0..data.len() {
-                    let grad = g[i] + self.weight_decay * data[i];
-                    data[i] -= self.lr * grad;
-                }
-            }
-        }
-    }
-
-    fn zero_grad(&mut self) {
-        for p in &self.params {
-            p.zero_grad();
-        }
-    }
-
-    fn params(&self) -> &[Tensor] {
-        &self.params
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
-/// Adam / AdamW (decoupled weight decay when `decoupled == true`).
+/// Adam with the default betas (0.9, 0.999) and eps 1e-8.
 pub struct Adam {
     params: Vec<Tensor>,
     lr: f32,
-    beta1: f32,
-    beta2: f32,
-    eps: f32,
-    weight_decay: f32,
-    decoupled: bool,
     t: u64,
     m: HashMap<u64, Vec<f32>>,
     v: HashMap<u64, Vec<f32>>,
 }
 
 impl Adam {
-    /// Standard Adam with default betas (0.9, 0.999).
+    const BETA1: f32 = 0.9;
+    const BETA2: f32 = 0.999;
+    const EPS: f32 = 1e-8;
+
+    /// Adam over `params` at learning rate `lr`.
     pub fn new(params: Vec<Tensor>, lr: f32) -> Self {
         Adam {
             params,
             lr,
-            beta1: 0.9,
-            beta2: 0.999,
-            eps: 1e-8,
-            weight_decay: 0.0,
-            decoupled: false,
             t: 0,
             m: HashMap::new(),
             v: HashMap::new(),
         }
-    }
-
-    /// AdamW: decoupled weight decay.
-    pub fn adamw(params: Vec<Tensor>, lr: f32, weight_decay: f32) -> Self {
-        let mut a = Adam::new(params, lr);
-        a.weight_decay = weight_decay;
-        a.decoupled = true;
-        a
-    }
-
-    /// Overrides the moment-decay coefficients.
-    pub fn with_betas(mut self, beta1: f32, beta2: f32) -> Self {
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
-    /// Enables weight decay (coupled unless built via [`Adam::adamw`]).
-    pub fn with_weight_decay(mut self, wd: f32) -> Self {
-        self.weight_decay = wd;
-        self
     }
 }
 
 impl Optimizer for Adam {
     fn step(&mut self) {
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        let bc1 = 1.0 - Self::BETA1.powi(self.t as i32);
+        let bc2 = 1.0 - Self::BETA2.powi(self.t as i32);
         for p in &self.params {
             let g_ref = p.grad_ref();
             let Some(g) = g_ref.as_ref() else { continue };
@@ -195,19 +84,12 @@ impl Optimizer for Adam {
                 .entry(p.id())
                 .or_insert_with(|| vec![0.0; data.len()]);
             for i in 0..data.len() {
-                let mut grad = g[i];
-                if !self.decoupled && self.weight_decay > 0.0 {
-                    grad += self.weight_decay * data[i];
-                }
-                m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * grad;
-                v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * grad * grad;
+                let grad = g[i];
+                m[i] = Self::BETA1 * m[i] + (1.0 - Self::BETA1) * grad;
+                v[i] = Self::BETA2 * v[i] + (1.0 - Self::BETA2) * grad * grad;
                 let m_hat = m[i] / bc1;
                 let v_hat = v[i] / bc2;
-                let mut update = self.lr * m_hat / (v_hat.sqrt() + self.eps);
-                if self.decoupled && self.weight_decay > 0.0 {
-                    update += self.lr * self.weight_decay * data[i];
-                }
-                data[i] -= update;
+                data[i] -= self.lr * m_hat / (v_hat.sqrt() + Self::EPS);
             }
         }
     }
@@ -220,38 +102,6 @@ impl Optimizer for Adam {
 
     fn params(&self) -> &[Tensor] {
         &self.params
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-}
-
-/// Linear warmup followed by inverse-sqrt decay, the standard transformer
-/// schedule. Stateless: compute the LR for a step and apply with `set_lr`.
-#[derive(Clone, Copy, Debug)]
-pub struct WarmupSchedule {
-    /// Peak learning rate, reached at the end of warmup.
-    pub base_lr: f32,
-    /// Number of linear-warmup steps before decay starts.
-    pub warmup_steps: u64,
-}
-
-impl WarmupSchedule {
-    /// Learning rate for (zero-based) optimization step `step`.
-    pub fn lr_at(&self, step: u64) -> f32 {
-        if self.warmup_steps == 0 {
-            return self.base_lr;
-        }
-        if step < self.warmup_steps {
-            self.base_lr * (step + 1) as f32 / self.warmup_steps as f32
-        } else {
-            self.base_lr * ((self.warmup_steps as f32) / (step + 1) as f32).sqrt()
-        }
     }
 }
 
@@ -272,40 +122,11 @@ mod tests {
     }
 
     #[test]
-    fn sgd_converges_on_quadratic() {
-        let x = Tensor::from_slice(&[0.0], [1]).requires_grad();
-        let mut opt = Sgd::new(vec![x], 0.1);
-        let final_x = quadratic_descent(&mut opt, 100);
-        assert!((final_x - 3.0).abs() < 1e-3, "x = {final_x}");
-    }
-
-    #[test]
-    fn sgd_momentum_converges() {
-        let x = Tensor::from_slice(&[0.0], [1]).requires_grad();
-        let mut opt = Sgd::new(vec![x], 0.05).with_momentum(0.9);
-        let final_x = quadratic_descent(&mut opt, 200);
-        assert!((final_x - 3.0).abs() < 1e-2, "x = {final_x}");
-    }
-
-    #[test]
     fn adam_converges_on_quadratic() {
         let x = Tensor::from_slice(&[0.0], [1]).requires_grad();
         let mut opt = Adam::new(vec![x], 0.2);
         let final_x = quadratic_descent(&mut opt, 200);
         assert!((final_x - 3.0).abs() < 1e-2, "x = {final_x}");
-    }
-
-    #[test]
-    fn adamw_decay_shrinks_weights() {
-        let x = Tensor::from_slice(&[5.0], [1]).requires_grad();
-        let mut opt = Adam::adamw(vec![x.clone()], 0.01, 0.5);
-        for _ in 0..50 {
-            opt.zero_grad();
-            // Zero-gradient loss: only decay acts.
-            x.accumulate_grad(&[0.0]);
-            opt.step();
-        }
-        assert!(x.to_vec()[0] < 5.0);
     }
 
     #[test]
@@ -328,21 +149,9 @@ mod tests {
     }
 
     #[test]
-    fn warmup_schedule_shape() {
-        let s = WarmupSchedule {
-            base_lr: 1.0,
-            warmup_steps: 10,
-        };
-        assert!(s.lr_at(0) < s.lr_at(5));
-        assert!((s.lr_at(9) - 1.0).abs() < 1e-6);
-        assert!(s.lr_at(40) < 1.0);
-        assert!(s.lr_at(100) < s.lr_at(40));
-    }
-
-    #[test]
     fn params_without_grad_are_skipped() {
         let x = Tensor::from_slice(&[1.0], [1]).requires_grad();
-        let mut opt = Sgd::new(vec![x.clone()], 0.1);
+        let mut opt = Adam::new(vec![x.clone()], 0.1);
         opt.step(); // no grad accumulated: unchanged
         assert_eq!(x.to_vec(), vec![1.0]);
     }

@@ -366,8 +366,7 @@ impl Tensor {
     /// accumulating gradients into every tracked ancestor.
     ///
     /// # Panics
-    /// Panics when the tensor is not a scalar; use
-    /// [`Tensor::backward_with`] to seed arbitrary shapes.
+    /// Panics when the tensor is not a scalar.
     pub fn backward(&self) {
         assert_eq!(
             self.numel(),
@@ -376,12 +375,6 @@ impl Tensor {
             self.shape()
         );
         autograd::backward(self, vec![1.0]);
-    }
-
-    /// Runs reverse-mode differentiation with an explicit output gradient.
-    pub fn backward_with(&self, seed: Vec<f32>) {
-        assert_eq!(seed.len(), self.numel(), "seed gradient shape mismatch");
-        autograd::backward(self, seed);
     }
 
     pub(crate) fn parents(&self) -> &[Tensor] {

@@ -86,8 +86,8 @@ proptest! {
     }
 
     /// Pre-packed GEMM (the inference engine's weight layout) is
-    /// bit-identical to `gemm_nn` on the unpacked matrix — both the
-    /// pool-dispatched and the explicit-scratch sequential entry points.
+    /// bit-identical to `gemm_nn` on the unpacked matrix, from a fresh
+    /// and from a stale scratch buffer.
     #[test]
     fn prepacked_bitwise_matches_gemm_nn(m in 1usize..12, k in 0usize..48, n in 1usize..24, seed in 0u64..200) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -97,10 +97,10 @@ proptest! {
         kernels::gemm_nn(&a, &b, &mut reference, m, k, n);
         let packed = PackedB::pack(&b, k, n);
         let mut got = vec![0.0f32; m * n];
-        kernels::gemm_nn_prepacked(&a, &packed, &mut got, m);
+        let mut scratch = vec![0.0f32; PackedB::SCRATCH_LEN];
+        kernels::gemm_nn_prepacked_scratch(&a, &packed, &mut got, m, &mut scratch);
         prop_assert_eq!(&got, &reference);
         got.fill(0.0);
-        let mut scratch = vec![0.0f32; PackedB::SCRATCH_LEN];
         kernels::gemm_nn_prepacked_scratch(&a, &packed, &mut got, m, &mut scratch);
         prop_assert_eq!(&got, &reference);
     }
@@ -124,7 +124,8 @@ fn gemm_nn_dispatch_bitwise_large_packed_shapes() {
 
         let packed = PackedB::pack(&b, k, n);
         let mut pre = vec![0.0f32; m * n];
-        kernels::gemm_nn_prepacked(&a, &packed, &mut pre, m);
+        let mut scratch = vec![0.0f32; PackedB::SCRATCH_LEN];
+        kernels::gemm_nn_prepacked_scratch(&a, &packed, &mut pre, m, &mut scratch);
         assert_eq!(pre, naive, "prepacked m={m} k={k} n={n}");
     }
 }

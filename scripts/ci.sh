@@ -80,7 +80,11 @@
 #                             the serve banner announced, and have every stage
 #                             histogram covering every replied request and a
 #                             parseable Prometheus exposition, and `mbssl
-#                             top` must render a frame from it.
+#                             top` must render a frame from it. Two hostile
+#                             replays: a top count whose 4x re-rank overscan
+#                             overflows must still get a reply and a clean
+#                             shutdown, and an unknown command must exit 1
+#                             with its line number and no panic.
 #   9. data substrate       — `mbssl convert` on the trace-workflow TSV,
 #                             `dataset stats` agreement between the .mbds
 #                             and TSV paths, then the bit-parity gate:
@@ -285,6 +289,27 @@ diff "$trace_dir/offline_user3.txt" "$trace_dir/served_user3.txt"
 # and the drain must be clean.
 grep -q "steady-state alloc misses: 0" "$trace_dir/serve_b16.err"
 grep -q "clean shutdown" "$trace_dir/serve_b16.err"
+# Hostile replays. A top count of 2^62 under a re-rank chain (4x overscan)
+# must be answered, not kill a worker:
+printf 'rec 3 4611686018427387904\nquit\n' > "$trace_dir/replay_huge.txt"
+"$mbssl" serve --data "$trace_dir/log.tsv" --target purchase \
+    --model "$trace_dir/model.ckpt" --dim 16 --interests 2 --rerank topk:5 \
+    --replay "$trace_dir/replay_huge.txt" \
+    > "$trace_dir/serve_huge.txt" 2> "$trace_dir/serve_huge.err"
+grep -q "^top-4611686018427387904 recommendations for user 3:" "$trace_dir/serve_huge.txt"
+grep -q "clean shutdown" "$trace_dir/serve_huge.err"
+# and an unknown command must stop the server with its line number.
+printf 'rec 3 5\nfrobnicate 1\n' > "$trace_dir/replay_bad.txt"
+status=0
+"$mbssl" serve --data "$trace_dir/log.tsv" --target purchase \
+    --model "$trace_dir/model.ckpt" --dim 16 --interests 2 \
+    --replay "$trace_dir/replay_bad.txt" > /dev/null 2> "$trace_dir/serve_bad.err" || status=$?
+if [[ $status -ne 1 ]] || grep -q "panicked" "$trace_dir/serve_bad.err" \
+    || ! grep -q 'error: line 2: unknown serve command "frobnicate"' "$trace_dir/serve_bad.err"; then
+    echo "unknown serve command: exit $status, stderr:" >&2
+    cat "$trace_dir/serve_bad.err" >&2
+    exit 1
+fi
 # Metrics snapshot validation (DESIGN.md §17): the replay issued
 # `metrics json/prom`; the JSON snapshot must be schema-complete, every
 # stage histogram must cover every replied request, and the Prometheus

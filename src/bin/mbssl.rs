@@ -21,20 +21,10 @@
 //! {click, cart, favorite, purchase}; a header line is allowed.
 //!
 //! `mbssl serve` runs the micro-batched request engine (DESIGN.md §15)
-//! over a line protocol read from `--replay FILE` or stdin:
-//!
-//! ```text
-//! rec USER [N]              top-N request; consecutive `rec` lines form one
-//!                           concurrent wave (replies print in input order)
-//! event USER ITEM BEHAVIOR  append one event to USER's session
-//! swap CKPT                 hot-swap the serving engine from a checkpoint
-//! mark                      start of the steady-state window (resets the
-//!                           size-class allocator counters)
-//! stats                     print server counters to stderr
-//! metrics [json|prom] [PATH] write a metrics snapshot (DESIGN.md §17) to
-//!                           PATH (atomic tmp+rename), or to stderr
-//! quit                      drain and shut down (EOF does the same)
-//! ```
+//! over the line protocol of `mbssl::core::serve::protocol` (`rec`,
+//! `event`, `swap`, `mark`, `stats`, `metrics`, `quit`), read from
+//! `--replay FILE` or stdin. Consecutive `rec` lines form one concurrent
+//! wave, whose replies print in input order; EOF shuts down like `quit`.
 //!
 //! Recommendation lines on stdout match `mbssl recommend` exactly; all
 //! serving diagnostics (batch sizes, cache hits, counters, the
@@ -55,8 +45,10 @@
 //! regresses beyond the tolerance (`--tol`, default 2%).
 
 use std::collections::HashSet;
+use std::io::Write;
 use std::process::ExitCode;
 
+use mbssl::core::serve::protocol::write_recs;
 use mbssl::core::{
     evaluate, recommend_top_n, BehaviorSchema, InferenceModel, IvfIndex, Mbmissl, ModelConfig,
     TrainConfig, Trainer,
@@ -68,6 +60,7 @@ use mbssl::data::preprocess::{
     SplitConfig,
 };
 use mbssl::data::sampler::{EvalCandidates, NegativeSampler};
+use mbssl::data::types::DatasetStats;
 use mbssl::data::{Behavior, Dataset};
 use mbssl::trace::{collapsed_stacks, diff, render_diff, render_summary, DiffMetric, DiffOptions, Trace};
 
@@ -268,7 +261,6 @@ fn write_synth_tsv(
     config: &mbssl::data::synthetic::SyntheticConfig,
     path: &str,
 ) -> Result<(usize, usize), String> {
-    use std::io::Write;
     let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
     let mut out = std::io::BufWriter::new(file);
     let mut events = 0usize;
@@ -302,26 +294,97 @@ fn write_synth_tsv(
 /// inference engine.
 const ENGINE_BANNER: &str = "scoring via inference engine";
 
-fn model_config(args: &Args, seed: u64) -> ModelConfig {
-    ModelConfig {
-        dim: args.get_or("dim", "32").parse().expect("--dim must be an integer"),
+/// `--k-user` / `--k-item`, the k-core thresholds of a `.mbds` conversion.
+fn kcore_thresholds(args: &Args) -> Result<(usize, usize), String> {
+    Ok((
+        args.get_or("k-user", "5").parse().map_err(|_| "bad --k-user")?,
+        args.get_or("k-item", "3").parse().map_err(|_| "bad --k-item")?,
+    ))
+}
+
+fn seed(args: &Args) -> Result<u64, String> {
+    args.get_or("seed", "42").parse().map_err(|_| "bad --seed".into())
+}
+
+fn model_config(args: &Args) -> Result<ModelConfig, String> {
+    let dim: usize = args.get_or("dim", "32").parse().map_err(|_| "bad --dim")?;
+    let config = ModelConfig {
+        dim,
         heads: 2,
         num_layers: 1,
-        ffn_hidden: 2 * args.get_or("dim", "32").parse::<usize>().unwrap(),
-        num_interests: args
-            .get_or("interests", "4")
-            .parse()
-            .expect("--interests must be an integer"),
-        extractor_hidden: args.get_or("dim", "32").parse().unwrap(),
-        seed,
+        ffn_hidden: 2 * dim,
+        num_interests: args.get_or("interests", "4").parse().map_err(|_| "bad --interests")?,
+        extractor_hidden: dim,
+        seed: seed(args)?,
         ..ModelConfig::default()
+    };
+    config.validate().map_err(|e| format!("bad --dim/--interests: {e}"))?;
+    Ok(config)
+}
+
+/// Loads the checkpoint `ckpt` for `dataset` and compiles it into the
+/// inference engine that every scoring command runs. With `attach_index`,
+/// the IVF index named by `--index`, or a `<ckpt>.ivf` sibling, is
+/// attached unless `MBSSL_ANN=off`; a missing, corrupt or mismatched
+/// index warns and leaves the engine ranking exhaustively.
+fn load_engine(
+    args: &Args,
+    dataset: &Dataset,
+    target: Behavior,
+    ckpt: &str,
+    attach_index: bool,
+) -> Result<InferenceModel, String> {
+    let schema = BehaviorSchema::new(dataset.behaviors.clone(), target);
+    let model = Mbmissl::new(dataset.num_items, schema, model_config(args)?);
+    model.load(ckpt).map_err(|e| format!("loading {ckpt}: {e}"))?;
+    let mut engine = InferenceModel::compile(&model);
+    if !attach_index || !mbssl::core::ann::enabled() {
+        return Ok(engine);
     }
+    let sibling = format!("{ckpt}.ivf");
+    let path = match args.get("index") {
+        Some(path) => path.to_string(),
+        None if std::path::Path::new(&sibling).exists() => sibling,
+        None => return Ok(engine),
+    };
+    let attached = IvfIndex::load_from_file(&path).and_then(|index| {
+        let nlist = index.nlist();
+        engine.attach_index(index).map(|()| nlist)
+    });
+    match attached {
+        Ok(nlist) => eprintln!(
+            "two-stage retrieval via {path} (nlist={nlist}, nprobe={}; set MBSSL_ANN=off for exhaustive)",
+            mbssl::core::ann::default_nprobe(nlist)
+        ),
+        Err(e) => eprintln!("warning: ignoring index {path}: {e}; ranking exhaustively"),
+    }
+    Ok(engine)
+}
+
+/// The dataset-shape lines of `stats` and `dataset stats`; `target` is
+/// the behavior a `.mbds` header records.
+fn print_dataset_stats(stats: &DatasetStats, target: Option<Behavior>, gini: f64) {
+    println!("  users        : {}", stats.users);
+    println!("  items        : {}", stats.items);
+    println!("  interactions : {}", stats.interactions);
+    for (b, c) in &stats.per_behavior {
+        println!("    {b:>9}: {c}");
+    }
+    if let Some(target) = target {
+        println!("  target       : {}", target.token());
+    }
+    println!("  avg seq len  : {:.2}", stats.avg_seq_len);
+    println!("  density      : {:.5}", stats.density);
+    println!("  pop. gini    : {gini:.3}");
+}
+
+fn stdout_error(e: std::io::Error) -> String {
+    format!("writing stdout: {e}")
 }
 
 /// Publishes the snapshot atomically, so `mbssl top` (or any scraper)
 /// polling the file never reads a torn snapshot.
 fn write_snapshot_atomic(path: &std::path::Path, body: &str) -> Result<(), String> {
-    use std::io::Write;
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent).map_err(|e| format!("creating {}: {e}", parent.display()))?;
     }
@@ -329,19 +392,20 @@ fn write_snapshot_atomic(path: &std::path::Path, body: &str) -> Result<(), Strin
         .map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
-/// `mbssl serve`: the micro-batched request engine over a line protocol
-/// (see the module docs for the command set). Consecutive `rec` lines are
-/// submitted as one concurrent wave — that concurrency is what the
-/// batcher converts into shared encoder forwards — and replies print in
-/// input order so replay output is deterministic.
-fn serve_command(args: &Args, seed: u64) -> Result<(), String> {
+/// `mbssl serve`: the micro-batched request engine over the line protocol
+/// of `mbssl::core::serve::protocol`. Consecutive `rec` lines are
+/// submitted as one concurrent wave (that concurrency is what the batcher
+/// turns into shared encoder forwards), and replies print in input order
+/// so replay output is deterministic.
+fn serve_command(args: &Args) -> Result<(), String> {
     use std::io::BufRead;
+    use std::sync::mpsc::RecvTimeoutError;
     use std::sync::Arc;
 
+    use mbssl::core::serve::protocol::{parse_line, Request};
     use mbssl::core::serve::{RerankChain, ServeConfig, ServeStats, Server, SessionStore};
 
     let (dataset, target) = load_dataset(args)?;
-    let ckpt = args.require("model")?.to_string();
     let top_default: usize = args.get_or("top", "10").parse().map_err(|_| "bad --top")?;
     let chain = RerankChain::parse(args.get_or("rerank", ""))
         .map_err(|e| format!("bad --rerank: {e}"))?;
@@ -352,29 +416,8 @@ fn serve_command(args: &Args, seed: u64) -> Result<(), String> {
         .parse()
         .map_err(|_| "bad --metrics-interval")?;
 
-    // Compiles a checkpoint into a serving engine, attaching `--index`
-    // (or the `<ckpt>.ivf` sibling) with recommend's warn-and-degrade
-    // semantics.
-    let build_engine = |ckpt: &str| -> Result<InferenceModel, String> {
-        let schema = BehaviorSchema::new(dataset.behaviors.clone(), target);
-        let model = Mbmissl::new(dataset.num_items, schema, model_config(args, seed));
-        model.load(ckpt).map_err(|e| format!("loading {ckpt}: {e}"))?;
-        let mut engine = InferenceModel::compile(&model);
-        let index_path = args.get("index").map(String::from).or_else(|| {
-            let implied = format!("{ckpt}.ivf");
-            std::path::Path::new(&implied).exists().then_some(implied)
-        });
-        if let (Some(path), true) = (index_path, mbssl::core::ann::enabled()) {
-            match IvfIndex::load_from_file(&path).and_then(|ix| engine.attach_index(ix)) {
-                Ok(()) => eprintln!("serve: two-stage retrieval via {path}"),
-                Err(e) => eprintln!("serve: warning: ignoring index {path}: {e}"),
-            }
-        }
-        Ok(engine)
-    };
-
     let server = Server::start(
-        build_engine(&ckpt)?,
+        load_engine(args, &dataset, target, args.require("model")?, true)?,
         Arc::new(SessionStore::from_dataset(&dataset)),
         chain,
         config.clone(),
@@ -417,26 +460,14 @@ fn serve_command(args: &Args, seed: u64) -> Result<(), String> {
         eprintln!("serve: batch histogram: {}", hist.join(" "));
     };
 
-    // Flushes one wave of consecutive `rec` lines: submit concurrently,
-    // print replies in input order.
+    // Answers one wave of consecutive `rec` lines: submitted concurrently,
+    // printed in input order.
     let flush_wave = |wave: &mut Vec<(u32, usize)>| -> Result<(), String> {
-        if wave.is_empty() {
-            return Ok(());
-        }
-        let server = &server;
-        let replies: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = wave
-                .iter()
-                .map(|&(user, n)| scope.spawn(move || server.submit(user, n)))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (&(user, n), reply) in wave.iter().zip(replies) {
+        let mut out = std::io::stdout().lock();
+        for (&(user, n), reply) in wave.iter().zip(server.submit_all(wave)) {
             let reply = reply.map_err(|e| format!("rec {user}: {e}"))?;
-            println!("top-{n} recommendations for user {user}:");
-            for (rank, rec) in reply.recs.iter().enumerate() {
-                println!("  {:>2}. item {:>6}  score {:.4}", rank + 1, rec.item, rec.score);
-            }
+            writeln!(out, "top-{n} recommendations for user {user}:").map_err(stdout_error)?;
+            write_recs(&mut out, &reply.recs).map_err(stdout_error)?;
             eprintln!(
                 "serve: rec user={user} batch={} cache={} epoch={}{}",
                 reply.batch_size,
@@ -450,116 +481,69 @@ fn serve_command(args: &Args, seed: u64) -> Result<(), String> {
     };
 
     // The protocol loop runs inside a scope so an optional snapshot
-    // writer (`--metrics-out`) can borrow the server alongside it; the
-    // stop flag quiesces the writer on any exit path before the scope
-    // joins it.
-    let stop = std::sync::atomic::AtomicBool::new(false);
-    let marked = std::thread::scope(|scope| {
+    // writer (`--metrics-out`) can borrow the server alongside it. However
+    // the loop ends, `_stop` drops with it, which wakes the writer for its
+    // final write before the scope joins it.
+    let marked = std::thread::scope(|scope| -> Result<bool, String> {
+        let (_stop, stopped) = std::sync::mpsc::channel::<()>();
         if let Some(path) = &metrics_out {
-            let (server, stop) = (&server, &stop);
+            let server = &server;
+            let interval = std::time::Duration::from_millis(metrics_interval_ms.max(1));
             scope.spawn(move || {
-                use std::sync::atomic::Ordering;
-                while !stop.load(Ordering::Relaxed) {
-                    let _ = write_snapshot_atomic(path, &server.metrics_snapshot().to_json());
-                    // Sleep in short slices so shutdown is prompt even
-                    // with a long interval.
-                    let mut left = metrics_interval_ms.max(1);
-                    while left > 0 && !stop.load(Ordering::Relaxed) {
-                        let step = left.min(50);
-                        std::thread::sleep(std::time::Duration::from_millis(step));
-                        left -= step;
-                    }
+                let publish = || write_snapshot_atomic(path, &server.metrics_snapshot().to_json());
+                let _ = publish();
+                while stopped.recv_timeout(interval) == Err(RecvTimeoutError::Timeout) {
+                    let _ = publish();
                 }
-                // A final write so the file reflects the complete run.
-                let _ = write_snapshot_atomic(path, &server.metrics_snapshot().to_json());
+                let _ = publish();
             });
         }
-        let protocol_loop = || -> Result<bool, String> {
-            let mut wave: Vec<(u32, usize)> = Vec::new();
-            let mut marked = false;
-            for (line_no, line) in input.lines().enumerate() {
-                let line = line.map_err(|e| format!("reading input: {e}"))?;
-                let line = line.trim();
-                let mut err = |msg: String| format!("line {}: {msg}", line_no + 1);
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
-                }
-                let tokens: Vec<&str> = line.split_whitespace().collect();
-                if tokens[0] != "rec" {
-                    flush_wave(&mut wave)?;
-                }
-                match tokens[0] {
-                    "rec" => {
-                        let user: u32 = tokens
-                            .get(1)
-                            .and_then(|t| t.parse().ok())
-                            .ok_or_else(|| err("rec needs a user id".into()))?;
-                        let n: usize = match tokens.get(2) {
-                            Some(t) => {
-                                t.parse().map_err(|_| err(format!("bad top count {t:?}")))?
-                            }
-                            None => top_default,
-                        };
-                        wave.push((user, n.max(1)));
-                    }
-                    "event" => {
-                        let (user, item, behavior) = match tokens[1..] {
-                            [u, i, b] => (
-                                u.parse::<u32>().map_err(|_| err(format!("bad user {u:?}")))?,
-                                i.parse::<u32>().map_err(|_| err(format!("bad item {i:?}")))?,
-                                Behavior::from_token(b)
-                                    .ok_or_else(|| err(format!("unknown behavior {b:?}")))?,
-                            ),
-                            _ => return Err(err("event needs USER ITEM BEHAVIOR".into())),
-                        };
-                        server.ingest(user, item, behavior).map_err(&mut err)?;
-                    }
-                    "swap" => {
-                        let path =
-                            tokens.get(1).ok_or_else(|| err("swap needs a checkpoint".into()))?;
-                        let epoch = server.swap_engine(build_engine(path)?);
-                        eprintln!("serve: swapped to {path} (epoch {epoch})");
-                    }
-                    "mark" => {
-                        mbssl::tensor::alloc::reset_stats();
-                        marked = true;
-                        eprintln!("serve: mark — steady-state window opened");
-                    }
-                    "stats" => print_stats(&server.stats()),
-                    "metrics" => {
-                        // `metrics [json|prom] [PATH]` — snapshot to PATH
-                        // (atomic) or to stderr; stdout stays reserved for
-                        // `rec` replies so replays remain byte-diffable.
-                        let fmt = tokens.get(1).copied().unwrap_or("json");
-                        let snap = server.metrics_snapshot();
-                        let body = match fmt {
-                            "json" => snap.to_json(),
-                            "prom" => snap.to_prometheus(),
-                            other => {
-                                return Err(err(format!(
-                                    "unknown metrics format {other:?} (want json|prom)"
-                                )))
-                            }
-                        };
-                        match tokens.get(2) {
-                            Some(path) => {
-                                write_snapshot_atomic(std::path::Path::new(path), &body)
-                                    .map_err(&mut err)?;
-                                eprintln!("serve: metrics ({fmt}) -> {path}");
-                            }
-                            None => eprintln!("{body}"),
-                        }
-                    }
-                    "quit" => break,
-                    other => return Err(err(format!("unknown serve command {other:?}"))),
-                }
+        let mut wave: Vec<(u32, usize)> = Vec::new();
+        let mut marked = false;
+        for (line_no, line) in input.lines().enumerate() {
+            let line = line.map_err(|e| format!("reading input: {e}"))?;
+            let at = |msg: String| format!("line {}: {msg}", line_no + 1);
+            let request = parse_line(&line, top_default);
+            // Any other line, an invalid one included, first answers the
+            // pending wave.
+            if !matches!(request, Ok(None | Some(Request::Rec { .. }))) {
+                flush_wave(&mut wave)?;
             }
-            flush_wave(&mut wave)?;
-            Ok(marked)
-        };
-        let result = protocol_loop();
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        result
+            match request.map_err(|e| at(e.to_string()))? {
+                None => {}
+                Some(Request::Rec { user, n }) => wave.push((user, n)),
+                Some(Request::Event { user, item, behavior }) => {
+                    server.ingest(user, item, behavior).map_err(at)?
+                }
+                Some(Request::Swap(path)) => {
+                    let engine = load_engine(args, &dataset, target, &path, true)?;
+                    let epoch = server.swap_engine(engine);
+                    eprintln!("serve: swapped to {path} (epoch {epoch})");
+                }
+                Some(Request::Mark) => {
+                    mbssl::tensor::alloc::reset_stats();
+                    marked = true;
+                    eprintln!("serve: mark — steady-state window opened");
+                }
+                Some(Request::Stats) => print_stats(&server.stats()),
+                Some(Request::Metrics { format, path }) => {
+                    // Snapshots go to PATH or stderr: stdout stays reserved
+                    // for `rec` replies so replays remain byte-diffable.
+                    let body = server.metrics_snapshot().render(format);
+                    match path {
+                        Some(path) => {
+                            write_snapshot_atomic(std::path::Path::new(&path), &body)
+                                .map_err(at)?;
+                            eprintln!("serve: metrics ({}) -> {path}", format.token());
+                        }
+                        None => eprintln!("{body}"),
+                    }
+                }
+                Some(Request::Quit) => break,
+            }
+        }
+        flush_wave(&mut wave)?;
+        Ok(marked)
     })?;
 
     let stats = server.shutdown();
@@ -585,7 +569,7 @@ fn run() -> Result<(), String> {
         usage();
         return Err("no command given".into());
     };
-    let seed: u64 = args.get_or("seed", "42").parse().map_err(|_| "bad --seed")?;
+    let seed = seed(&args)?;
     if let Some(trace) = args.get("trace") {
         let mode = mbssl::tensor::telemetry::TraceMode::parse(trace)
             .map_err(|e| format!("bad --trace: {e}"))?;
@@ -595,17 +579,8 @@ fn run() -> Result<(), String> {
     let result = match args.command.as_str() {
         "stats" => {
             let (dataset, _) = load_dataset(&args)?;
-            let stats = dataset.stats();
-            println!("dataset: {}", stats.name);
-            println!("  users        : {}", stats.users);
-            println!("  items        : {}", stats.items);
-            println!("  interactions : {}", stats.interactions);
-            for (b, c) in &stats.per_behavior {
-                println!("    {b:>9}: {c}");
-            }
-            println!("  avg seq len  : {:.2}", stats.avg_seq_len);
-            println!("  density      : {:.5}", stats.density);
-            println!("  pop. gini    : {:.3}", dataset.popularity_gini());
+            println!("dataset: {}", dataset.name);
+            print_dataset_stats(&dataset.stats(), None, dataset.popularity_gini());
             Ok(())
         }
         "train" => {
@@ -615,7 +590,7 @@ fn run() -> Result<(), String> {
             let split = leave_one_out(&dataset, &SplitConfig::default());
             let sampler = NegativeSampler::from_dataset(&dataset);
             let schema = BehaviorSchema::new(dataset.behaviors.clone(), target);
-            let model = Mbmissl::new(dataset.num_items, schema, model_config(&args, seed));
+            let model = Mbmissl::new(dataset.num_items, schema, model_config(&args)?);
             println!(
                 "training MBMISSL on {} users / {} items ({} train instances) …",
                 dataset.num_users,
@@ -641,15 +616,12 @@ fn run() -> Result<(), String> {
         }
         "evaluate" => {
             let (dataset, target) = load_dataset(&args)?;
-            let ckpt = args.require("model")?;
+            let engine = load_engine(&args, &dataset, target, args.require("model")?, false)?;
             let split = leave_one_out(&dataset, &SplitConfig::default());
             let sampler = NegativeSampler::from_dataset(&dataset);
-            let schema = BehaviorSchema::new(dataset.behaviors.clone(), target);
-            let model = Mbmissl::new(dataset.num_items, schema, model_config(&args, seed));
-            model.load(ckpt).map_err(|e| format!("loading {ckpt}: {e}"))?;
             let candidates = EvalCandidates::build(&split.test, &sampler, 99, seed);
             eprintln!("{ENGINE_BANNER}");
-            let metrics = evaluate(&model, &split.test, &candidates, 256).aggregate();
+            let metrics = evaluate(&engine, &split.test, &candidates, 256).aggregate();
             println!("test metrics (1-vs-99): {}", metrics.summary());
             Ok(())
         }
@@ -657,65 +629,31 @@ fn run() -> Result<(), String> {
             let (dataset, target) = load_dataset(&args)?;
             let ckpt = args.require("model")?;
             let user: usize = args.require("user")?.parse().map_err(|_| "bad --user")?;
-            let top: usize = args.get_or("top", "10").parse().map_err(|_| "bad --top")?;
+            let top: usize =
+                args.get_or("top", "10").parse().ok().filter(|&n| n > 0).ok_or("bad --top")?;
             if user >= dataset.num_users {
                 return Err(format!(
                     "user {user} out of range (dataset has {} users after k-core remapping)",
                     dataset.num_users
                 ));
             }
-            let schema = BehaviorSchema::new(dataset.behaviors.clone(), target);
-            let model = Mbmissl::new(dataset.num_items, schema, model_config(&args, seed));
-            model.load(ckpt).map_err(|e| format!("loading {ckpt}: {e}"))?;
+            // Two-stage retrieval when an index is attached; any index
+            // problem degrades to exhaustive ranking with a warning.
+            let engine = load_engine(&args, &dataset, target, ckpt, true)?;
             let history = &dataset.sequences[user];
             let seen: HashSet<_> = history.items.iter().copied().collect();
             eprintln!("{ENGINE_BANNER}");
-            // Two-stage retrieval: `--index PATH`, or `<model>.ivf` if one
-            // sits next to the checkpoint. A missing/corrupt/mismatched
-            // index degrades to exhaustive ranking with a warning rather
-            // than failing the command.
-            let index_path = args
-                .get("index")
-                .map(String::from)
-                .or_else(|| {
-                    let implied = format!("{ckpt}.ivf");
-                    std::path::Path::new(&implied).exists().then_some(implied)
-                });
-            let engine = match index_path {
-                Some(path) if mbssl::core::ann::enabled() => {
-                    let mut engine = InferenceModel::compile(&model);
-                    match IvfIndex::load_from_file(&path).and_then(|ix| {
-                        let (nlist, nprobe_src) = (ix.nlist(), mbssl::core::ann::default_nprobe(ix.nlist()));
-                        engine.attach_index(ix).map(|()| (nlist, nprobe_src))
-                    }) {
-                        Ok((nlist, nprobe)) => {
-                            eprintln!(
-                                "two-stage retrieval via {path} (nlist={nlist}, nprobe={nprobe}; set MBSSL_ANN=off for exhaustive)"
-                            );
-                            Some(engine)
-                        }
-                        Err(e) => {
-                            eprintln!("warning: ignoring index {path}: {e}; ranking exhaustively");
-                            None
-                        }
-                    }
-                }
-                _ => None,
-            };
-            let recs = match &engine {
-                Some(engine) => recommend_top_n(engine, history, dataset.num_items, top, &seen, 512),
-                None => recommend_top_n(&model, history, dataset.num_items, top, &seen, 512),
-            };
-            println!(
+            let recs = recommend_top_n(&engine, history, dataset.num_items, top, &seen, 512);
+            let mut out = std::io::stdout().lock();
+            writeln!(
+                out,
                 "top-{top} recommendations for user {user} ({} history events):",
                 history.len()
-            );
-            for (rank, rec) in recs.iter().enumerate() {
-                println!("  {:>2}. item {:>6}  score {:.4}", rank + 1, rec.item, rec.score);
-            }
-            Ok(())
+            )
+            .and_then(|()| write_recs(&mut out, &recs))
+            .map_err(stdout_error)
         }
-        "serve" => serve_command(&args, seed),
+        "serve" => serve_command(&args),
         "synth" => {
             use mbssl::data::synthetic::SyntheticConfig;
             let out = args.require("out")?;
@@ -762,10 +700,7 @@ fn run() -> Result<(), String> {
                     std::process::id()
                 );
                 let (users, events) = write_synth_tsv(&config, &tmp)?;
-                let k_user: usize =
-                    args.get_or("k-user", "5").parse().map_err(|_| "bad --k-user")?;
-                let k_item: usize =
-                    args.get_or("k-item", "3").parse().map_err(|_| "bad --k-item")?;
+                let (k_user, k_item) = kcore_thresholds(&args)?;
                 let report = convert_tsv_streaming(
                     std::path::Path::new(&tmp),
                     std::path::Path::new(out),
@@ -806,30 +741,18 @@ fn run() -> Result<(), String> {
                 .get("out")
                 .map(String::from)
                 .unwrap_or_else(|| format!("{path}.mbds"));
-            let k_user: usize = args.get_or("k-user", "5").parse().map_err(|_| "bad --k-user")?;
-            let k_item: usize = args.get_or("k-item", "3").parse().map_err(|_| "bad --k-item")?;
+            let (k_user, k_item) = kcore_thresholds(&args)?;
+            let (src, dst) = (std::path::Path::new(&path), std::path::Path::new(&out));
             let started = std::time::Instant::now();
-            let report = match convert_tsv_streaming(
-                std::path::Path::new(&path),
-                std::path::Path::new(&out),
-                target,
-                k_user,
-                k_item,
-            ) {
+            let report = match convert_tsv_streaming(src, dst, target, k_user, k_item) {
                 Ok(report) => report,
                 Err(ConvertError::NotSorted { line, message }) => {
                     eprintln!(
                         "warning: {path} is not user-sorted (line {line}: {message}); \
                          falling back to in-memory conversion"
                     );
-                    convert_tsv_in_memory(
-                        std::path::Path::new(&path),
-                        std::path::Path::new(&out),
-                        target,
-                        k_user,
-                        k_item,
-                    )
-                    .map_err(|e| format!("converting {path}: {e}"))?
+                    convert_tsv_in_memory(src, dst, target, k_user, k_item)
+                        .map_err(|e| format!("converting {path}: {e}"))?
                 }
                 Err(e) => return Err(format!("converting {path}: {e}")),
             };
@@ -868,34 +791,16 @@ fn run() -> Result<(), String> {
                         file.file_len()
                     );
                     println!("  name         : {}", stats.name);
-                    println!("  users        : {}", stats.users);
-                    println!("  items        : {}", stats.items);
-                    println!("  interactions : {}", stats.interactions);
-                    for (b, c) in &stats.per_behavior {
-                        println!("    {b:>9}: {c}");
-                    }
-                    println!("  target       : {}", file.target_behavior().token());
-                    println!("  avg seq len  : {:.2}", stats.avg_seq_len);
-                    println!("  density      : {:.5}", stats.density);
-                    println!("  pop. gini    : {:.3}", file.popularity_gini());
+                    let target = Some(file.target_behavior());
+                    print_dataset_stats(&stats, target, file.popularity_gini());
                     println!("  open+validate: {load_ms:.1} ms");
                 } else {
                     let target = Behavior::from_token(args.require("target")?)
                         .ok_or_else(|| "unknown --target behavior".to_string())?;
-                    let raw = load_tsv(path, target).map_err(|e| format!("loading {path}: {e}"))?;
-                    let dataset = k_core(&raw, 5, 3);
+                    let (dataset, _) = load_plain_tsv(path, target)?;
                     let load_ms = started.elapsed().as_secs_f64() * 1e3;
-                    let stats = dataset.stats();
                     println!("dataset {path} (TSV + 5/3-core):");
-                    println!("  users        : {}", stats.users);
-                    println!("  items        : {}", stats.items);
-                    println!("  interactions : {}", stats.interactions);
-                    for (b, c) in &stats.per_behavior {
-                        println!("    {b:>9}: {c}");
-                    }
-                    println!("  avg seq len  : {:.2}", stats.avg_seq_len);
-                    println!("  density      : {:.5}", stats.density);
-                    println!("  pop. gini    : {:.3}", dataset.popularity_gini());
+                    print_dataset_stats(&dataset.stats(), None, dataset.popularity_gini());
                     println!("  parse+core   : {load_ms:.1} ms");
                 }
                 Ok(())
@@ -913,10 +818,7 @@ fn run() -> Result<(), String> {
                     .get("out")
                     .map(String::from)
                     .unwrap_or_else(|| format!("{ckpt}.ivf"));
-                let schema = BehaviorSchema::new(dataset.behaviors.clone(), target);
-                let model = Mbmissl::new(dataset.num_items, schema, model_config(&args, seed));
-                model.load(ckpt).map_err(|e| format!("loading {ckpt}: {e}"))?;
-                let engine = InferenceModel::compile(&model);
+                let engine = load_engine(&args, &dataset, target, ckpt, false)?;
                 let nlist = match args.get("nlist") {
                     Some(v) => v.parse().map_err(|_| "bad --nlist")?,
                     None => mbssl::core::ann::default_nlist(dataset.num_items),
@@ -1027,10 +929,8 @@ fn run() -> Result<(), String> {
                 .get_or("interval", "1000")
                 .parse()
                 .map_err(|_| "bad --interval")?;
-            let frames: Option<u64> = match args.get("frames") {
-                Some(v) => Some(v.parse().map_err(|_| "bad --frames")?),
-                None => None,
-            };
+            let frames: Option<u64> =
+                args.get("frames").map(str::parse).transpose().map_err(|_| "bad --frames")?;
             let opts = mbssl::top::TopOptions {
                 interval: std::time::Duration::from_millis(interval.max(1)),
                 frames,

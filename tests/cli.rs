@@ -92,6 +92,67 @@ fn cli_full_workflow() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `mbssl serve --replay`: the reply lines for a user are the lines
+/// `mbssl recommend` prints for that user, and hostile lines get the
+/// protocol's error with their line number or a full reply, never a panic.
+#[test]
+fn cli_serve_replay_matches_recommend_and_rejects_bad_lines() {
+    let dir = std::env::temp_dir().join("mbssl_cli_serve_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = setup_log(&dir);
+    let ckpt = dir.join("model.ckpt");
+    let common = [
+        "--data", log.to_str().unwrap(), "--target", "favorite", "--model",
+        ckpt.to_str().unwrap(), "--dim", "16", "--interests", "2",
+    ];
+    let (ok, text) = run(&[&["train", "--epochs", "1"][..], &common].concat());
+    assert!(ok, "train failed: {text}");
+    let stdout = |args: &[&str]| {
+        let out = Command::new(bin()).args(args).output().expect("spawn mbssl CLI");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.success(), String::from_utf8_lossy(&out.stdout).into_owned(), err)
+    };
+    let serve = |replay: &str, extra: &[&str]| {
+        let path = dir.join("replay.txt");
+        std::fs::write(&path, replay).unwrap();
+        stdout(&[&["serve", "--replay", path.to_str().unwrap()][..], &common, extra].concat())
+    };
+
+    let replay = "rec 3 5\n# comment\n\nrec 7 5\nevent 7 1 click\nquit\n";
+    let (ok, served, err) = serve(replay, &[]);
+    assert!(ok && err.contains("clean shutdown"), "serve failed: {err}");
+    let served: Vec<&str> = served.lines().collect();
+    assert_eq!(served.len(), 12, "{served:?}");
+    for (user, reply) in [(3, &served[..6]), (7, &served[6..])] {
+        assert_eq!(reply[0], format!("top-5 recommendations for user {user}:"));
+        let user = user.to_string();
+        let args = [&["recommend", "--user", &user, "--top", "5"][..], &common].concat();
+        let (ok, offline, err) = stdout(&args);
+        assert!(ok, "recommend failed: {err}");
+        assert_eq!(offline.lines().skip(1).collect::<Vec<_>>(), reply[1..], "user {user}");
+    }
+
+    for (replay, message) in [
+        ("rec 3 5\n\nfrobnicate 1\n", "error: line 3: unknown serve command \"frobnicate\""),
+        ("rec 3 5\nevent 3 4 dance\n", "error: line 2: unknown behavior \"dance\""),
+        ("rec 3 lots\n", "error: line 1: bad top count \"lots\""),
+    ] {
+        let (ok, _, err) = serve(replay, &[]);
+        assert!(!ok, "accepted {replay:?}");
+        assert!(err.contains(message) && !err.contains("panicked"), "{replay:?}: {err}");
+    }
+
+    // A top count whose 4× overscan overflows still gets a full reply.
+    let (ok, served, err) = serve("rec 3 4611686018427387904\n", &["--rerank", "topk:5"]);
+    assert!(ok && err.contains("clean shutdown"), "{err}");
+    assert_eq!(served.lines().count(), 6, "{served}");
+    let huge = [&["recommend", "--user", "3", "--top", "4611686018427387904"][..], &common];
+    let (ok, _, err) = stdout(&huge.concat());
+    assert!(ok, "recommend with a huge top count failed: {err}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// synth → traced train with a run ledger → trace summary/diff → report:
 /// the full observability loop through the real binary.
 #[test]
@@ -278,6 +339,20 @@ fn cli_rejects_bad_input() {
     ]);
     assert!(!ok);
     assert!(text.contains("error"), "{text}");
+    // A zero top count and a model shape the model cannot take are flag
+    // errors, not panics.
+    for (flags, message) in [
+        (["--top", "0", "--dim", "16"], "bad --top"),
+        (["--top", "5", "--dim", "15"], "bad --dim/--interests: dim 15"),
+    ] {
+        let args = [
+            &["recommend", "--data", log.to_str().unwrap(), "--target", "favorite"][..],
+            &["--model", ckpt.to_str().unwrap(), "--user", "0"],
+            &flags,
+        ];
+        let (ok, text) = run(&args.concat());
+        assert!(!ok && text.contains(message) && !text.contains("panicked"), "{text}");
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
