@@ -29,9 +29,9 @@
 //!   against the packed transposed centroids. Runs under an
 //!   `index.build` span with `index.iterations`, `index.assign_exact` and
 //!   `index.assign_fallbacks` counters ([`BuildStats`]).
-//! - **Serialization** is a small versioned binary written next to the
-//!   checkpoint (conventionally `<ckpt>.ivf`), loadable without retraining
-//!   and published atomically (temp file, sync, rename).
+//! - **Serialization** is a [`mbssl_data::container`] file written next
+//!   to the checkpoint (conventionally `<ckpt>.ivf`), loadable without
+//!   retraining and published atomically (temp file, sync, rename).
 //!   Corrupt, truncated, or version-mismatched files fail with a clear
 //!   [`AnnError`]; consumers degrade to exhaustive scoring (warn-and-
 //!   degrade, like the run ledger's IO handling).
@@ -53,6 +53,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
+use mbssl_data::container::{self, as_bytes, corrupt, Container, FormatError, Source, Spec};
 use mbssl_data::ItemId;
 use mbssl_telemetry as telemetry;
 use mbssl_tensor::kernels::PackedB;
@@ -61,10 +62,18 @@ use mbssl_tensor::{kernels, pool};
 
 use crate::screen::{CatalogScreen, InterestCodes};
 
-/// Serialization magic: 8 bytes so a truncated checkpoint can never alias.
-const MAGIC: &[u8; 8] = b"MBSSLIVF";
-/// Current on-disk format version.
-const VERSION: u32 = 1;
+/// The index file format: its geometry (`dim`, k-means seed), the
+/// `nlist × dim` f32 centroids, the list lengths and the item ids list by
+/// list. `nlist` and `num_items` are the lengths of the last two.
+const SPEC: Spec = Spec {
+    magic: b"MBSSLIVF",
+    version: 2,
+    widths: &[8, 4, 8, 4],
+};
+const GEOMETRY: usize = 0;
+const CENTROIDS: usize = 1;
+const LIST_LENS: usize = 2;
+const IDS: usize = 3;
 /// Lloyd-iteration budget; assignment usually stabilizes much earlier and
 /// the loop stops at the first unchanged pass.
 const KMEANS_ITERS: usize = 12;
@@ -119,15 +128,9 @@ pub fn default_nprobe(nlist: usize) -> usize {
 /// not built for.
 #[derive(Debug)]
 pub enum AnnError {
-    /// Underlying read/write failure (includes truncation mid-field).
-    Io(std::io::Error),
-    /// File does not start with the `MBSSLIVF` magic bytes.
-    BadMagic,
-    /// File uses a format version this build cannot read.
-    BadVersion(u32),
-    /// Structurally invalid file (bad counts, out-of-range ids, trailing
-    /// bytes).
-    Corrupt(String),
+    /// The index file could not be read or written, or was rejected
+    /// (truncation, bad counts, out-of-range ids, trailing bytes).
+    Format(FormatError),
     /// Index geometry disagrees with the model it is being attached to.
     Mismatch {
         /// What the model expects, e.g. `dim 32, 2400 items`.
@@ -140,10 +143,7 @@ pub enum AnnError {
 impl std::fmt::Display for AnnError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            AnnError::Io(e) => write!(f, "io error: {e}"),
-            AnnError::BadMagic => write!(f, "not an mbssl IVF index (bad magic)"),
-            AnnError::BadVersion(v) => write!(f, "unsupported IVF index version {v}"),
-            AnnError::Corrupt(msg) => write!(f, "corrupt IVF index: {msg}"),
+            AnnError::Format(e) => write!(f, "IVF index: {e}"),
             AnnError::Mismatch { expected, found } => {
                 write!(f, "index/model mismatch: model has {expected}, index has {found}")
             }
@@ -153,9 +153,15 @@ impl std::fmt::Display for AnnError {
 
 impl std::error::Error for AnnError {}
 
+impl From<FormatError> for AnnError {
+    fn from(e: FormatError) -> Self {
+        AnnError::Format(e)
+    }
+}
+
 impl From<std::io::Error> for AnnError {
     fn from(e: std::io::Error) -> Self {
-        AnnError::Io(e)
+        AnnError::Format(e.into())
     }
 }
 
@@ -176,7 +182,7 @@ pub struct IndexStats {
     /// `max_len / mean_len`: 1.0 is perfectly balanced; large values mean
     /// a hot list dominates probe cost.
     pub imbalance: f64,
-    /// Serialized size in bytes (header + centroids + lists).
+    /// Serialized size in bytes (container header + centroids + lists).
     pub bytes: usize,
 }
 
@@ -565,12 +571,12 @@ impl IvfIndex {
             mean_len: mean,
             max_len: max,
             imbalance: if mean > 0.0 { max as f64 / mean } else { 0.0 },
-            bytes: MAGIC.len()
-                + 4
-                + 4 * 8
-                + self.centroids.len() * 4
-                + self.lists.len() * 8
-                + self.num_items * 4,
+            bytes: container::encoded_len(&[
+                2 * 8,
+                self.centroids.len() as u64 * 4,
+                self.lists.len() as u64 * 8,
+                self.num_items as u64 * 4,
+            ]) as usize,
         }
     }
 
@@ -593,30 +599,13 @@ impl IvfIndex {
     /// Allocates its buffers per call; the inference engine probes through
     /// [`probe_lists`](IvfIndex::probe_lists) with arena-rented scratch.
     pub fn probe_into(&self, interests: &[f32], k: usize, nprobe: usize, out: &mut Vec<ItemId>) {
-        let mut scores = vec![0.0f32; k * self.lists.len()];
-        let mut scratch = vec![0.0f32; PackedB::SCRATCH_LEN];
-        self.probe_with(interests, k, nprobe, &mut scores, &mut scratch, out);
-    }
-
-    /// [`probe_into`](IvfIndex::probe_into) with caller scratch: `scores`
-    /// must hold at least `k * nlist` f32s and `scratch` at least
-    /// [`PackedB::SCRATCH_LEN`]; both are overwritten. It still allocates
-    /// three `nlist`-word buffers for [`probe_lists`](IvfIndex::probe_lists).
-    /// Output is identical to `probe_into` (which delegates here).
-    pub fn probe_with(
-        &self,
-        interests: &[f32],
-        k: usize,
-        nprobe: usize,
-        scores: &mut [f32],
-        scratch: &mut [f32],
-        out: &mut Vec<ItemId>,
-    ) {
         let nlist = self.lists.len();
+        let mut scores = vec![0.0f32; k * nlist];
+        let mut gemm = vec![0.0f32; PackedB::SCRATCH_LEN];
         let mut words = vec![0u32; 3 * nlist];
         let (order, rest) = words.split_at_mut(nlist);
         let (probed, lists) = rest.split_at_mut(nlist);
-        let mut probe = ProbeScratch { scores, gemm: scratch, order, probed, lists };
+        let mut probe = ProbeScratch { scores: &mut scores, gemm: &mut gemm, order, probed, lists };
         let count = self.probe_lists(interests, k, nprobe, &mut probe);
         for &c in &probe.lists[..count] {
             out.extend_from_slice(&self.lists[c as usize]);
@@ -684,141 +673,106 @@ impl IvfIndex {
         count
     }
 
-    /// Serializes the index to `writer` (see the module docs for the
-    /// format: magic, version, geometry header, centroids, lists).
+    /// Serializes the index to `writer` as a container file.
     pub fn save<W: Write>(&self, writer: &mut W) -> Result<(), AnnError> {
-        writer.write_all(MAGIC)?;
-        writer.write_all(&VERSION.to_le_bytes())?;
-        for v in [
-            self.dim as u64,
-            self.num_items as u64,
-            self.lists.len() as u64,
-            self.seed,
-        ] {
-            writer.write_all(&v.to_le_bytes())?;
-        }
-        let mut buf = Vec::with_capacity(self.centroids.len() * 4);
-        for &v in &self.centroids {
-            buf.extend_from_slice(&v.to_le_bytes());
-        }
-        writer.write_all(&buf)?;
-        for list in &self.lists {
-            writer.write_all(&(list.len() as u64).to_le_bytes())?;
-            let mut buf = Vec::with_capacity(list.len() * 4);
-            for &id in list {
-                buf.extend_from_slice(&id.to_le_bytes());
-            }
-            writer.write_all(&buf)?;
-        }
-        Ok(())
+        self.encode(|sections| container::write(writer, &SPEC, sections))
     }
 
     /// Saves to a file path (conventionally `<checkpoint>.ivf`)
-    /// atomically ([`mbssl_tensor::serialize::write_atomic`]): a reader
-    /// never sees a partial index, and on error an earlier file at `path`
-    /// is left as it was.
+    /// atomically ([`container::write_atomic`]): a reader never sees a
+    /// partial index, and on error an earlier file at `path` is left as it
+    /// was.
     pub fn save_to_file(&self, path: impl AsRef<Path>) -> Result<(), AnnError> {
-        mbssl_tensor::serialize::write_atomic(path.as_ref(), |writer| self.save(writer))
+        self.encode(|sections| container::publish(path.as_ref(), &SPEC, sections))
     }
 
-    /// Reads an index back, validating the header, geometry plausibility,
-    /// id ranges, the every-item-exactly-once invariant, and that no
-    /// trailing bytes follow the last list.
+    fn encode(
+        &self,
+        put: impl FnOnce(&[Source]) -> Result<u64, FormatError>,
+    ) -> Result<(), AnnError> {
+        let lens: Vec<u64> = self.lists.iter().map(|l| l.len() as u64).collect();
+        let ids = self.lists.concat();
+        put(&[
+            Source::Bytes(as_bytes(&[self.dim as u64, self.seed])),
+            Source::Bytes(as_bytes(&self.centroids)),
+            Source::Bytes(as_bytes(&lens)),
+            Source::Bytes(as_bytes(&ids)),
+        ])?;
+        Ok(())
+    }
+
+    /// Reads an index back from a byte stream; see
+    /// [`load_from_file`](IvfIndex::load_from_file).
     pub fn load<R: Read>(reader: &mut R) -> Result<IvfIndex, AnnError> {
-        let mut magic = [0u8; 8];
-        reader.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(AnnError::BadMagic);
-        }
-        let mut u32buf = [0u8; 4];
-        reader.read_exact(&mut u32buf)?;
-        let version = u32::from_le_bytes(u32buf);
-        if version != VERSION {
-            return Err(AnnError::BadVersion(version));
-        }
-        let mut u64buf = [0u8; 8];
-        let mut read_u64 = |r: &mut R| -> Result<u64, AnnError> {
-            r.read_exact(&mut u64buf)?;
-            Ok(u64::from_le_bytes(u64buf))
-        };
-        let dim = read_u64(reader)? as usize;
-        let num_items = read_u64(reader)? as usize;
-        let nlist = read_u64(reader)? as usize;
-        let seed = read_u64(reader)?;
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes)?;
+        Self::decode(&Container::from_bytes(&bytes, &SPEC)?)
+    }
+
+    /// Loads from a file path, validating the geometry's plausibility, id
+    /// ranges and the every-item-exactly-once invariant (the container
+    /// checks the rest).
+    pub fn load_from_file(path: impl AsRef<Path>) -> Result<IvfIndex, AnnError> {
+        Self::decode(&Container::open(path.as_ref(), &SPEC)?)
+    }
+
+    fn decode(file: &Container) -> Result<IvfIndex, AnnError> {
+        let [dim, seed] = file.fixed::<u64, 2>(GEOMETRY)?;
+        let (lens, ids) = (file.view::<u64>(LIST_LENS), file.view::<ItemId>(IDS));
+        let (nlist, num_items) = (lens.len(), ids.len());
         if dim == 0 || dim > 1 << 20 {
-            return Err(AnnError::Corrupt(format!("implausible dim {dim}")));
+            return Err(corrupt(format!("implausible dim {dim}")).into());
         }
+        let dim = dim as usize;
         if num_items == 0 || num_items > 1 << 31 {
-            return Err(AnnError::Corrupt(format!("implausible num_items {num_items}")));
+            return Err(corrupt(format!("implausible num_items {num_items}")).into());
         }
         if nlist == 0 || nlist > num_items {
-            return Err(AnnError::Corrupt(format!(
-                "nlist {nlist} out of range for {num_items} items"
-            )));
+            return Err(corrupt(format!("nlist {nlist} out of range for {num_items} items")).into());
         }
-        let mut buf = vec![0u8; nlist * dim * 4];
-        reader.read_exact(&mut buf)?;
-        let centroids: Vec<f32> = buf
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-            .collect();
+        let centroids = file.view::<f32>(CENTROIDS);
+        if centroids.len() != nlist * dim {
+            return Err(corrupt(format!(
+                "{} centroid values, expected {nlist} × {dim}",
+                centroids.len()
+            ))
+            .into());
+        }
         let mut lists = Vec::with_capacity(nlist);
         let mut seen = vec![false; num_items + 1];
-        let mut total = 0usize;
-        for c in 0..nlist {
-            let mut u64buf = [0u8; 8];
-            reader.read_exact(&mut u64buf)?;
-            let len = u64::from_le_bytes(u64buf) as usize;
-            total += len;
-            if total > num_items {
-                return Err(AnnError::Corrupt(format!(
-                    "lists hold more than {num_items} items"
-                )));
+        let mut rest = ids;
+        for (c, &len) in lens.iter().enumerate() {
+            if len > rest.len() as u64 {
+                return Err(corrupt(format!("lists hold more than {num_items} items")).into());
             }
-            let mut buf = vec![0u8; len * 4];
-            reader.read_exact(&mut buf)?;
-            let mut list = Vec::with_capacity(len);
-            for idb in buf.chunks_exact(4) {
-                let id = u32::from_le_bytes([idb[0], idb[1], idb[2], idb[3]]);
+            let (list, tail) = rest.split_at(len as usize);
+            rest = tail;
+            for &id in list {
                 if id == 0 || id as usize > num_items {
-                    return Err(AnnError::Corrupt(format!(
-                        "list {c} holds out-of-range item {id}"
-                    )));
+                    return Err(corrupt(format!("list {c} holds out-of-range item {id}")).into());
                 }
-                if seen[id as usize] {
-                    return Err(AnnError::Corrupt(format!(
-                        "item {id} appears in more than one list"
-                    )));
+                if std::mem::replace(&mut seen[id as usize], true) {
+                    return Err(corrupt(format!("item {id} appears in more than one list")).into());
                 }
-                seen[id as usize] = true;
-                list.push(id as ItemId);
             }
-            lists.push(list);
+            lists.push(list.to_vec());
         }
-        if total != num_items {
-            return Err(AnnError::Corrupt(format!(
-                "lists hold {total} items, expected {num_items}"
-            )));
-        }
-        let mut trailing = [0u8; 1];
-        if reader.read(&mut trailing)? != 0 {
-            return Err(AnnError::Corrupt("trailing bytes after the last list".into()));
+        if !rest.is_empty() {
+            return Err(corrupt(format!(
+                "lists hold {} items, expected {num_items}",
+                num_items - rest.len()
+            ))
+            .into());
         }
         Ok(IvfIndex {
             dim,
             num_items,
             seed,
-            packed_centroids: pack_transposed(&centroids, nlist, dim),
-            centroids,
+            packed_centroids: pack_transposed(centroids, nlist, dim),
+            centroids: centroids.to_vec(),
             lists,
             build_stats: BuildStats::default(),
         })
-    }
-
-    /// Loads from a file path.
-    pub fn load_from_file(path: impl AsRef<Path>) -> Result<IvfIndex, AnnError> {
-        let mut file = std::io::BufReader::new(std::fs::File::open(path)?);
-        Self::load(&mut file)
     }
 }
 

@@ -19,6 +19,8 @@
 //!   the items whose integer upper bound cannot reach the top-n;
 //! - [`ann`]: the IVF-Flat approximate-retrieval index ([`ann::IvfIndex`])
 //!   that turns full-catalog ranking into retrieve-then-rerank;
+//! - [`serialize`]: model checkpoints ([`serialize::Checkpoint`]), which
+//!   record the model config beside the parameters;
 //! - [`serve`]: the micro-batched online serving engine (`mbssl serve`)
 //!   with per-user sequence caching, checkpoint hot-swap, and a
 //!   composable re-rank chain;
@@ -37,6 +39,7 @@ pub mod ledger;
 pub mod model;
 pub mod recommender;
 pub mod screen;
+pub mod serialize;
 pub mod serve;
 pub mod ssl;
 pub mod trainer;
@@ -52,6 +55,7 @@ pub use recommender::{
     evaluate, evaluate_reference, recommend_top_n, recommend_top_n_reference, Recommendation,
     SequentialRecommender,
 };
+pub use serialize::{Checkpoint, CheckpointError};
 pub use serve::{
     MetricsSnapshot, RerankChain, ServeConfig, ServeReply, ServeStats, Server, SessionStore, Stage,
 };

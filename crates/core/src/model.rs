@@ -16,6 +16,7 @@ use crate::config::{BehaviorSchema, ModelConfig};
 use crate::encoder::{init_rng, Backbone, InputLayer};
 use crate::interest::InterestExtractor;
 use crate::recommender::SequentialRecommender;
+use crate::serialize::{Checkpoint, CheckpointError};
 use crate::ssl::{alignment_loss, augmentation_loss, disentanglement_loss};
 use crate::trainer::TrainableRecommender;
 
@@ -291,22 +292,24 @@ impl Mbmissl {
         loss
     }
 
-    /// Saves the model's parameters to a checkpoint file (see
-    /// [`mbssl_tensor::serialize`] for the format).
-    pub fn save(
-        &self,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), mbssl_tensor::serialize::CheckpointError> {
-        mbssl_tensor::serialize::save_params_to_file(&self.named_params(), path)
+    /// Saves the model's config and parameters to a checkpoint file
+    /// (see [`crate::serialize`] for the format).
+    pub fn save(&self, path: impl AsRef<std::path::Path>) -> Result<(), CheckpointError> {
+        crate::serialize::save_params_to_file(&self.config, &self.named_params(), path)
     }
 
-    /// Loads parameters from a checkpoint produced by [`Mbmissl::save`]
-    /// into this model (the architecture/config must match).
-    pub fn load(
-        &self,
+    /// Builds the model a checkpoint produced by [`Mbmissl::save`] records
+    /// (its config, for a catalog of `num_items` under `schema`) and loads
+    /// its parameters.
+    pub fn from_checkpoint(
         path: impl AsRef<std::path::Path>,
-    ) -> Result<(), mbssl_tensor::serialize::CheckpointError> {
-        mbssl_tensor::serialize::load_params_from_file(&self.named_params(), path)
+        num_items: usize,
+        schema: BehaviorSchema,
+    ) -> Result<Mbmissl, CheckpointError> {
+        let checkpoint = Checkpoint::open(path)?;
+        let model = Mbmissl::new(num_items, schema, checkpoint.config().clone());
+        checkpoint.load_into(&model.named_params())?;
+        Ok(model)
     }
 
     /// Interest-level inspection: attention weights `[B, K, L]` over a

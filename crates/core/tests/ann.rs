@@ -27,6 +27,7 @@ use mbssl_core::{
     ann, recommend_top_n_reference, AnnError, BehaviorSchema, EncoderKind, ExtractorKind,
     InferenceModel, IvfIndex, Mbmissl, ModelConfig, SequentialRecommender, TrainableRecommender,
 };
+use mbssl_data::container::FormatError;
 use mbssl_data::synthetic::SyntheticConfig;
 use mbssl_data::{Dataset, ItemId};
 use proptest::prelude::*;
@@ -304,12 +305,16 @@ fn recall_vs_nprobe_sweep() {
 // --- serialization failure modes ----------------------------------------
 
 fn saved_index_bytes() -> (Vec<u8>, usize, usize) {
-    let (model, dataset) = tiny_model(EncoderKind::Transformer, ExtractorKind::SelfAttentive);
-    let engine = InferenceModel::compile(&model);
-    let index = engine.build_index_with(8, 3);
-    let mut buf = Vec::new();
-    index.save(&mut buf).unwrap();
-    (buf, dataset.num_items, 16)
+    static SAVED: std::sync::OnceLock<(Vec<u8>, usize)> = std::sync::OnceLock::new();
+    let (buf, num_items) = SAVED.get_or_init(|| {
+        let (model, dataset) = tiny_model(EncoderKind::Transformer, ExtractorKind::SelfAttentive);
+        let engine = InferenceModel::compile(&model);
+        let index = engine.build_index_with(8, 3);
+        let mut buf = Vec::new();
+        index.save(&mut buf).unwrap();
+        (buf, dataset.num_items)
+    });
+    (buf.clone(), *num_items, 16)
 }
 
 #[test]
@@ -317,7 +322,7 @@ fn corrupt_magic_is_rejected() {
     let (mut buf, _, _) = saved_index_bytes();
     buf[0] = b'X';
     match IvfIndex::load(&mut buf.as_slice()) {
-        Err(AnnError::BadMagic) => {}
+        Err(AnnError::Format(FormatError::BadMagic)) => {}
         other => panic!("expected BadMagic, got {other:?}"),
     }
 }
@@ -327,8 +332,21 @@ fn version_mismatch_is_rejected_with_the_version() {
     let (mut buf, _, _) = saved_index_bytes();
     buf[8..12].copy_from_slice(&99u32.to_le_bytes());
     match IvfIndex::load(&mut buf.as_slice()) {
-        Err(AnnError::BadVersion(99)) => {}
+        Err(AnnError::Format(FormatError::BadVersion(99))) => {}
         other => panic!("expected BadVersion(99), got {other:?}"),
+    }
+}
+
+#[test]
+fn version_1_index_is_rejected_by_version() {
+    // A version-1 file: magic, version 1, then its fixed geometry header.
+    let mut v1 = b"MBSSLIVF\x01\0\0\0".to_vec();
+    for field in [16u64, 400, 8, 3] {
+        v1.extend_from_slice(&field.to_le_bytes());
+    }
+    match IvfIndex::load(&mut v1.as_slice()) {
+        Err(AnnError::Format(FormatError::BadVersion(1))) => {}
+        other => panic!("expected BadVersion(1), got {other:?}"),
     }
 }
 
@@ -336,10 +354,33 @@ fn version_mismatch_is_rejected_with_the_version() {
 fn truncated_file_is_rejected() {
     let (buf, _, _) = saved_index_bytes();
     // Every truncation point must fail — header, centroids, or lists.
-    for cut in [4usize, 11, 40, buf.len() / 2, buf.len() - 1] {
+    for cut in 0..buf.len() {
         match IvfIndex::load(&mut &buf[..cut]) {
-            Err(AnnError::Io(_)) | Err(AnnError::BadMagic) | Err(AnnError::Corrupt(_)) => {}
+            Err(AnnError::Format(FormatError::Truncated { needed, actual })) => {
+                assert!(needed > actual && actual == cut as u64, "truncation at {cut}")
+            }
             other => panic!("truncation at {cut} bytes not rejected: {other:?}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Any single-byte change is a typed error or an index that still puts
+    // every item in exactly one list; never a panic.
+    #[test]
+    fn single_byte_corruption_is_typed(at_frac in 0.0f64..1.0, val in 0u8..=255) {
+        let (mut buf, _, _) = saved_index_bytes();
+        let at = ((buf.len() - 1) as f64 * at_frac) as usize;
+        let val = if buf[at] == val { val.wrapping_add(1) } else { val };
+        buf[at] = val;
+        if let Ok(index) = IvfIndex::load(&mut buf.as_slice()) {
+            let lists = (0..index.nlist()).flat_map(|c| index.list(c).to_vec());
+            let mut ids: Vec<ItemId> = lists.collect();
+            ids.sort_unstable();
+            prop_assert!(ids.iter().copied().eq(1..=index.num_items() as ItemId));
+            prop_assert_eq!(index.centroids().len(), index.nlist() * index.dim());
         }
     }
 }
@@ -349,7 +390,9 @@ fn trailing_bytes_are_rejected() {
     let (mut buf, _, _) = saved_index_bytes();
     buf.push(0);
     match IvfIndex::load(&mut buf.as_slice()) {
-        Err(AnnError::Corrupt(msg)) => assert!(msg.contains("trailing"), "msg: {msg}"),
+        Err(AnnError::Format(FormatError::Corrupt(msg))) => {
+            assert!(msg.contains("trailing"), "msg: {msg}")
+        }
         other => panic!("expected Corrupt(trailing), got {other:?}"),
     }
 }
@@ -365,7 +408,9 @@ fn out_of_range_item_id_is_rejected() {
     let n = buf.len();
     buf[n - 4..].copy_from_slice(&((num_items as u32) + 100).to_le_bytes());
     match IvfIndex::load(&mut buf.as_slice()) {
-        Err(AnnError::Corrupt(msg)) => assert!(msg.contains("out-of-range"), "msg: {msg}"),
+        Err(AnnError::Format(FormatError::Corrupt(msg))) => {
+            assert!(msg.contains("out-of-range"), "msg: {msg}")
+        }
         other => panic!("expected Corrupt(out-of-range), got {other:?}"),
     }
 }

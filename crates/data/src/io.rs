@@ -9,7 +9,7 @@
 //! events by timestamp (stable on ties).
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{BufRead, Write};
 use std::path::Path;
 
 use crate::types::{Behavior, Dataset, Interaction, ItemId, Sequence, UserId};
@@ -170,18 +170,19 @@ pub fn load_tsv(path: impl AsRef<Path>, target_behavior: Behavior) -> Result<Dat
     dataset_from_interactions(&name, interactions, target_behavior)
 }
 
-/// Writes a dataset back to TSV (timestamps are the per-user event index).
+/// Writes a dataset back to TSV (timestamps are the per-user event index),
+/// published atomically ([`crate::container::write_atomic`]): a reader
+/// sees the earlier file or the whole new one.
 pub fn save_tsv(dataset: &Dataset, path: impl AsRef<Path>) -> Result<(), IoError> {
-    let mut w = BufWriter::new(std::fs::File::create(path)?);
-    writeln!(w, "user\titem\tbehavior\ttimestamp")?;
-    for (u, seq) in dataset.sequences.iter().enumerate() {
-        for (t, (&it, &b)) in seq.items.iter().zip(seq.behaviors.iter()).enumerate() {
-            writeln!(w, "{u}\t{it}\t{}\t{t}", b.token())?;
+    crate::container::write_atomic(path.as_ref(), |w| {
+        writeln!(w, "user\titem\tbehavior\ttimestamp")?;
+        for (u, seq) in dataset.sequences.iter().enumerate() {
+            for (t, (&it, &b)) in seq.items.iter().zip(seq.behaviors.iter()).enumerate() {
+                writeln!(w, "{u}\t{it}\t{}\t{t}", b.token())?;
+            }
         }
-    }
-    // A drop would flush too, but would swallow an error on the last buffer.
-    w.flush()?;
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -261,13 +262,41 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// `/dev/full` fails every write; this log fits in one buffer, so
-    /// only the final flush can report it.
+    /// A device such as `/dev/full` is refused before anything is written:
+    /// publishing renames over the target.
     #[cfg(target_os = "linux")]
     #[test]
     fn save_tsv_reports_a_failed_final_flush() {
         let inters = read_interactions(SAMPLE.as_bytes()).unwrap();
         let d = dataset_from_interactions("t", inters, Behavior::Purchase).unwrap();
         assert!(save_tsv(&d, "/dev/full").is_err());
+    }
+
+    #[test]
+    fn save_tsv_replaces_atomically() {
+        let inters = read_interactions(SAMPLE.as_bytes()).unwrap();
+        let d = dataset_from_interactions("t", inters, Behavior::Purchase).unwrap();
+        let dir = std::env::temp_dir().join(format!("mbssl_tsv_save_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("log.tsv");
+        save_tsv(&d, &path).unwrap();
+        let saved = std::fs::read(&path).unwrap();
+        let entries = || -> Vec<_> {
+            let mut names: Vec<_> =
+                std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+            names.sort();
+            names
+        };
+        assert_eq!(entries(), ["log.tsv"], "a temp file is left");
+
+        // A save whose rename is blocked (the target is a directory) fails,
+        // leaves the earlier log byte for byte and no temp sibling.
+        let blocked = dir.join("blocked.tsv");
+        std::fs::create_dir(&blocked).unwrap();
+        assert!(save_tsv(&d, &blocked).is_err());
+        assert!(blocked.is_dir());
+        assert_eq!(entries(), ["blocked.tsv", "log.tsv"]);
+        assert_eq!(std::fs::read(&path).unwrap(), saved);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -4,8 +4,10 @@
 //! multi-behavior log generator standing in for license-gated Taobao /
 //! Tmall / Yelp dumps ([`synthetic`]), preprocessing ([`preprocess`]),
 //! negative sampling + batching ([`sampler`]), contrastive augmentations
-//! ([`augment`]), TSV IO ([`io`]), and the mmap'd binary columnar `.mbds`
-//! format for million-user logs ([`mod@format`]).
+//! ([`augment`]), TSV IO ([`io`]), the mmap'd binary columnar `.mbds`
+//! format for million-user logs ([`mod@format`]), and the [`container`]
+//! file layout every binary format of the workspace (`.mbds`, the IVF
+//! index, the model checkpoint) is written in.
 //!
 //! # Quick example
 //! ```
@@ -21,6 +23,7 @@
 #![warn(missing_docs)]
 
 pub mod augment;
+pub mod container;
 pub mod format;
 pub mod io;
 pub mod preprocess;

@@ -407,7 +407,7 @@ pub fn convert_tsv_in_memory(
 ) -> Result<ConvertReport, ConvertError> {
     let raw = crate::io::load_tsv(tsv, target)?;
     let filtered = k_core(&raw, k_user, k_item);
-    let bytes_written = crate::format::write_mbds_kcore(&filtered, out, k_user, k_item)?;
+    let bytes_written = crate::format::write_mbds(&filtered, out, k_user, k_item)?;
     Ok(ConvertReport {
         users_in: raw.num_users,
         items_in: raw.num_items,

@@ -382,11 +382,6 @@ impl<'a> BatchIterator<'a> {
         self.cursor = end;
         Some(chunk)
     }
-
-    /// Total number of chunks the iterator will yield.
-    pub fn num_batches(&self) -> usize {
-        self.order.len().div_ceil(self.batch_size)
-    }
 }
 
 #[cfg(test)]
@@ -491,7 +486,7 @@ mod tests {
             assert!(chunk.len() <= 16);
         }
         assert_eq!(total, split.train.len());
-        assert_eq!(batches, it.num_batches());
+        assert_eq!(batches, split.train.len().div_ceil(16));
     }
 
     #[test]

@@ -304,21 +304,6 @@ impl Dataset {
         (2.0 * weighted) / (n * total) - (n + 1.0) / n
     }
 
-    /// Histogram of sequence lengths over the given bucket boundaries
-    /// (same semantics as `metrics::aggregate::bucket_by`).
-    pub fn seq_len_histogram(&self, boundaries: &[usize]) -> Vec<usize> {
-        let mut buckets = vec![0usize; boundaries.len() + 1];
-        for seq in &self.sequences {
-            let len = seq.len();
-            let b = boundaries
-                .iter()
-                .position(|&x| len <= x)
-                .unwrap_or(boundaries.len());
-            buckets[b] += 1;
-        }
-        buckets
-    }
-
     /// Summary statistics (the Table-1 row for this dataset).
     pub fn stats(&self) -> DatasetStats {
         DatasetStats {
@@ -471,14 +456,6 @@ mod tests {
             sequences: vec![s],
         };
         assert!(d.popularity_gini() > 0.45, "gini {}", d.popularity_gini());
-    }
-
-    #[test]
-    fn seq_len_histogram_partitions_users() {
-        let d = tiny_dataset();
-        let hist = d.seq_len_histogram(&[1, 5]);
-        assert_eq!(hist.iter().sum::<usize>(), d.num_users);
-        assert_eq!(hist, vec![1, 1, 0]); // lens 2 and 1
     }
 
     #[test]

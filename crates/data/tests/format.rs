@@ -8,7 +8,7 @@
 //! one side of that line.
 //!
 //! The section-offset arithmetic is deliberately re-derived here from the
-//! DESIGN.md §16 prose instead of calling into the crate, so these tests
+//! DESIGN.md §16.1 prose instead of calling into the crate, so these tests
 //! double as a conformance check that the spec matches the implementation.
 
 use std::path::PathBuf;
@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 
-use mbssl_data::format::{write_mbds, FormatError, MbdsFile, HEADER_LEN, MAGIC, VERSION};
+use mbssl_data::format::{write_mbds, FormatError, MbdsFile, MAGIC, VERSION};
 use mbssl_data::io::{load_tsv, save_tsv};
 use mbssl_data::preprocess::{convert_tsv_streaming, k_core};
 use mbssl_data::synthetic::SyntheticConfig;
@@ -54,7 +54,7 @@ fn tiny_dataset(seed: u64, preset: usize) -> Dataset {
 fn valid_file_bytes(seed: u64, preset: usize) -> (Dataset, Vec<u8>) {
     let d = tiny_dataset(seed, preset);
     let path = scratch("valid");
-    write_mbds(&d, &path).expect("write");
+    write_mbds(&d, &path, 0, 0).expect("write");
     let bytes = std::fs::read(&path).expect("read back");
     std::fs::remove_file(&path).ok();
     (d, bytes)
@@ -68,26 +68,34 @@ fn open_bytes(bytes: &[u8]) -> Result<MbdsFile, FormatError> {
     out
 }
 
-/// §16 section arithmetic, re-derived from the spec prose: little-endian
-/// header counts at fixed offsets, sections 8-aligned, final section
-/// unpadded.
-struct SpecLayout {
-    items_at: usize,
-    behaviors_at: usize,
+/// §16.1 section arithmetic, re-derived from the spec prose: a 16-byte
+/// header (8-byte magic, u32 version, u32 section count S), a table of S
+/// little-endian u64 section lengths, then the sections in table order —
+/// the first right after the table, each later one at the previous end
+/// rounded up to a multiple of 8 — and nothing after the last.
+fn spec_sections(bytes: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let align8 = |x: usize| (x + 7) & !7;
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let mut pos = 16 + 8 * count;
+    (0..count)
+        .map(|i| {
+            let at = 16 + 8 * i;
+            let len = u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
+            let range = pos..pos + len;
+            pos = align8(pos + len);
+            range
+        })
+        .collect()
 }
 
-fn spec_layout(bytes: &[u8]) -> SpecLayout {
-    let align8 = |x: usize| (x + 7) & !7;
-    let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap()) as usize;
-    let u32_at = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-    let num_users = u64_at(16);
-    let num_events = u64_at(32);
-    let name_len = u32_at(44);
-    let offsets_at = align8(HEADER_LEN as usize + name_len);
-    let items_at = align8(offsets_at + (num_users + 1) * 8);
-    let behaviors_at = align8(items_at + num_events * 4);
-    SpecLayout { items_at, behaviors_at }
-}
+// The `.mbds` sections of §16.1, in order.
+const CATALOG: usize = 0;
+const CODES: usize = 1;
+const NAME: usize = 2;
+const OFFSETS: usize = 3;
+const ITEMS: usize = 4;
+const BEHAVIORS: usize = 5;
+const TIMESTAMPS: usize = 6;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -199,16 +207,61 @@ fn bad_magic_and_version_are_typed() {
     assert_eq!(&bytes[0..8], MAGIC);
 }
 
-// Targeted column corruption through the §16 offsets: an item id above
+#[test]
+fn sections_follow_the_spec_prose() {
+    let (d, bytes) = valid_file_bytes(7, 0);
+    let sections = spec_sections(&bytes);
+    assert_eq!(sections.len(), 7);
+    assert_eq!(sections[TIMESTAMPS].end, bytes.len(), "the file ends at the last section");
+    let u64s = |r: &std::ops::Range<usize>| -> Vec<u64> {
+        let words = bytes[r.clone()].chunks_exact(8);
+        words.map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect()
+    };
+    assert_eq!(u64s(&sections[CATALOG]), [d.num_items as u64]);
+    let codes = &bytes[sections[CODES].clone()];
+    assert_eq!(codes[0] as usize, d.target_behavior.index());
+    assert_eq!(&bytes[sections[NAME].clone()], d.name.as_bytes());
+    let offsets = u64s(&sections[OFFSETS]);
+    assert_eq!(offsets.len(), d.num_users + 1);
+    let events = d.num_interactions();
+    assert_eq!(offsets[d.num_users], events as u64);
+    assert_eq!(sections[ITEMS].len(), 4 * events);
+    assert_eq!(sections[BEHAVIORS].len(), events);
+    assert_eq!(sections[TIMESTAMPS].len(), 8 * events);
+    let first = &d.sequences[0];
+    let items_at = sections[ITEMS].start;
+    assert_eq!(bytes[items_at..items_at + 4], first.items[0].to_le_bytes());
+    assert_eq!(bytes[sections[BEHAVIORS].start] as usize, first.behaviors[0].index());
+    for pair in sections.windows(2) {
+        assert!(bytes[pair[0].end..pair[1].start].iter().all(|&b| b == 0), "padding is zero");
+    }
+}
+
+// A version-1 file (its 64-byte header of §16's first layout) is refused
+// by version, never parsed as version 2.
+#[test]
+fn version_1_file_is_bad_version() {
+    let mut v1 = Vec::from(&MAGIC[..]);
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&64u32.to_le_bytes());
+    v1.extend_from_slice(&[0u8; 24]); // no users, items or events
+    v1.extend_from_slice(&[4, 0b1001, 5, 3, 0, 0, 0, 0]);
+    v1.extend_from_slice(&[0u8; 16]);
+    v1.extend_from_slice(&0u64.to_le_bytes()); // user_offsets = [0]
+    assert!(matches!(open_bytes(&v1), Err(FormatError::BadVersion(1))));
+}
+
+// Targeted column corruption through the §16.1 offsets: an item id above
 // num_items and an undeclared behavior code must both be Corrupt, with the
 // offending event named.
 #[test]
 fn out_of_range_ids_are_corrupt() {
     let (_, bytes) = valid_file_bytes(7, 0);
-    let lay = spec_layout(&bytes);
+    let sections = spec_sections(&bytes);
+    let (items_at, behaviors_at) = (sections[ITEMS].start, sections[BEHAVIORS].start);
 
     let mut big_item = bytes.clone();
-    big_item[lay.items_at..lay.items_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    big_item[items_at..items_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
     match open_bytes(&big_item) {
         Err(FormatError::Corrupt(msg)) => {
             assert!(msg.contains("item id") && msg.contains("event 0"), "{msg}")
@@ -217,11 +270,11 @@ fn out_of_range_ids_are_corrupt() {
     }
 
     let mut zero_item = bytes.clone();
-    zero_item[lay.items_at..lay.items_at + 4].copy_from_slice(&0u32.to_le_bytes());
+    zero_item[items_at..items_at + 4].copy_from_slice(&0u32.to_le_bytes());
     assert!(matches!(open_bytes(&zero_item), Err(FormatError::Corrupt(_))));
 
     let mut bad_behavior = bytes;
-    bad_behavior[lay.behaviors_at] = 7;
+    bad_behavior[behaviors_at] = 7;
     match open_bytes(&bad_behavior) {
         Err(FormatError::Corrupt(msg)) => {
             assert!(msg.contains("behavior code 7"), "{msg}")

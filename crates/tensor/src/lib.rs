@@ -13,9 +13,8 @@
 //!   bias+GELU and residual+layernorm with hand-written backwards,
 //! - an NN layer library ([`nn`]): linear, embedding, layer-norm,
 //!   multi-head attention, transformer blocks, GRU,
-//! - optimizers and LR schedules ([`optim`]),
-//! - seeded initializers ([`init`]) and binary checkpointing
-//!   ([`serialize`]).
+//! - the Adam optimizer and gradient clipping ([`optim`]),
+//! - seeded initializers ([`init`]).
 //!
 //! # Quick example
 //! ```
@@ -41,7 +40,6 @@ mod ops;
 pub mod optim;
 pub mod pool;
 pub mod quant;
-pub mod serialize;
 pub mod shape;
 pub mod sharded;
 pub mod simd;

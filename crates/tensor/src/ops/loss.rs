@@ -43,12 +43,6 @@ impl Tensor {
         })
     }
 
-    /// Mean squared error against a constant target tensor.
-    pub fn mse_loss(&self, target: &Tensor) -> Tensor {
-        assert_eq!(self.shape(), target.shape(), "mse shapes must match");
-        self.sub(target).square().mean_all()
-    }
-
     /// Mean binary cross-entropy with logits against 0/1 labels.
     ///
     /// Stable formulation `max(x,0) - x*y + ln(1 + e^{-|x|})`.
@@ -144,21 +138,6 @@ mod tests {
         for row in g.chunks(3) {
             assert!(row.iter().sum::<f32>().abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn mse_zero_when_equal() {
-        let a = Tensor::from_slice(&[1.0, 2.0], [2]);
-        assert_eq!(a.mse_loss(&a).item(), 0.0);
-    }
-
-    #[test]
-    fn mse_grad() {
-        let a = Tensor::from_slice(&[3.0], [1]).requires_grad();
-        let t = Tensor::from_slice(&[1.0], [1]);
-        a.mse_loss(&t).backward();
-        // d/da (a - t)^2 = 2(a - t) = 4
-        assert!((a.grad().unwrap()[0] - 4.0).abs() < 1e-5);
     }
 
     #[test]

@@ -147,38 +147,6 @@ impl Tensor {
         arg
     }
 
-    /// Top-`k` values and indices along the last axis (descending), as
-    /// plain data (no gradient). Ties keep the lower index first.
-    /// Returns `(values, indices)`, each row-major `[outer, k]`.
-    pub fn topk_lastdim(&self, k: usize) -> (Vec<f32>, Vec<usize>) {
-        let cols = *self
-            .shape()
-            .dims()
-            .last()
-            .expect("topk requires rank >= 1");
-        assert!(k > 0 && k <= cols, "k={k} out of range for axis size {cols}");
-        let data = self.data();
-        let rows = data.len() / cols.max(1);
-        let mut values = Vec::with_capacity(rows * k);
-        let mut indices = Vec::with_capacity(rows * k);
-        for r in 0..rows {
-            let row = &data[r * cols..(r + 1) * cols];
-            let mut idx: Vec<usize> = (0..cols).collect();
-            // Partial selection: top-k by value, stable on ties.
-            idx.sort_by(|&a, &b| {
-                row[b]
-                    .partial_cmp(&row[a])
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.cmp(&b))
-            });
-            for &i in idx.iter().take(k) {
-                values.push(row[i]);
-                indices.push(i);
-            }
-        }
-        (values, indices)
-    }
-
     /// L2 norm over the last axis, kept as size-1 dim: `[.., D] -> [.., 1]`.
     pub fn l2_norm_lastdim(&self, eps: f32) -> Tensor {
         self.square()
@@ -264,27 +232,6 @@ mod tests {
         assert!((v[1] - 0.8).abs() < 1e-5);
         assert!((v[2] - 0.0).abs() < 1e-5);
         assert!((v[3] - 1.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn topk_values_and_indices() {
-        let x = Tensor::from_slice(&[1.0, 5.0, 3.0, 2.0, 0.0, 4.0], [2, 3]);
-        let (v, i) = x.topk_lastdim(2);
-        assert_eq!(v, vec![5.0, 3.0, 4.0, 2.0]);
-        assert_eq!(i, vec![1, 2, 2, 0]);
-    }
-
-    #[test]
-    fn topk_ties_prefer_lower_index() {
-        let x = Tensor::from_slice(&[2.0, 2.0, 1.0], [3]);
-        let (_, i) = x.topk_lastdim(2);
-        assert_eq!(i, vec![0, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn topk_oversized_k_panics() {
-        Tensor::ones([3]).topk_lastdim(4);
     }
 
     #[test]

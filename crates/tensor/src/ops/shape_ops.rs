@@ -47,14 +47,6 @@ impl Tensor {
         self.reshape(dims)
     }
 
-    /// Removes a size-1 axis at `axis`.
-    pub fn squeeze(&self, axis: usize) -> Tensor {
-        let mut dims = self.shape().dims().to_vec();
-        assert_eq!(dims[axis], 1, "squeeze axis must have size 1");
-        dims.remove(axis);
-        self.reshape(dims)
-    }
-
     /// Slice of length `len` starting at `start` along `axis`.
     pub fn narrow(&self, axis: isize, start: usize, len: usize) -> Tensor {
         let axis = self.shape().resolve_axis(axis);
@@ -223,11 +215,10 @@ mod tests {
     }
 
     #[test]
-    fn unsqueeze_squeeze_roundtrip() {
+    fn unsqueeze_inserts_a_unit_axis() {
         let x = Tensor::ones([2, 3]);
-        let y = x.unsqueeze(1);
-        assert_eq!(y.dims(), &[2, 1, 3]);
-        assert_eq!(y.squeeze(1).dims(), &[2, 3]);
+        assert_eq!(x.unsqueeze(1).dims(), &[2, 1, 3]);
+        assert_eq!(x.unsqueeze(2).dims(), &[2, 3, 1]);
     }
 
     #[test]

@@ -135,15 +135,6 @@ impl Tensor {
         )
     }
 
-    /// Clamps below at `min` (gradient passes only where `x > min`).
-    pub fn clamp_min(&self, min: f32) -> Tensor {
-        unary_op(
-            self,
-            move |x| x.max(min),
-            move |x, _, g| if x > min { g } else { 0.0 },
-        )
-    }
-
     /// Reciprocal, `1/x`.
     pub fn recip(&self) -> Tensor {
         unary_op(self, |x| 1.0 / x, |_, y, g| -g * y * y)
@@ -244,15 +235,6 @@ mod tests {
         assert!((y[0]).abs() < 1e-6);
         assert!((y[1] - 0.8412).abs() < 1e-3);
         assert!((y[2] + 0.1588).abs() < 1e-3);
-    }
-
-    #[test]
-    fn clamp_min_blocks_grad() {
-        let x = Tensor::from_slice(&[-2.0, 3.0], [2]).requires_grad();
-        let y = x.clamp_min(0.0);
-        assert_eq!(y.to_vec(), vec![0.0, 3.0]);
-        y.sum_all().backward();
-        assert_eq!(x.grad().unwrap(), vec![0.0, 1.0]);
     }
 
     #[test]

@@ -282,12 +282,6 @@ impl Tensor {
         self.inner.data.read().unwrap()[off]
     }
 
-    /// A new leaf tensor with a copy of this tensor's data and no history
-    /// (stop-gradient).
-    pub fn detach(&self) -> Tensor {
-        Tensor::from_vec(self.to_vec(), self.inner.shape.clone())
-    }
-
     // ---------------------------------------------------------------
     // Gradients
     // ---------------------------------------------------------------
@@ -444,14 +438,6 @@ mod tests {
         let t = Tensor::zeros([2]).requires_grad();
         assert!(t.is_tracked());
         assert!(t.is_leaf());
-    }
-
-    #[test]
-    fn detach_drops_tracking() {
-        let t = Tensor::zeros([2]).requires_grad();
-        let d = t.detach();
-        assert!(!d.is_tracked());
-        assert_eq!(d.to_vec(), t.to_vec());
     }
 
     #[test]

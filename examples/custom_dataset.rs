@@ -6,15 +6,12 @@
 //! cargo run --release --example custom_dataset
 //! ```
 
-use mbssl::core::{
-    evaluate, BehaviorSchema, Mbmissl, ModelConfig, TrainConfig, TrainableRecommender, Trainer,
-};
+use mbssl::core::{evaluate, BehaviorSchema, Mbmissl, ModelConfig, TrainConfig, Trainer};
 use mbssl::data::io::{load_tsv, save_tsv};
 use mbssl::data::preprocess::{k_core, leave_one_out, SplitConfig};
 use mbssl::data::sampler::{EvalCandidates, NegativeSampler};
 use mbssl::data::synthetic::SyntheticConfig;
 use mbssl::data::Behavior;
-use mbssl::tensor::serialize::{load_params_from_file, save_params_to_file};
 
 fn main() {
     let dir = std::env::temp_dir().join("mbssl_custom_dataset_example");
@@ -60,7 +57,7 @@ fn main() {
         extractor_hidden: 32,
         ..ModelConfig::default()
     };
-    let model = Mbmissl::new(dataset.num_items, schema.clone(), config.clone());
+    let model = Mbmissl::new(dataset.num_items, schema.clone(), config);
     let trainer = Trainer::new(TrainConfig {
         epochs: 6,
         patience: 2,
@@ -72,14 +69,14 @@ fn main() {
         report.epochs_run, report.best_val_ndcg10
     );
 
-    // 4. Checkpoint.
-    save_params_to_file(&model.named_params(), &ckpt_path).expect("save checkpoint");
+    // 4. Checkpoint (the model config is saved beside the parameters).
+    model.save(&ckpt_path).expect("save checkpoint");
     println!("checkpoint saved to {}", ckpt_path.display());
 
-    // 5. Reload into a freshly constructed model and verify predictions
+    // 5. Rebuild the model the checkpoint records and verify predictions
     //    match exactly.
-    let restored = Mbmissl::new(dataset.num_items, schema, config);
-    load_params_from_file(&restored.named_params(), &ckpt_path).expect("load checkpoint");
+    let restored =
+        Mbmissl::from_checkpoint(&ckpt_path, dataset.num_items, schema).expect("load checkpoint");
 
     let candidates = EvalCandidates::build(&split.test, &sampler, 99, 3);
     let original = evaluate(&model, &split.test, &candidates, 256).aggregate();

@@ -23,9 +23,12 @@
 #                             must never change a bit.
 #   4. allocation regression — counting-allocator budget test (also per pool
 #                             size; the recycler is thread-local + shared).
-#   5. portable data path   — the .mbds format suite under
-#                             MBSSL_DATA_MMAP=off: buffered reads, the path
-#                             non-unix targets run. (Each layer has one
+#   5. portable data path   — under MBSSL_DATA_MMAP=off (buffered reads,
+#                             the path non-unix targets run), the tests of
+#                             every format on the one container: the
+#                             container's own, the .mbds suite, the
+#                             checkpoint round-trip and rejection tests and
+#                             the IVF serialization tests. (Each layer has one
 #                             production path; fused ops, allocator, sharded
 #                             scatter and engine are pinned to their oracles
 #                             by the parity suites of stages 2–4 and 6.)
@@ -69,7 +72,9 @@
 #                             MBSSL_ANN=off bit-parity diff against the
 #                             pre-index exhaustive output; the trained
 #                             checkpoint and its .ivf must leave no `*.tmp`
-#                             sibling (atomic publication). Then the serve
+#                             or `*.part` sibling (atomic publication).
+#                             Scoring commands take no --dim/--interests:
+#                             the checkpoint records its model config. Then the serve
 #                             smoke: a fixed replay served micro-batched
 #                             (batch 16, cache on) must be byte-identical to
 #                             the single-request run (batch 1, cache off) and
@@ -91,7 +96,8 @@
 #                             training from the mmap'd .mbds sibling must
 #                             produce a checkpoint byte-identical to the
 #                             MBSSL_DATA_MMAP=off TSV-parsed run. Also a
-#                             direct-to-.mbds `synth --preset scale` smoke.
+#                             direct-to-.mbds `synth --preset scale` smoke;
+#                             `convert` and `synth` must leave no temp file.
 #                             The shard_parity suite runs in the stage-2
 #                             pool-size loop, and the MBSSL_DATA_MMAP=off
 #                             format suite is stage 5.
@@ -166,8 +172,12 @@ for threads in 1 2 ""; do
     fi
 done
 
-echo "==> portable data path (MBSSL_DATA_MMAP=off, buffered .mbds reads)"
+echo "==> portable data path (MBSSL_DATA_MMAP=off, buffered reads of every container format)"
+MBSSL_DATA_MMAP=off cargo test --release -p mbssl-data --lib container -q
 MBSSL_DATA_MMAP=off cargo test --release -p mbssl-data --test format -q
+MBSSL_DATA_MMAP=off cargo test --release -p mbssl-core --lib serialize -q
+MBSSL_DATA_MMAP=off cargo test --release -p mbssl-core --lib ann -q
+MBSSL_DATA_MMAP=off cargo test --release -p mbssl-core --test ann -q
 
 echo "==> portable kernels (MBSSL_SIMD=off, scalar microkernels)"
 MBSSL_SIMD=off cargo test --release -p mbssl-tensor --test simd_parity -q
@@ -190,11 +200,12 @@ MBSSL_ANN=off cargo test --release -p mbssl-core --test ann -q
 trace_file=$(mktemp -t mbssl_ci_trace.XXXXXX.jsonl)
 trace_dir=$(mktemp -d -t mbssl_ci_tracewf.XXXXXX)
 trap 'rm -rf "$trace_file" "$trace_dir"' EXIT
-# Checkpoints and indexes publish atomically: a save must leave no
-# `<file>.*.tmp` sibling behind.
+# Checkpoints, indexes, logs and .mbds files publish atomically and remove
+# their temporaries: no `*.tmp`, `*.part` (the .mbds column temps) or
+# `*.part-<pid>` (synth's intermediate TSV) file may be left next to $1.
 no_temp_siblings() {
     local left
-    left=$(find "$(dirname "$1")" -maxdepth 1 -name "$(basename "$1").*.tmp")
+    left=$(find "$(dirname "$1")" -maxdepth 1 \( -name "*.tmp" -o -name "*.part" -o -name "*.part-*" \))
     if [[ -n "$left" ]]; then
         echo "temp files left next to $1: $left" >&2
         exit 1
@@ -229,20 +240,20 @@ no_temp_siblings "$trace_dir/model.ckpt"
 echo "==> index workflow (build → stats → two-stage recommend → ANN-off parity)"
 # Exhaustive ranking of record, captured before any index exists.
 "$mbssl" recommend --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model.ckpt" --dim 16 --interests 2 --user 3 --top 5 \
+    --model "$trace_dir/model.ckpt" --user 3 --top 5 \
     > "$trace_dir/recs_exhaustive.txt"
 "$mbssl" index build --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model.ckpt" --dim 16 --interests 2
+    --model "$trace_dir/model.ckpt"
 no_temp_siblings "$trace_dir/model.ckpt.ivf"
 "$mbssl" index stats "$trace_dir/model.ckpt.ivf"
 # Two-stage smoke: the sibling .ivf is picked up automatically.
 "$mbssl" recommend --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model.ckpt" --dim 16 --interests 2 --user 3 --top 5 \
+    --model "$trace_dir/model.ckpt" --user 3 --top 5 \
     > /dev/null
 # Escape-hatch parity: with the index on disk but MBSSL_ANN=off, the
 # output must be bit-for-bit the pre-index exhaustive ranking.
 MBSSL_ANN=off "$mbssl" recommend --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model.ckpt" --dim 16 --interests 2 --user 3 --top 5 \
+    --model "$trace_dir/model.ckpt" --user 3 --top 5 \
     > "$trace_dir/recs_ann_off.txt"
 diff "$trace_dir/recs_exhaustive.txt" "$trace_dir/recs_ann_off.txt"
 
@@ -268,20 +279,20 @@ REPLAY
 # picked up, so this also smokes two-stage retrieval under batching).
 MBSSL_SERVE_BATCH=16 MBSSL_SERVE_WORKERS=1 "$mbssl" serve \
     --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model.ckpt" --dim 16 --interests 2 \
+    --model "$trace_dir/model.ckpt" \
     --replay "$trace_dir/replay.txt" \
     > "$trace_dir/serve_b16.txt" 2> "$trace_dir/serve_b16.err"
 # Single-request run (no batching, no cache): stdout must be bit-identical.
 MBSSL_SERVE_BATCH=1 MBSSL_SERVE_WORKERS=1 MBSSL_SERVE_CACHE=off "$mbssl" serve \
     --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model.ckpt" --dim 16 --interests 2 \
+    --model "$trace_dir/model.ckpt" \
     --replay "$trace_dir/replay.txt" \
     > "$trace_dir/serve_b1.txt" 2> /dev/null
 diff "$trace_dir/serve_b16.txt" "$trace_dir/serve_b1.txt"
 # Offline cross-check: the served item lines for user 3 must match what
 # `mbssl recommend` prints for the same user, model, and index.
 "$mbssl" recommend --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model.ckpt" --dim 16 --interests 2 --user 3 --top 5 \
+    --model "$trace_dir/model.ckpt" --user 3 --top 5 \
     | tail -5 > "$trace_dir/offline_user3.txt"
 head -6 "$trace_dir/serve_b16.txt" | tail -5 > "$trace_dir/served_user3.txt"
 diff "$trace_dir/offline_user3.txt" "$trace_dir/served_user3.txt"
@@ -293,7 +304,7 @@ grep -q "clean shutdown" "$trace_dir/serve_b16.err"
 # must be answered, not kill a worker:
 printf 'rec 3 4611686018427387904\nquit\n' > "$trace_dir/replay_huge.txt"
 "$mbssl" serve --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model.ckpt" --dim 16 --interests 2 --rerank topk:5 \
+    --model "$trace_dir/model.ckpt" --rerank topk:5 \
     --replay "$trace_dir/replay_huge.txt" \
     > "$trace_dir/serve_huge.txt" 2> "$trace_dir/serve_huge.err"
 grep -q "^top-4611686018427387904 recommendations for user 3:" "$trace_dir/serve_huge.txt"
@@ -302,7 +313,7 @@ grep -q "clean shutdown" "$trace_dir/serve_huge.err"
 printf 'rec 3 5\nfrobnicate 1\n' > "$trace_dir/replay_bad.txt"
 status=0
 "$mbssl" serve --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model.ckpt" --dim 16 --interests 2 \
+    --model "$trace_dir/model.ckpt" \
     --replay "$trace_dir/replay_bad.txt" > /dev/null 2> "$trace_dir/serve_bad.err" || status=$?
 if [[ $status -ne 1 ]] || grep -q "panicked" "$trace_dir/serve_bad.err" \
     || ! grep -q 'error: line 2: unknown serve command "frobnicate"' "$trace_dir/serve_bad.err"; then
@@ -359,6 +370,7 @@ echo "==> data substrate (convert → stats → TSV-vs-.mbds bit-identical train
 # Convert the trace-workflow TSV and check the .mbds reports the same
 # dataset shape the TSV pipeline computes.
 "$mbssl" convert --data "$trace_dir/log.tsv" --target purchase
+no_temp_siblings "$trace_dir/log.tsv.mbds"
 "$mbssl" dataset stats "$trace_dir/log.tsv.mbds" > "$trace_dir/stats_mbds.txt"
 "$mbssl" dataset stats "$trace_dir/log.tsv" --target purchase > "$trace_dir/stats_tsv.txt"
 # Identical counts from both paths (strip the format/backing/target/timing
@@ -380,6 +392,7 @@ grep -q "data: using $trace_dir/log.tsv.mbds" "$trace_dir/train_mbds.err"
 cmp "$trace_dir/model_tsv.ckpt" "$trace_dir/model_mbds.ckpt"
 # Direct-to-.mbds synthesis at the scale regime's smallest preset.
 "$mbssl" synth --out "$trace_dir/scale.mbds" --preset scale --users 1000 --seed 5
+no_temp_siblings "$trace_dir/scale.mbds"
 "$mbssl" dataset stats "$trace_dir/scale.mbds" > /dev/null
 "$mbssl" train --data "$trace_dir/scale.mbds" \
     --model "$trace_dir/model_scale.ckpt" --epochs 1 --dim 16 --interests 2

@@ -20,6 +20,10 @@
 //! TSV format: `user \t item \t behavior \t timestamp` with behaviors in
 //! {click, cart, favorite, purchase}; a header line is allowed.
 //!
+//! A checkpoint records the model config it was trained with, so
+//! `--dim` / `--interests` are `train` flags only: every scoring command
+//! (and a serve `swap`) builds the model the checkpoint describes.
+//!
 //! `mbssl serve` runs the micro-batched request engine (DESIGN.md §15)
 //! over the line protocol of `mbssl::core::serve::protocol` (`rec`,
 //! `event`, `swap`, `mark`, `stats`, `metrics`, `quit`), read from
@@ -53,6 +57,7 @@ use mbssl::core::{
     evaluate, recommend_top_n, BehaviorSchema, InferenceModel, IvfIndex, Mbmissl, ModelConfig,
     TrainConfig, Trainer,
 };
+use mbssl::data::container::{mmap_enabled, write_atomic};
 use mbssl::data::format::MbdsFile;
 use mbssl::data::io::load_tsv;
 use mbssl::data::preprocess::{
@@ -141,6 +146,7 @@ fn usage() {
          BEHAVIOR ∈ {{click, cart, favorite, purchase}}\n\
          --data also accepts a .mbds file (mmap'd columnar, from `mbssl convert`); a `LOG.tsv.mbds`\n\
          sibling is auto-discovered next to a TSV unless MBSSL_DATA_MMAP=off\n\
+         --dim/--interests are train-only: a checkpoint records its model config\n\
          all commands accept --trace off|summary|jsonl:PATH (telemetry; see also MBSSL_TRACE);\n\
          train writes a run ledger when --run-dir or MBSSL_RUN_DIR is set (read back by `mbssl report`)"
     );
@@ -191,7 +197,7 @@ fn load_dataset(args: &Args) -> Result<(Dataset, Behavior), String> {
     }
     let target = requested.ok_or_else(|| "missing --target".to_string())?;
     let sibling = format!("{path}.mbds");
-    if mbssl::data::format::mmap_enabled() && std::path::Path::new(&sibling).exists() {
+    if mmap_enabled() && std::path::Path::new(&sibling).exists() {
         let mtime = |p: &str| std::fs::metadata(p).and_then(|m| m.modified()).ok();
         let stale = matches!(
             (mtime(path), mtime(&sibling)),
@@ -252,41 +258,35 @@ fn load_plain_tsv(path: &str, target: Behavior) -> Result<(Dataset, Behavior), S
 }
 
 /// Streams a synthetic log to `path` as TSV, one user at a time, without
-/// materializing the full dataset. The byte format is identical to the old
-/// in-memory writer: a header line then `user\titem\tbehavior\tindex` rows
-/// with the per-user event index as the timestamp — already user-sorted, so
-/// the streaming converter's single-census path accepts it. Returns
-/// `(users, events)` written.
+/// materializing the full dataset, and publishes it atomically. The byte
+/// format is `save_tsv`'s: a header line then `user\titem\tbehavior\tindex`
+/// rows with the per-user event index as the timestamp — already
+/// user-sorted, so the streaming converter's single-census path accepts
+/// it. Returns `(users, events)` written.
 fn write_synth_tsv(
     config: &mbssl::data::synthetic::SyntheticConfig,
     path: &str,
 ) -> Result<(usize, usize), String> {
-    let file = std::fs::File::create(path).map_err(|e| format!("creating {path}: {e}"))?;
-    let mut out = std::io::BufWriter::new(file);
-    let mut events = 0usize;
-    let mut users = 0usize;
-    let mut io_err: Option<std::io::Error> = None;
-    out.write_all(b"user\titem\tbehavior\ttimestamp\n")
-        .map_err(|e| format!("writing {path}: {e}"))?;
-    config.for_each_user(|user, seq, _noise| {
-        if io_err.is_some() {
-            return;
-        }
-        users += 1;
-        for (t, (&item, &behavior)) in seq.items.iter().zip(seq.behaviors.iter()).enumerate() {
-            if let Err(e) =
-                writeln!(out, "{user}\t{item}\t{}\t{t}", behavior.token())
-            {
-                io_err = Some(e);
+    let (mut users, mut events) = (0usize, 0usize);
+    write_atomic(std::path::Path::new(path), |out| {
+        out.write_all(b"user\titem\tbehavior\ttimestamp\n")?;
+        let mut written = Ok(());
+        config.for_each_user(|user, seq, _noise| {
+            if written.is_err() {
                 return;
             }
-            events += 1;
-        }
-    });
-    if let Some(e) = io_err {
-        return Err(format!("writing {path}: {e}"));
-    }
-    out.flush().map_err(|e| format!("writing {path}: {e}"))?;
+            users += 1;
+            for (t, (&item, &behavior)) in seq.items.iter().zip(seq.behaviors.iter()).enumerate() {
+                written = writeln!(out, "{user}\t{item}\t{}\t{t}", behavior.token());
+                if written.is_err() {
+                    return;
+                }
+                events += 1;
+            }
+        });
+        written
+    })
+    .map_err(|e| format!("writing {path}: {e}"))?;
     Ok((users, events))
 }
 
@@ -306,6 +306,7 @@ fn seed(args: &Args) -> Result<u64, String> {
     args.get_or("seed", "42").parse().map_err(|_| "bad --seed".into())
 }
 
+/// The model `train` builds, from `--dim` / `--interests` / `--seed`.
 fn model_config(args: &Args) -> Result<ModelConfig, String> {
     let dim: usize = args.get_or("dim", "32").parse().map_err(|_| "bad --dim")?;
     let config = ModelConfig {
@@ -322,8 +323,9 @@ fn model_config(args: &Args) -> Result<ModelConfig, String> {
     Ok(config)
 }
 
-/// Loads the checkpoint `ckpt` for `dataset` and compiles it into the
-/// inference engine that every scoring command runs. With `attach_index`,
+/// Loads the checkpoint `ckpt` for `dataset`, as the model its recorded
+/// config describes, and compiles it into the inference engine that every
+/// scoring command runs. With `attach_index`,
 /// the IVF index named by `--index`, or a `<ckpt>.ivf` sibling, is
 /// attached unless `MBSSL_ANN=off`; a missing, corrupt or mismatched
 /// index warns and leaves the engine ranking exhaustively.
@@ -335,8 +337,8 @@ fn load_engine(
     attach_index: bool,
 ) -> Result<InferenceModel, String> {
     let schema = BehaviorSchema::new(dataset.behaviors.clone(), target);
-    let model = Mbmissl::new(dataset.num_items, schema, model_config(args)?);
-    model.load(ckpt).map_err(|e| format!("loading {ckpt}: {e}"))?;
+    let model = Mbmissl::from_checkpoint(ckpt, dataset.num_items, schema)
+        .map_err(|e| format!("loading {ckpt}: {e}"))?;
     let mut engine = InferenceModel::compile(&model);
     if !attach_index || !mbssl::core::ann::enabled() {
         return Ok(engine);
@@ -388,7 +390,7 @@ fn write_snapshot_atomic(path: &std::path::Path, body: &str) -> Result<(), Strin
     if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
         std::fs::create_dir_all(parent).map_err(|e| format!("creating {}: {e}", parent.display()))?;
     }
-    mbssl::tensor::serialize::write_atomic(path, |w| writeln!(w, "{body}"))
+    write_atomic(path, |w| writeln!(w, "{body}"))
         .map_err(|e| format!("writing {}: {e}", path.display()))
 }
 
@@ -515,10 +517,16 @@ fn serve_command(args: &Args) -> Result<(), String> {
                 Some(Request::Event { user, item, behavior }) => {
                     server.ingest(user, item, behavior).map_err(at)?
                 }
+                // A checkpoint that cannot be loaded leaves the old engine
+                // serving, as a bad index leaves it ranking exhaustively.
                 Some(Request::Swap(path)) => {
-                    let engine = load_engine(args, &dataset, target, &path, true)?;
-                    let epoch = server.swap_engine(engine);
-                    eprintln!("serve: swapped to {path} (epoch {epoch})");
+                    match load_engine(args, &dataset, target, &path, true) {
+                        Ok(engine) => {
+                            let epoch = server.swap_engine(engine);
+                            eprintln!("serve: swapped to {path} (epoch {epoch})");
+                        }
+                        Err(e) => eprintln!("error: {}", at(format!("swap {path}: {e}"))),
+                    }
                 }
                 Some(Request::Mark) => {
                     mbssl::tensor::alloc::reset_stats();
@@ -699,17 +707,17 @@ fn run() -> Result<(), String> {
                     out.strip_suffix(".mbds").unwrap_or(out),
                     std::process::id()
                 );
-                let (users, events) = write_synth_tsv(&config, &tmp)?;
                 let (k_user, k_item) = kcore_thresholds(&args)?;
+                let (users, events) = write_synth_tsv(&config, &tmp)?;
                 let report = convert_tsv_streaming(
                     std::path::Path::new(&tmp),
                     std::path::Path::new(out),
                     config.target_behavior,
                     k_user,
                     k_item,
-                )
-                .map_err(|e| format!("converting {tmp}: {e}"))?;
+                );
                 std::fs::remove_file(&tmp).ok();
+                let report = report.map_err(|e| format!("converting {tmp}: {e}"))?;
                 let secs = started.elapsed().as_secs_f64();
                 println!(
                     "wrote {out}: {} users / {} items / {} events after {k_user}/{k_item}-core \

@@ -54,10 +54,9 @@ fn cli_full_workflow() {
     assert!(ok, "train failed: {text}");
     assert!(ckpt.exists(), "checkpoint not written");
 
-    // evaluate with matching dims
+    // evaluate: the model shape comes from the checkpoint
     let (ok, text) = run(&[
         "evaluate", "--data", log_s, "--target", "favorite", "--model", ckpt_s,
-        "--dim", "16", "--interests", "2",
     ]);
     assert!(ok, "evaluate failed: {text}");
     assert!(text.contains("HR@10"), "no metrics printed: {text}");
@@ -65,7 +64,7 @@ fn cli_full_workflow() {
     // recommend
     let (ok, text) = run(&[
         "recommend", "--data", log_s, "--target", "favorite", "--model", ckpt_s,
-        "--dim", "16", "--interests", "2", "--user", "0", "--top", "5",
+        "--user", "0", "--top", "5",
     ]);
     assert!(ok, "recommend failed: {text}");
     assert!(text.contains("1."), "no ranked list printed: {text}");
@@ -74,7 +73,7 @@ fn cli_full_workflow() {
     for _ in 0..2 {
         let (ok, text) = run(&[
             "index", "build", "--data", log_s, "--target", "favorite", "--model", ckpt_s,
-            "--dim", "16", "--interests", "2", "--nlist", "6",
+            "--nlist", "6",
         ]);
         assert!(ok, "index build failed: {text}");
         assert!(text.contains("k-means: ") && text.contains(" passes, "), "no build counts: {text}");
@@ -103,9 +102,10 @@ fn cli_serve_replay_matches_recommend_and_rejects_bad_lines() {
     let ckpt = dir.join("model.ckpt");
     let common = [
         "--data", log.to_str().unwrap(), "--target", "favorite", "--model",
-        ckpt.to_str().unwrap(), "--dim", "16", "--interests", "2",
+        ckpt.to_str().unwrap(),
     ];
-    let (ok, text) = run(&[&["train", "--epochs", "1"][..], &common].concat());
+    let train = ["train", "--epochs", "1", "--dim", "16", "--interests", "2"];
+    let (ok, text) = run(&[&train[..], &common].concat());
     assert!(ok, "train failed: {text}");
     let stdout = |args: &[&str]| {
         let out = Command::new(bin()).args(args).output().expect("spawn mbssl CLI");
@@ -149,6 +149,27 @@ fn cli_serve_replay_matches_recommend_and_rejects_bad_lines() {
     let huge = [&["recommend", "--user", "3", "--top", "4611686018427387904"][..], &common];
     let (ok, _, err) = stdout(&huge.concat());
     assert!(ok, "recommend with a huge top count failed: {err}");
+
+    // A swap to a checkpoint that cannot be loaded is reported with its
+    // line number, and the old engine keeps serving.
+    let (ok, served, err) = serve("rec 3 2\nswap /nonexistent.ckpt\nrec 3 2\n", &[]);
+    assert!(ok && err.contains("clean shutdown"), "{err}");
+    assert!(err.contains("error: line 2: swap /nonexistent.ckpt: "), "{err}");
+    let served: Vec<&str> = served.lines().collect();
+    assert_eq!(served.len(), 6, "{served:?}");
+    assert_eq!(served[..3], served[3..], "replies differ across the failed swap");
+
+    // A swap to a checkpoint of another width works: the model is built
+    // from the config the checkpoint records.
+    let wide = dir.join("wide.ckpt");
+    let wide_s = wide.to_str().unwrap();
+    let wide_flags = ["--dim", "32", "--interests", "3", "--model", wide_s];
+    let args = [&train[..3], &common[..4], &wide_flags];
+    let (ok, text) = run(&args.concat());
+    assert!(ok, "train failed: {text}");
+    let (ok, served, err) = serve(&format!("rec 3 2\nswap {wide_s}\nrec 3 2\n"), &[]);
+    assert!(ok && err.contains(&format!("serve: swapped to {wide_s} (epoch 1)")), "{err}");
+    assert_eq!(served.lines().count(), 6, "{served}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -290,6 +311,20 @@ fn cli_sibling_trust_checks() {
     assert!(ok, "stats failed: {text}");
     assert!(text.contains("data: using"), "expected sibling pickup: {text}");
 
+    // A version-1 sibling is refused by version, and the TSV parsed.
+    let v2 = std::fs::read(&sibling).unwrap();
+    let mut v1 = v2.clone();
+    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&sibling, &v1).unwrap();
+    let (ok, text) = run(&["stats", "--data", log_s, "--target", "favorite"]);
+    assert!(ok, "stats failed: {text}");
+    assert!(
+        text.contains("warning: ignoring")
+            && text.contains("unsupported format version 1; parsing"),
+        "expected a version warning: {text}"
+    );
+    std::fs::write(&sibling, &v2).unwrap();
+
     // TSV touched after conversion: stale, parse the TSV again.
     let newer = std::time::SystemTime::now() + std::time::Duration::from_secs(60);
     std::fs::OpenOptions::new()
@@ -341,18 +376,32 @@ fn cli_rejects_bad_input() {
     assert!(text.contains("error"), "{text}");
     // A zero top count and a model shape the model cannot take are flag
     // errors, not panics.
-    for (flags, message) in [
-        (["--top", "0", "--dim", "16"], "bad --top"),
-        (["--top", "5", "--dim", "15"], "bad --dim/--interests: dim 15"),
+    for (command, flags, message) in [
+        ("recommend", ["--top", "0"], "bad --top"),
+        ("train", ["--dim", "15"], "bad --dim/--interests: dim 15"),
     ] {
         let args = [
-            &["recommend", "--data", log.to_str().unwrap(), "--target", "favorite"][..],
+            &[command, "--data", log.to_str().unwrap(), "--target", "favorite"][..],
             &["--model", ckpt.to_str().unwrap(), "--user", "0"],
             &flags,
         ];
         let (ok, text) = run(&args.concat());
         assert!(!ok && text.contains(message) && !text.contains("panicked"), "{text}");
     }
+    assert!(!ckpt.exists(), "a rejected train wrote a checkpoint");
+
+    // A direct-to-.mbds synth whose conversion fails (the output is a
+    // directory) leaves no intermediate TSV behind.
+    let blocked = dir.join("blocked.mbds");
+    std::fs::create_dir(&blocked).unwrap();
+    let (ok, text) = run(&["synth", "--out", blocked.to_str().unwrap(), "--scale", "0.05"]);
+    assert!(!ok && text.contains("error: converting"), "{text}");
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.contains(".part") || name.ends_with(".tmp"))
+        .collect();
+    assert!(left.is_empty(), "temp files left: {left:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 

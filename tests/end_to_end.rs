@@ -4,13 +4,13 @@
 //! experiment binaries in `crates/bench` are the full-scale versions.
 
 use mbssl::baselines::{Pop, SasRec};
+use mbssl::core::serialize::{save_params, Checkpoint};
 use mbssl::core::{
     evaluate, BehaviorSchema, Mbmissl, ModelConfig, TrainConfig, TrainableRecommender, Trainer,
 };
 use mbssl::data::preprocess::{leave_one_out, SplitConfig};
 use mbssl::data::sampler::{EvalCandidates, NegativeSampler};
 use mbssl::data::synthetic::SyntheticConfig;
-use mbssl::tensor::serialize::{load_params, save_params};
 
 fn tiny_config() -> ModelConfig {
     ModelConfig {
@@ -106,10 +106,12 @@ fn checkpoint_roundtrip_preserves_predictions() {
     trainer.fit(&model, &s.split, &s.sampler);
 
     let mut buf = Vec::new();
-    save_params(&model.named_params(), &mut buf).unwrap();
+    save_params(model.config(), &model.named_params(), &mut buf).unwrap();
 
-    let restored = Mbmissl::new(s.dataset.num_items, schema, tiny_config());
-    load_params(&restored.named_params(), &mut buf.as_slice()).unwrap();
+    // The restored model is built from the config the checkpoint records.
+    let checkpoint = Checkpoint::from_bytes(&buf).unwrap();
+    let restored = Mbmissl::new(s.dataset.num_items, schema, checkpoint.config().clone());
+    checkpoint.load_into(&restored.named_params()).unwrap();
 
     let a = evaluate(&model, &s.split.test, &s.candidates, 256);
     let b = evaluate(&restored, &s.split.test, &s.candidates, 256);
