@@ -1147,6 +1147,18 @@ impl InferenceModel {
         let z = self
             .extractor
             .forward(h, &batch.valid, batch.size, batch.max_len, self.dim, arena);
+        drop(fwd_sp);
+        // A history with no events pools only padding, which would tie its
+        // row to the batch's padded length: it gets its solo encoding (one
+        // pad position) instead, as `Mbmissl::score_batch` gives it.
+        if batch.max_len > 1 && histories.iter().any(|h| h.is_empty()) {
+            let (_, cold) = self.interests_for(&[&Sequence::new()], arena);
+            for (row, h) in z.chunks_exact_mut(cold.len()).zip(histories) {
+                if h.is_empty() {
+                    row.copy_from_slice(cold);
+                }
+            }
+        }
         (batch, z)
     }
 
@@ -1165,14 +1177,6 @@ impl InferenceModel {
         self.num_items
     }
 
-    /// The truncation cap applied to every history before encoding
-    /// (`ModelConfig::max_seq_len`). The serving batcher buckets requests
-    /// by `history.len().min(max_seq_len())` before batching them into one
-    /// forward — see [`encode_interests`](InferenceModel::encode_interests).
-    pub fn max_seq_len(&self) -> usize {
-        self.config.max_seq_len
-    }
-
     /// The probe width of the attached index, if one is attached.
     pub fn attached_nprobe(&self) -> Option<usize> {
         self.ann.as_ref().map(|st| st.nprobe)
@@ -1182,15 +1186,14 @@ impl InferenceModel {
     /// prepacked panels and returns their interest vectors as an owned
     /// `[b, k, d]` buffer (row `i` belongs to `histories[i]`).
     ///
-    /// Each row is bit-identical to encoding that history alone **iff**
-    /// every history in the call shares one truncated length:
-    /// right-padding is numerically neutral through attention (masked
-    /// logits exp-underflow to exactly `+0.0`) and every other op is
-    /// row-independent, but the hypergraph temporal edge-slot count
-    /// follows the padded length, so mixing lengths changes the edge set.
-    /// The serving batcher ([`crate::serve`]) groups by truncated length
-    /// before calling this; the grouping is what makes micro-batched
-    /// responses bit-identical to sequential `recommend_top_n`.
+    /// Each row is bit-identical to encoding that history alone, whatever
+    /// lengths share the call: right-padding is numerically neutral
+    /// through attention (masked logits exp-underflow to exactly `+0.0`),
+    /// every other op is row-independent, and each row's hypergraph is
+    /// built from its own events alone (extra edge slots stay empty). The
+    /// serving batcher ([`crate::serve`]) encodes all of a batch's cache
+    /// misses in one call, and its replies stay bit-identical to
+    /// sequential `recommend_top_n`.
     pub fn encode_interests(&self, histories: &[&Sequence]) -> Vec<f32> {
         if histories.is_empty() {
             return Vec::new();

@@ -76,6 +76,26 @@ impl Mbmissl {
         self.extractor.forward(h, &batch.valid)
     }
 
+    /// Prediction interests `[B, K, D]` of `histories`, each row as its
+    /// history encodes alone. A history with no events pools only
+    /// padding, which would tie its row to the batch's padded length: it
+    /// gets its solo encoding (one pad position) instead.
+    fn history_interests(&self, histories: &[&Sequence]) -> Tensor {
+        let batch = Batch::encode_recent(histories, self.config.max_seq_len);
+        let z = self.interests(&self.encode(&batch, &mut Mode::Eval), &batch);
+        if batch.max_len == 1 || histories.iter().all(|h| !h.is_empty()) {
+            return z;
+        }
+        let cold = self.history_interests(&[&Sequence::new()]).to_vec();
+        let mut data = z.to_vec();
+        for (row, h) in data.chunks_exact_mut(cold.len()).zip(histories) {
+            if h.is_empty() {
+                row.copy_from_slice(&cold);
+            }
+        }
+        Tensor::from_vec(data, z.dims())
+    }
+
     /// Behavior-specific interests plus per-user validity (1.0 when the
     /// user has at least one event of that behavior).
     pub fn behavior_interests(
@@ -358,10 +378,8 @@ impl SequentialRecommender for Mbmissl {
         if histories.is_empty() {
             return Vec::new();
         }
-        let batch = Batch::encode_recent(histories, self.config.max_seq_len);
         no_grad(|| {
-            let h = self.encode(&batch, &mut Mode::Eval);
-            let z = self.interests(&h, &batch);
+            let z = self.history_interests(histories);
             // All lists must share one length to batch into a tensor; this
             // holds under the 1-vs-99 protocol.
             let c = candidates[0].len();

@@ -12,7 +12,9 @@
 //! quit                       drain and shut down
 //! ```
 //!
-//! Blank lines and `#` comments carry no request. [`parse_line`] is pure:
+//! Blank lines and `#` comments carry no request. [`read_lines`] splits
+//! the input into lines of at most [`MAX_LINE_BYTES`], so a line without
+//! a newline is never buffered whole. [`parse_line`] is pure:
 //! it turns one line into a [`Request`] or a typed [`ProtocolError`]
 //! whose `Display` is the message the server reports as
 //! `error: line N: …`, and never panics, whatever the input. Executing a
@@ -21,7 +23,7 @@
 //! caller's job. [`write_recs`] prints a reply's ranked lines, shared by
 //! `mbssl serve` and `mbssl recommend` so the two stay byte-identical.
 
-use std::io::Write;
+use std::io::{BufRead, Read, Write};
 
 use mbssl_data::{Behavior, ItemId, UserId};
 
@@ -104,6 +106,8 @@ pub enum ProtocolError {
     UnknownMetricsFormat(String),
     /// A first token that names no command.
     UnknownCommand(String),
+    /// A line longer than [`MAX_LINE_BYTES`].
+    LineTooLong,
 }
 
 impl std::fmt::Display for ProtocolError {
@@ -120,11 +124,53 @@ impl std::fmt::Display for ProtocolError {
                 write!(f, "unknown metrics format {m:?} (want json|prom)")
             }
             ProtocolError::UnknownCommand(c) => write!(f, "unknown serve command {c:?}"),
+            ProtocolError::LineTooLong => write!(f, "line longer than {MAX_LINE_BYTES} bytes"),
         }
     }
 }
 
 impl std::error::Error for ProtocolError {}
+
+/// The longest protocol line in bytes, its `\n` excluded (a `\r` before
+/// it counts): twice `PATH_MAX`, so a `swap PATH` line always fits.
+pub const MAX_LINE_BYTES: usize = 8 * 1024;
+
+/// The lines of `input`, without their `\n` or `\r\n`, reading at most
+/// [`MAX_LINE_BYTES`] + 1 bytes per line. A longer line yields
+/// [`ProtocolError::LineTooLong`] and ends the iteration, its rest
+/// unread. A line that is not UTF-8 is an `InvalidData` I/O error, as
+/// with [`BufRead::lines`].
+pub fn read_lines(
+    mut input: impl BufRead,
+) -> impl Iterator<Item = std::io::Result<Result<String, ProtocolError>>> {
+    let mut done = false;
+    std::iter::from_fn(move || {
+        if done {
+            return None;
+        }
+        let mut line = Vec::new();
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        match input.by_ref().take(cap).read_until(b'\n', &mut line) {
+            Err(e) => Some(Err(e)),
+            Ok(0) => None,
+            Ok(_) if line.last() == Some(&b'\n') || line.len() <= MAX_LINE_BYTES => {
+                if line.last() == Some(&b'\n') {
+                    line.pop();
+                    if line.last() == Some(&b'\r') {
+                        line.pop();
+                    }
+                }
+                let line = String::from_utf8(line)
+                    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e));
+                Some(line.map(Ok))
+            }
+            Ok(_) => {
+                done = true;
+                Some(Ok(Err(ProtocolError::LineTooLong)))
+            }
+        }
+    })
+}
 
 /// Parses one protocol line. `Ok(None)` exactly for a blank line or a
 /// `#` comment (after trimming); `top_default` is the `N` of a `rec`
@@ -366,6 +412,43 @@ mod tests {
             String::from_utf8(out).unwrap(),
             "   1. item    376  score 0.1620\n   2. item     51  score -0.5000\n"
         );
+    }
+
+    fn lines_of(input: &[u8]) -> Vec<Result<String, ProtocolError>> {
+        read_lines(input).map(Result::unwrap).collect()
+    }
+
+    #[test]
+    fn read_lines_splits_like_buf_read_lines() {
+        assert_eq!(
+            lines_of(b"rec 3\r\n\nquit\nstats"),
+            vec![
+                Ok("rec 3".into()),
+                Ok("".into()),
+                Ok("quit".into()),
+                Ok("stats".into())
+            ]
+        );
+        assert!(lines_of(b"").is_empty());
+        let bad: Vec<_> = read_lines(&b"rec \xff\n"[..]).collect();
+        assert_eq!(
+            bad[0].as_ref().unwrap_err().kind(),
+            std::io::ErrorKind::InvalidData
+        );
+    }
+
+    #[test]
+    fn read_lines_stops_at_the_first_overlong_line() {
+        let longest = "x".repeat(MAX_LINE_BYTES);
+        let input = format!("{longest}\n{longest}x\nrec 3\n");
+        assert_eq!(
+            lines_of(input.as_bytes()),
+            vec![Ok(longest), Err(ProtocolError::LineTooLong)]
+        );
+        // Without a newline the line is cut at the cap, not buffered whole.
+        let endless = std::io::repeat(b'x');
+        let first = read_lines(std::io::BufReader::new(endless)).next();
+        assert_eq!(first.unwrap().unwrap(), Err(ProtocolError::LineTooLong));
     }
 
     /// Fragments that hit every branch: commands, ids at and past the

@@ -4,9 +4,9 @@
 //! one drain hands them into:
 //!
 //! 1. **one session snapshot pass** (per-user shard locks only),
-//! 2. **one batched encoder forward per history-length group** for every
-//!    cache miss (`serve.forward` span) — grouping by truncated length is
-//!    what keeps batched rows bit-identical to solo forwards, see
+//! 2. **one batched encoder forward** for all of the batch's cache misses
+//!    (`serve.forward` span); each row encodes bit-identically to a solo
+//!    forward whatever lengths share the batch, see
 //!    [`InferenceModel::encode_interests`],
 //! 3. **one catalog-ranking call** for the whole batch
 //!    ([`InferenceModel::rank_from_interests`]: single arena rental, one
@@ -29,7 +29,6 @@
 //! proportionally for the next batch (never below 1), counted through
 //! the `serve.ann_degraded` counter. Recall degrades; latency holds.
 
-use std::collections::HashMap;
 use std::collections::HashSet;
 use std::io::Write;
 use std::path::PathBuf;
@@ -566,12 +565,12 @@ fn serve_batch(inner: &ServerInner, jobs: &mut Vec<ServeJob>) {
         .map(|job| inner.store.snapshot(job.user, epoch))
         .collect();
 
-    // Phase 2: resolve cached encodings; group the misses by truncated
-    // history length and run ONE batched forward per group (same-length
-    // grouping is the bit-identity condition — see `encode_interests`).
+    // Phase 2: resolve cached encodings, then ONE batched forward for
+    // every miss (a row encodes alike in any batch — see
+    // `encode_interests`).
     let mut z_all = vec![0.0f32; r * k * d];
     let mut hit = vec![false; r];
-    let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
+    let mut misses: Vec<usize> = Vec::new();
     let cache_on = inner.config.cache;
     for (i, session) in sessions.iter().enumerate() {
         match session.cached.as_ref().filter(|_| cache_on) {
@@ -581,8 +580,7 @@ fn serve_batch(inner: &ServerInner, jobs: &mut Vec<ServeJob>) {
                 stats.cache_hits.fetch_add(1, Ordering::Relaxed);
             }
             None => {
-                let len = session.history.len().min(engine.max_seq_len());
-                groups.entry(len).or_default().push(i);
+                misses.push(i);
                 stats.cache_misses.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -590,23 +588,15 @@ fn serve_batch(inner: &ServerInner, jobs: &mut Vec<ServeJob>) {
     drop(resolve_sp);
     let resolved_at = Instant::now();
     {
-        let mut fwd_sp = telemetry::span("serve.forward");
-        let mut lens: Vec<usize> = groups.keys().copied().collect();
-        lens.sort_unstable();
-        for len in lens {
-            let idxs = &groups[&len];
-            let histories: Vec<&Sequence> =
-                idxs.iter().map(|&i| &sessions[i].history).collect();
-            fwd_sp.add_bytes((histories.len() * len * d * std::mem::size_of::<f32>()) as u64);
-            let z = engine.encode_interests(&histories);
-            for (gi, &i) in idxs.iter().enumerate() {
-                let row = &z[gi * k * d..][..k * d];
-                z_all[i * k * d..][..k * d].copy_from_slice(row);
-                if cache_on {
-                    inner
-                        .store
-                        .store_interests(jobs[i].user, sessions[i].version, epoch, row);
-                }
+        let _fwd_sp = telemetry::span("serve.forward");
+        let histories: Vec<&Sequence> = misses.iter().map(|&i| &sessions[i].history).collect();
+        let z = engine.encode_interests(&histories);
+        for (row, &i) in z.chunks_exact(k * d).zip(&misses) {
+            z_all[i * k * d..][..k * d].copy_from_slice(row);
+            if cache_on {
+                inner
+                    .store
+                    .store_interests(jobs[i].user, sessions[i].version, epoch, row);
             }
         }
     }

@@ -3,9 +3,10 @@
 //! The contract under test:
 //! - micro-batched serving is **bit-identical** to sequential
 //!   `recommend_top_n`, across both backbones, both extractors, batch
-//!   sizes 1/4/16, and genuinely concurrent submitters (which also pins
-//!   arena free-list isolation: a cross-request scratch leak would show
-//!   up as score drift);
+//!   sizes 1/4/16, histories of mixed lengths (fresh users with 0–5
+//!   ingested events beside full ones) sharing one forward, and genuinely
+//!   concurrent submitters (which also pins arena free-list isolation: a
+//!   cross-request scratch leak would show up as score drift);
 //! - the per-user interest cache serves identical results and is
 //!   invalidated by exactly one ingest;
 //! - a checkpoint hot-swap redirects new requests to the new engine
@@ -23,7 +24,7 @@ use mbssl_core::{
     ModelConfig, Recommendation,
 };
 use mbssl_data::synthetic::SyntheticConfig;
-use mbssl_data::{Behavior, Dataset, ItemId, UserId};
+use mbssl_data::{Behavior, Dataset, ItemId, Sequence, UserId};
 
 fn tiny_model(encoder: EncoderKind, extractor: ExtractorKind) -> (Mbmissl, Dataset) {
     tiny_model_seeded(encoder, extractor, None)
@@ -74,9 +75,27 @@ fn batched_serving_is_bit_identical_to_sequential_top_n() {
     let n = 5;
     for (encoder, extractor) in VARIANTS {
         let (model, dataset) = tiny_model(encoder, extractor);
-        let users: Vec<UserId> = (0..dataset.sequences.len().min(16) as UserId).collect();
-        let expected: Vec<Vec<Recommendation>> =
-            users.iter().map(|&u| offline(&model, &dataset, u, n)).collect();
+        // Fresh users with 0–5 ingested events, interleaved with the
+        // log's users (whose histories all fill max_seq_len).
+        let fresh: Vec<(UserId, Sequence)> = (0..6)
+            .map(|j| {
+                let user = (dataset.num_users + j) as UserId;
+                (user, dataset.sequences[j].truncate_to_recent(j))
+            })
+            .collect();
+        let mut users: Vec<UserId> = Vec::new();
+        let mut expected: Vec<Vec<Recommendation>> = Vec::new();
+        for u in 0..dataset.sequences.len().min(16) as UserId {
+            users.push(u);
+            expected.push(offline(&model, &dataset, u, n));
+            if let Some((user, history)) = fresh.get(u as usize / 2).filter(|_| u % 2 == 1) {
+                let exclude: HashSet<ItemId> = history.items.iter().copied().collect();
+                let num_items = dataset.num_items;
+                users.push(*user);
+                expected.push(recommend_top_n(&model, history, num_items, n, &exclude, 64));
+            }
+        }
+        assert_eq!(users.len(), 16 + fresh.len());
         for max_batch in [1usize, 4, 16] {
             let server = Server::start(
                 InferenceModel::compile(&model),
@@ -90,6 +109,11 @@ fn batched_serving_is_bit_identical_to_sequential_top_n() {
                     ..ServeConfig::default()
                 },
             );
+            for (user, history) in &fresh {
+                for (&item, &behavior) in history.items.iter().zip(&history.behaviors) {
+                    server.ingest(*user, item, behavior).unwrap();
+                }
+            }
             // Concurrent submitters: one thread per user, all in flight at
             // once, so drains genuinely mix users into shared batches.
             let requests: Vec<(UserId, usize)> = users.iter().map(|&u| (u, n)).collect();

@@ -32,7 +32,7 @@ use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use crate::container::{self, as_bytes, corrupt, Container, Source, Spec};
-use crate::types::{Behavior, Dataset, ItemId, Sequence};
+use crate::types::{gini, Behavior, Dataset, DatasetStats, ItemId, Sequence};
 
 pub use crate::container::FormatError;
 
@@ -270,47 +270,28 @@ impl MbdsFile {
 
     /// Summary statistics computed directly over the columns, without
     /// materializing a [`Dataset`]. O(E) time, O(items) memory.
-    pub fn stats(&self) -> crate::types::DatasetStats {
+    pub fn stats(&self) -> DatasetStats {
         let mut per = [0usize; Behavior::VOCAB];
         for &c in self.behavior_codes() {
             per[c as usize] += 1;
         }
-        let cells = self.num_users as f64 * self.num_items as f64;
-        crate::types::DatasetStats {
-            name: self.name.clone(),
-            users: self.num_users,
-            items: self.num_items,
-            interactions: self.num_events,
-            per_behavior: self
-                .behaviors
-                .iter()
-                .map(|&bh| (bh.token().to_string(), per[bh.index()]))
-                .collect(),
-            avg_seq_len: if self.num_users == 0 {
-                0.0
-            } else {
-                self.num_events as f64 / self.num_users as f64
-            },
-            density: if cells == 0.0 { 0.0 } else { self.num_events as f64 / cells },
-        }
+        DatasetStats::from_counts(
+            &self.name,
+            self.num_users,
+            self.num_items,
+            &self.behaviors,
+            &per,
+        )
     }
 
     /// Gini coefficient of item popularity computed over the item column
     /// (same formula as [`Dataset::popularity_gini`]), O(items) memory.
     pub fn popularity_gini(&self) -> f64 {
-        let mut counts = vec![0f64; self.num_items];
+        let mut counts = vec![0usize; self.num_items];
         for &it in self.items() {
-            counts[it as usize - 1] += 1.0;
+            counts[it as usize - 1] += 1;
         }
-        counts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let n = counts.len() as f64;
-        let total: f64 = counts.iter().sum();
-        if n == 0.0 || total == 0.0 {
-            return 0.0;
-        }
-        let weighted: f64 =
-            counts.iter().enumerate().map(|(i, &c)| (i as f64 + 1.0) * c).sum();
-        (2.0 * weighted) / (n * total) - (n + 1.0) / n
+        gini(&counts)
     }
 }
 

@@ -207,16 +207,6 @@ impl Dataset {
         self.num_interactions() as f64 / self.num_users as f64
     }
 
-    /// Density: interactions / (users × items).
-    pub fn density(&self) -> f64 {
-        let cells = self.num_users as f64 * self.num_items as f64;
-        if cells == 0.0 {
-            0.0
-        } else {
-            self.num_interactions() as f64 / cells
-        }
-    }
-
     /// Validates the structural invariants: item ids in range, behaviors
     /// from the declared set, one sequence per user. Returns a description
     /// of the first violation.
@@ -285,41 +275,79 @@ impl Dataset {
     /// concentration). Real interaction logs sit around 0.6–0.9; this is
     /// the realism check for the synthetic generator's Zipf process.
     pub fn popularity_gini(&self) -> f64 {
-        let mut counts: Vec<f64> = self.item_counts()[1..]
-            .iter()
-            .map(|&c| c as f64)
-            .collect();
-        counts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let n = counts.len() as f64;
-        let total: f64 = counts.iter().sum();
-        if n == 0.0 || total == 0.0 {
-            return 0.0;
-        }
-        // Gini via the sorted-rank formula.
-        let weighted: f64 = counts
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (i as f64 + 1.0) * c)
-            .sum();
-        (2.0 * weighted) / (n * total) - (n + 1.0) / n
+        gini(&self.item_counts()[1..])
     }
 
     /// Summary statistics (the Table-1 row for this dataset).
     pub fn stats(&self) -> DatasetStats {
+        let mut per = [0usize; Behavior::VOCAB];
+        for seq in &self.sequences {
+            for &b in &seq.behaviors {
+                per[b.index()] += 1;
+            }
+        }
+        DatasetStats::from_counts(
+            &self.name,
+            self.num_users,
+            self.num_items,
+            &self.behaviors,
+            &per,
+        )
+    }
+}
+
+impl DatasetStats {
+    /// The Table-1 row of a log from its event count per behavior index
+    /// (`per_behavior[b.index()]`); `behaviors` picks and orders the
+    /// reported behaviors. Shared by [`Dataset::stats`] and
+    /// [`MbdsFile::stats`](crate::format::MbdsFile::stats).
+    pub(crate) fn from_counts(
+        name: &str,
+        users: usize,
+        items: usize,
+        behaviors: &[Behavior],
+        per_behavior: &[usize; Behavior::VOCAB],
+    ) -> DatasetStats {
+        let interactions: usize = per_behavior.iter().sum();
+        let ratio = |den: f64| {
+            if den == 0.0 {
+                0.0
+            } else {
+                interactions as f64 / den
+            }
+        };
         DatasetStats {
-            name: self.name.clone(),
-            users: self.num_users,
-            items: self.num_items,
-            interactions: self.num_interactions(),
-            per_behavior: self
-                .behaviors
+            name: name.to_string(),
+            users,
+            items,
+            interactions,
+            per_behavior: behaviors
                 .iter()
-                .map(|&b| (b.token().to_string(), self.count_behavior(b)))
+                .map(|&b| (b.token().to_string(), per_behavior[b.index()]))
                 .collect(),
-            avg_seq_len: self.avg_seq_len(),
-            density: self.density(),
+            avg_seq_len: ratio(users as f64),
+            density: ratio(users as f64 * items as f64),
         }
     }
+}
+
+/// Gini coefficient of per-item interaction counts, via the sorted-rank
+/// formula. Shared by [`Dataset::popularity_gini`] and
+/// [`MbdsFile::popularity_gini`](crate::format::MbdsFile::popularity_gini).
+pub(crate) fn gini(item_counts: &[usize]) -> f64 {
+    let mut counts = item_counts.to_vec();
+    counts.sort_unstable();
+    let n = counts.len() as f64;
+    let total: f64 = counts.iter().map(|&c| c as f64).sum();
+    if n == 0.0 || total == 0.0 {
+        return 0.0;
+    }
+    let weighted: f64 = counts
+        .iter()
+        .enumerate()
+        .map(|(i, &c)| (i as f64 + 1.0) * c as f64)
+        .sum();
+    (2.0 * weighted) / (n * total) - (n + 1.0) / n
 }
 
 #[cfg(test)]

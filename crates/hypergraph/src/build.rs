@@ -1,4 +1,5 @@
-//! Builders: sequence → hypergraph, and padded-batch → incidence tensors.
+//! Builders: sequence → hypergraph, and the fixed-slot layout of a padded
+//! batch's per-row hypergraphs as incidence tensors.
 
 use std::collections::HashMap;
 
@@ -45,7 +46,7 @@ impl HypergraphConfig {
     }
 
     /// Total edge-slot count for sequences of length `len` (fixed across a
-    /// batch so incidence masks stack into a tensor).
+    /// batch padded to `len`, so incidence masks stack into a tensor).
     pub fn num_edge_slots(&self, len: usize) -> usize {
         self.behavior_tags.len() + self.num_temporal_edges(len) + self.max_item_edges
     }
@@ -53,9 +54,11 @@ impl HypergraphConfig {
     /// Builds the hypergraph of one sequence.
     ///
     /// `behaviors[t]` is the behavior embedding index at position `t`
-    /// (padding positions carry `valid[t] == 0` and join no edge). Slots
-    /// that would be empty are simply absent from the returned hypergraph;
-    /// use [`build_batch_incidence`] for fixed-slot batch layout.
+    /// (padding positions carry `valid[t] == 0` and join no edge). Temporal
+    /// windows span `items.len()`, the sequence's own length. Edges that
+    /// would be empty are absent from the returned hypergraph;
+    /// [`build_batch_incidence`] lays these edges out in fixed batch slots.
+    /// This is the one implementation of the edge rules.
     pub fn build(&self, items: &[usize], behaviors: &[usize], valid: &[f32]) -> Hypergraph {
         let len = items.len();
         assert_eq!(behaviors.len(), len);
@@ -99,7 +102,6 @@ impl HypergraphConfig {
         for (_, occ) in repeated.into_iter().take(self.max_item_edges) {
             hg.add_edge(occ, EdgeType::Item);
         }
-        debug_assert!(hg.validate().is_ok());
         hg
     }
 }
@@ -119,11 +121,16 @@ pub struct BatchIncidence {
     pub seq_len: usize,
 }
 
-/// Builds fixed-slot incidence tensors for a padded batch.
+/// Lays out a padded batch's hypergraphs as fixed-slot incidence tensors.
 ///
-/// Slot layout (identical for every sequence): one slot per behavior tag,
-/// then `num_temporal_edges(seq_len)` temporal slots, then
-/// `max_item_edges` item slots. Empty slots have all-zero membership and
+/// Row `b`'s hypergraph is [`HypergraphConfig::build`] of the row's own
+/// valid prefix (its positions up to the last valid one), so no edge
+/// depends on the batch's padded length and a row gets the same edges in
+/// any batch. Slot layout (identical for every row): one slot per
+/// behavior tag, then `num_temporal_edges(seq_len)` temporal slots, then
+/// `max_item_edges` item slots. A row's behavior edges take their tag's
+/// slot and its temporal and item edges fill the leading slots of their
+/// kind in build order. Empty slots have all-zero membership and
 /// `edge_valid == 0`.
 pub fn build_batch_incidence(
     config: &HypergraphConfig,
@@ -140,80 +147,57 @@ pub fn build_batch_incidence(
     let n_behavior = config.behavior_tags.len();
     let n_temporal = config.num_temporal_edges(seq_len);
     let num_edges = config.num_edge_slots(seq_len);
+    // Every slot keeps its kind's type id, empty or not.
+    let type_id = |kind: EdgeType| kind.type_id(behavior_vocab);
+    let mut slot_types: Vec<usize> = config
+        .behavior_tags
+        .iter()
+        .map(|&tag| type_id(EdgeType::Behavior(tag)))
+        .collect();
+    slot_types.resize(n_behavior + n_temporal, type_id(EdgeType::Temporal));
+    slot_types.resize(num_edges, type_id(EdgeType::Item));
 
     let mut membership = vec![0.0f32; batch * num_edges * seq_len];
-    let mut edge_type_ids = vec![0usize; batch * num_edges];
     let mut edge_valid = vec![0.0f32; batch * num_edges];
-
     for b in 0..batch {
-        let row = |t: usize| b * seq_len + t;
-        let slot_base = b * num_edges;
-        // Pre-assign type ids for every slot (even empty ones).
-        for (s, &tag) in config.behavior_tags.iter().enumerate() {
-            edge_type_ids[slot_base + s] = EdgeType::Behavior(tag).type_id(behavior_vocab);
-        }
-        for s in 0..n_temporal {
-            edge_type_ids[slot_base + n_behavior + s] = EdgeType::Temporal.type_id(behavior_vocab);
-        }
-        for s in 0..config.max_item_edges {
-            edge_type_ids[slot_base + n_behavior + n_temporal + s] =
-                EdgeType::Item.type_id(behavior_vocab);
-        }
-
-        // Behavior slots.
-        for (s, &tag) in config.behavior_tags.iter().enumerate() {
-            let mut any = false;
-            for t in 0..seq_len {
-                if valid[row(t)] != 0.0 && behaviors[row(t)] == tag {
-                    membership[(slot_base + s) * seq_len + t] = 1.0;
-                    any = true;
+        let row = b * seq_len;
+        let valid_row = &valid[row..][..seq_len];
+        let len = valid_row
+            .iter()
+            .rposition(|&v| v != 0.0)
+            .map_or(0, |t| t + 1);
+        let hg = config.build(
+            &items[row..][..len],
+            &behaviors[row..][..len],
+            &valid_row[..len],
+        );
+        let (mut temporal, mut item) = (n_behavior, n_behavior + n_temporal);
+        for e in 0..hg.num_edges() {
+            let slot = match hg.edge_type(e) {
+                EdgeType::Behavior(tag) => config
+                    .behavior_tags
+                    .iter()
+                    .position(|&t| t == tag)
+                    .expect("build makes behavior edges only for configured tags"),
+                EdgeType::Temporal => {
+                    temporal += 1;
+                    temporal - 1
                 }
-            }
-            if any {
-                edge_valid[slot_base + s] = 1.0;
-            }
-        }
-        // Temporal slots.
-        let stride = (config.window / 2).max(1);
-        for s in 0..n_temporal {
-            let start = s * stride;
-            let end = (start + config.window).min(seq_len);
-            let slot = slot_base + n_behavior + s;
-            let mut any = false;
-            for t in start..end {
-                if valid[row(t)] != 0.0 {
-                    membership[slot * seq_len + t] = 1.0;
-                    any = true;
+                EdgeType::Item => {
+                    item += 1;
+                    item - 1
                 }
-            }
-            if any {
-                edge_valid[slot] = 1.0;
-            }
-        }
-        // Item slots.
-        let mut occurrences: HashMap<usize, Vec<usize>> = HashMap::new();
-        for t in 0..seq_len {
-            if valid[row(t)] != 0.0 {
-                occurrences.entry(items[row(t)]).or_default().push(t);
-            }
-        }
-        let mut repeated: Vec<(usize, Vec<usize>)> = occurrences
-            .into_iter()
-            .filter(|(_, occ)| occ.len() >= 2)
-            .collect();
-        repeated.sort_by(|a, b| b.1.len().cmp(&a.1.len()).then(a.0.cmp(&b.0)));
-        for (s, (_, occ)) in repeated.into_iter().take(config.max_item_edges).enumerate() {
-            let slot = slot_base + n_behavior + n_temporal + s;
-            for t in occ {
+            } + b * num_edges;
+            edge_valid[slot] = 1.0;
+            for &t in hg.edge_members(e) {
                 membership[slot * seq_len + t] = 1.0;
             }
-            edge_valid[slot] = 1.0;
         }
     }
 
     BatchIncidence {
         membership,
-        edge_type_ids,
+        edge_type_ids: slot_types.repeat(batch),
         edge_valid,
         batch,
         num_edges,
@@ -287,8 +271,9 @@ mod tests {
         valid[8] = 0.0;
         valid[9] = 0.0;
         let hg = demo_config().build(&items, &behaviors, &valid);
-        assert_eq!(hg.node_degree(8), 0);
-        assert_eq!(hg.node_degree(9), 0);
+        for e in 0..hg.num_edges() {
+            assert!(hg.edge_members(e).iter().all(|&t| t < 8), "edge {e}");
+        }
     }
 
     #[test]
@@ -307,17 +292,60 @@ mod tests {
         let cfg = demo_config();
         let bi = build_batch_incidence(&cfg, &items, &behaviors, &valid, 1, 10, 5);
         assert_eq!(bi.num_edges, cfg.num_edge_slots(10));
-        // Behavior slot 0 (clicks) membership matches the per-seq builder.
+        // Every edge of the per-sequence build sits in its slot: behavior
+        // edges in their tag's slot, temporal and item edges in order.
         let hg = cfg.build(&items, &behaviors, &valid);
-        for t in 0..10 {
-            let expect = if hg.edge_members(0).contains(&t) { 1.0 } else { 0.0 };
-            assert_eq!(bi.membership[t], expect);
+        let slots = [0, 1, 2, 3, 4, 5, 6];
+        assert_eq!(hg.num_edges(), slots.len());
+        for (e, &slot) in slots.iter().enumerate() {
+            for t in 0..10 {
+                let expect = if hg.edge_members(e).contains(&t) {
+                    1.0
+                } else {
+                    0.0
+                };
+                assert_eq!(
+                    bi.membership[slot * 10 + t],
+                    expect,
+                    "edge {e} position {t}"
+                );
+            }
         }
         // Every valid slot's membership row is nonzero and vice versa.
         for e in 0..bi.num_edges {
             let any = (0..10).any(|t| bi.membership[e * 10 + t] != 0.0);
             assert_eq!(any, bi.edge_valid[e] != 0.0, "slot {e}");
         }
+    }
+
+    #[test]
+    fn short_row_keeps_its_own_windows_beside_a_long_one() {
+        // A 3-event row has one temporal window alone; padded to 10 beside
+        // a full row it still has one, and its other temporal slots stay
+        // empty.
+        let (items, behaviors, valid) = demo_inputs();
+        let cfg = demo_config();
+        let mut all_items = items[..3].to_vec();
+        let mut all_behaviors = behaviors[..3].to_vec();
+        let mut all_valid = valid[..3].to_vec();
+        all_items.extend([0; 7].iter().chain(&items));
+        all_behaviors.extend([0; 7].iter().chain(&behaviors));
+        all_valid.extend([0.0; 7].iter().chain(&valid));
+        let bi = build_batch_incidence(&cfg, &all_items, &all_behaviors, &all_valid, 2, 10, 5);
+        let n_b = cfg.behavior_tags.len();
+        let temporal_valid: Vec<f32> = (0..cfg.num_temporal_edges(10))
+            .map(|s| bi.edge_valid[n_b + s])
+            .collect();
+        assert_eq!(temporal_valid, vec![1.0, 0.0, 0.0, 0.0]);
+        assert_eq!(
+            &bi.membership[n_b * 10..][..10],
+            &[1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+        );
+        // The full row's windows are unchanged by its short neighbour.
+        let alone = build_batch_incidence(&cfg, &items, &behaviors, &valid, 1, 10, 5);
+        let per_row = bi.num_edges * 10;
+        assert_eq!(&bi.membership[per_row..], &alone.membership[..]);
+        assert_eq!(&bi.edge_valid[bi.num_edges..], &alone.edge_valid[..]);
     }
 
     #[test]

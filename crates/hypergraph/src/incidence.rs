@@ -2,8 +2,8 @@
 //!
 //! A hypergraph over `n` nodes is a set of hyperedges, each a non-empty set
 //! of node indices plus a type tag. The representation is a plain edge list
-//! (sorted, deduplicated member vectors) with dense mask export for the
-//! attention layers.
+//! (sorted, deduplicated member vectors); [`crate::build_batch_incidence`]
+//! lays it out as the attention layers' dense masks.
 
 use serde::{Deserialize, Serialize};
 
@@ -70,10 +70,6 @@ impl Hypergraph {
         self.types.push(edge_type);
     }
 
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
     pub fn num_edges(&self) -> usize {
         self.members.len()
     }
@@ -84,48 +80,6 @@ impl Hypergraph {
 
     pub fn edge_type(&self, e: usize) -> EdgeType {
         self.types[e]
-    }
-
-    /// Number of hyperedges containing `node`.
-    pub fn node_degree(&self, node: usize) -> usize {
-        self.members.iter().filter(|m| m.binary_search(&node).is_ok()).count()
-    }
-
-    /// Number of members of edge `e`.
-    pub fn edge_degree(&self, e: usize) -> usize {
-        self.members[e].len()
-    }
-
-    /// Dense incidence matrix `[num_edges, num_nodes]` with 1.0 where the
-    /// node belongs to the edge.
-    pub fn incidence_mask(&self) -> Vec<f32> {
-        let mut mask = vec![0.0f32; self.num_edges() * self.num_nodes];
-        for (e, members) in self.members.iter().enumerate() {
-            for &m in members {
-                mask[e * self.num_nodes + m] = 1.0;
-            }
-        }
-        mask
-    }
-
-    /// Structural invariants: every edge non-empty, members in range,
-    /// sorted, deduplicated.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.members.len() != self.types.len() {
-            return Err("members/types length mismatch".into());
-        }
-        for (e, members) in self.members.iter().enumerate() {
-            if members.is_empty() {
-                return Err(format!("edge {e} empty"));
-            }
-            if members.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("edge {e} not sorted/deduped"));
-            }
-            if *members.last().unwrap() >= self.num_nodes {
-                return Err(format!("edge {e} member out of range"));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -138,27 +92,6 @@ mod tests {
         let mut hg = Hypergraph::new(5);
         hg.add_edge(vec![3, 1, 3, 0], EdgeType::Temporal);
         assert_eq!(hg.edge_members(0), &[0, 1, 3]);
-        assert_eq!(hg.edge_degree(0), 3);
-        hg.validate().unwrap();
-    }
-
-    #[test]
-    fn degrees() {
-        let mut hg = Hypergraph::new(4);
-        hg.add_edge(vec![0, 1], EdgeType::Temporal);
-        hg.add_edge(vec![1, 2, 3], EdgeType::Item);
-        assert_eq!(hg.node_degree(1), 2);
-        assert_eq!(hg.node_degree(0), 1);
-        assert_eq!(hg.node_degree(3), 1);
-    }
-
-    #[test]
-    fn incidence_mask_layout() {
-        let mut hg = Hypergraph::new(3);
-        hg.add_edge(vec![0, 2], EdgeType::Behavior(1));
-        hg.add_edge(vec![1], EdgeType::Temporal);
-        let m = hg.incidence_mask();
-        assert_eq!(m, vec![1.0, 0.0, 1.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]

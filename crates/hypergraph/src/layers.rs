@@ -86,13 +86,7 @@ impl HypergraphTransformerLayer {
             edge_to_node: MultiHeadAttention::new(dim, heads, dropout, rng),
             ln_in: LayerNorm::new(dim),
             ln_ffn: LayerNorm::new(dim),
-            ffn: FeedForward::new(
-                dim,
-                ffn_hidden,
-                mbssl_tensor::nn::Activation::Gelu,
-                dropout,
-                rng,
-            ),
+            ffn: FeedForward::new(dim, ffn_hidden, dropout, rng),
             dropout,
             heads,
         }

@@ -4,7 +4,10 @@
 //! The reproduced model encodes each user's multi-behavior sequence through
 //! a hypergraph whose nodes are sequence positions and whose hyperedges
 //! capture behavior-level, temporal-window, and item-repetition structure
-//! (see `DESIGN.md` §2.2).
+//! (see `DESIGN.md` §2.2). [`HypergraphConfig::build`] is the one
+//! implementation of those edge rules; [`build_batch_incidence`] only lays
+//! each row's own hypergraph out in a padded batch's fixed edge slots, so
+//! a sequence gets the same edges in any batch.
 
 pub mod build;
 pub mod incidence;

@@ -17,7 +17,7 @@ mod transformer;
 
 pub use attention::{causal_mask, key_padding_mask, MultiHeadAttention};
 pub use embedding::Embedding;
-pub use feedforward::{Activation, FeedForward};
+pub use feedforward::FeedForward;
 pub use gru::Gru;
 pub use layernorm::{LayerNorm, LAYER_NORM_EPS};
 pub use linear::Linear;

@@ -3,7 +3,7 @@
 use rand::Rng;
 
 use crate::nn::{
-    join_name, Activation, FeedForward, LayerNorm, Mode, Module, MultiHeadAttention, ParamMap,
+    join_name, FeedForward, LayerNorm, Mode, Module, MultiHeadAttention, ParamMap,
 };
 use crate::tensor::Tensor;
 
@@ -25,7 +25,7 @@ impl TransformerBlock {
     pub fn new(dim: usize, heads: usize, ffn_hidden: usize, dropout: f32, rng: &mut impl Rng) -> Self {
         TransformerBlock {
             attn: MultiHeadAttention::new(dim, heads, dropout, rng),
-            ffn: FeedForward::new(dim, ffn_hidden, Activation::Gelu, dropout, rng),
+            ffn: FeedForward::new(dim, ffn_hidden, dropout, rng),
             ln1: LayerNorm::new(dim),
             ln2: LayerNorm::new(dim),
             dropout,

@@ -146,16 +146,6 @@ impl Tensor {
     // identical to the borrowing versions otherwise.
     // ---------------------------------------------------------------
 
-    /// [`Tensor::relu`], reusing `self`'s buffer when possible.
-    pub fn into_relu(self) -> Tensor {
-        unary_op_consuming(self, |x| x.max(0.0), |x, _, g| if x > 0.0 { g } else { 0.0 })
-    }
-
-    /// [`Tensor::gelu`], reusing `self`'s buffer when possible.
-    pub fn into_gelu(self) -> Tensor {
-        unary_op_consuming(self, kernels::gelu, kernels::gelu_grad)
-    }
-
     /// [`Tensor::tanh`], reusing `self`'s buffer when possible.
     pub fn into_tanh(self) -> Tensor {
         unary_op_consuming(self, f32::tanh, |_, y, g| g * (1.0 - y * y))

@@ -89,7 +89,12 @@
 #                             replays: a top count whose 4x re-rank overscan
 #                             overflows must still get a reply and a clean
 #                             shutdown, and an unknown command must exit 1
-#                             with its line number and no panic.
+#                             with its line number and no panic. Then a
+#                             mixed-length replay: a fresh user with two
+#                             ingested events batched with users 3 and 7
+#                             in one wave (one forward) must print at
+#                             batch 16 exactly what batch 1 prints with
+#                             the cache off.
 #   9. data substrate       — `mbssl convert` on the trace-workflow TSV,
 #                             `dataset stats` agreement between the .mbds
 #                             and TSV paths, then the bit-parity gate:
@@ -321,6 +326,32 @@ if [[ $status -ne 1 ]] || grep -q "panicked" "$trace_dir/serve_bad.err" \
     cat "$trace_dir/serve_bad.err" >&2
     exit 1
 fi
+# Mixed-length replay: every log user's history fills max_seq_len, so the
+# replays above never batch different lengths. A fresh user with two
+# ingested events shares one wave, and one forward (the 100 ms straggler
+# window makes the batch of 3 certain), with users 3 and 7; micro-batched
+# stdout must equal the single-request run with the cache off.
+cat > "$trace_dir/replay_mixed.txt" <<'REPLAY'
+event 9999 1 click
+event 9999 2 purchase
+rec 3 5
+rec 9999 5
+rec 7 5
+quit
+REPLAY
+MBSSL_SERVE_BATCH=16 MBSSL_SERVE_WORKERS=1 MBSSL_SERVE_WAIT_US=100000 "$mbssl" serve \
+    --data "$trace_dir/log.tsv" --target purchase \
+    --model "$trace_dir/model.ckpt" \
+    --replay "$trace_dir/replay_mixed.txt" \
+    > "$trace_dir/serve_mixed_b16.txt" 2> "$trace_dir/serve_mixed_b16.err"
+grep -q "serve: rec user=9999 batch=3 " "$trace_dir/serve_mixed_b16.err"
+MBSSL_SERVE_BATCH=1 MBSSL_SERVE_WORKERS=1 MBSSL_SERVE_CACHE=off "$mbssl" serve \
+    --data "$trace_dir/log.tsv" --target purchase \
+    --model "$trace_dir/model.ckpt" \
+    --replay "$trace_dir/replay_mixed.txt" \
+    > "$trace_dir/serve_mixed_b1.txt" 2> /dev/null
+grep -q "^top-5 recommendations for user 9999:" "$trace_dir/serve_mixed_b1.txt"
+diff "$trace_dir/serve_mixed_b16.txt" "$trace_dir/serve_mixed_b1.txt"
 # Metrics snapshot validation (DESIGN.md §17): the replay issued
 # `metrics json/prom`; the JSON snapshot must be schema-complete, every
 # stage histogram must cover every replied request, and the Prometheus

@@ -404,7 +404,7 @@ fn serve_command(args: &Args) -> Result<(), String> {
     use std::sync::mpsc::RecvTimeoutError;
     use std::sync::Arc;
 
-    use mbssl::core::serve::protocol::{parse_line, Request};
+    use mbssl::core::serve::protocol::{parse_line, read_lines, Request};
     use mbssl::core::serve::{RerankChain, ServeConfig, ServeStats, Server, SessionStore};
 
     let (dataset, target) = load_dataset(args)?;
@@ -502,10 +502,10 @@ fn serve_command(args: &Args) -> Result<(), String> {
         }
         let mut wave: Vec<(u32, usize)> = Vec::new();
         let mut marked = false;
-        for (line_no, line) in input.lines().enumerate() {
+        for (line_no, line) in read_lines(input).enumerate() {
             let line = line.map_err(|e| format!("reading input: {e}"))?;
             let at = |msg: String| format!("line {}: {msg}", line_no + 1);
-            let request = parse_line(&line, top_default);
+            let request = line.and_then(|line| parse_line(&line, top_default));
             // Any other line, an invalid one included, first answers the
             // pending wave.
             if !matches!(request, Ok(None | Some(Request::Rec { .. }))) {

@@ -142,6 +142,24 @@ fn cli_serve_replay_matches_recommend_and_rejects_bad_lines() {
         assert!(err.contains(message) && !err.contains("panicked"), "{replay:?}: {err}");
     }
 
+    // A line without a newline is read only up to the protocol's cap: the
+    // pending `rec` is answered, then the server stops on line 2 without
+    // echoing the line back.
+    let path = dir.join("replay_long.txt");
+    let mut replay = b"rec 3 2\n".to_vec();
+    replay.resize(replay.len() + (1 << 20), b'x');
+    std::fs::write(&path, replay).unwrap();
+    let args = [&["serve", "--replay", path.to_str().unwrap()][..], &common].concat();
+    let out = Command::new(bin()).args(&args).output().expect("spawn mbssl CLI");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(out.stderr.len() < 10 * 1024, "stderr of {} bytes", out.stderr.len());
+    assert!(err.contains("error: line 2: line longer than 8192 bytes"), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let served = String::from_utf8_lossy(&out.stdout);
+    assert!(served.starts_with("top-2 recommendations for user 3:\n"), "{served}");
+    assert_eq!(served.lines().count(), 3, "{served}");
+
     // A top count whose 4× overscan overflows still gets a full reply.
     let (ok, served, err) = serve("rec 3 4611686018427387904\n", &["--rerank", "topk:5"]);
     assert!(ok && err.contains("clean shutdown"), "{err}");
