@@ -72,31 +72,48 @@ impl InterestExtractor {
     /// positions produce uniform attention over everything — callers must
     /// gate such rows via their own validity flags.
     pub fn forward(&self, h: &Tensor, allowed: &[f32]) -> Tensor {
-        self.attend(h, allowed).1
+        self.pool(h, &self.project(h), allowed)
+    }
+
+    /// The mask-independent half of the extractor: the self-attentive
+    /// logits `tanh(h·W1)·W2` `[B, L, K]`, or the routing capsules `h·T`
+    /// `[B, L, D]`. Several masks over one `h` share one projection.
+    pub fn project(&self, h: &Tensor) -> Tensor {
+        match self {
+            InterestExtractor::SelfAttentive { w1, w2, .. } => h.matmul(w1).into_tanh().matmul(w2),
+            InterestExtractor::DynamicRouting { transform, .. } => h.matmul(transform),
+        }
+    }
+
+    /// The mask-dependent half: pools `h` into `[B, K, D]` interests
+    /// through its [`project`](Self::project)ion, over the positions
+    /// `allowed` admits (the contract of [`forward`](Self::forward)).
+    pub fn pool(&self, h: &Tensor, projection: &Tensor, allowed: &[f32]) -> Tensor {
+        self.attend(h, projection, allowed).1
     }
 
     /// The attention weights `[B, K, L]` of the self-attentive extractor
     /// (for interest-inspection tooling). Dynamic routing returns its final
     /// routing distribution.
     pub fn attention_weights(&self, h: &Tensor, allowed: &[f32]) -> Tensor {
-        self.attend(h, allowed).0
+        self.attend(h, &self.project(h), allowed).0
     }
 
-    /// The extractor's one computation: the final attention (or routing)
-    /// weights `[B, K, L]` and the interests `[B, K, D]`. With zero routing
-    /// iterations the interests are zeros and the weights are the masked
-    /// softmax of the initial routing logits.
-    fn attend(&self, h: &Tensor, allowed: &[f32]) -> (Tensor, Tensor) {
+    /// The extractor's pooling computation over a projection of `h`: the
+    /// final attention (or routing) weights `[B, K, L]` and the interests
+    /// `[B, K, D]`. With zero routing iterations the interests are zeros
+    /// and the weights are the masked softmax of the initial routing
+    /// logits.
+    fn attend(&self, h: &Tensor, projection: &Tensor, allowed: &[f32]) -> (Tensor, Tensor) {
         let (b, l, d) = (h.dims()[0], h.dims()[1], h.dims()[2]);
         assert_eq!(allowed.len(), b * l, "allowed mask shape mismatch");
         let blocked: Vec<f32> = allowed.iter().map(|&v| 1.0 - v).collect();
         match self {
-            InterestExtractor::SelfAttentive { w1, w2, k } => {
-                // [B, L, K] attention logits.
-                let logits = h.matmul(w1).into_tanh().matmul(w2);
-                // Mask disallowed positions, softmax over L.
+            InterestExtractor::SelfAttentive { k, .. } => {
+                // Mask disallowed positions of the [B, L, K] logits,
+                // softmax over L.
                 let blocked_t = Tensor::from_vec(blocked, [b, l, 1]);
-                let attn = logits
+                let attn = projection
                     .masked_fill(&blocked_t, -1e9)
                     .permute(&[0, 2, 1]) // [B, K, L]
                     .softmax_lastdim();
@@ -104,12 +121,12 @@ impl InterestExtractor {
                 (attn, z)
             }
             InterestExtractor::DynamicRouting {
-                transform,
                 routing_init,
                 k,
                 iters,
+                ..
             } => {
-                let s = h.matmul(transform); // [B, L, D]
+                let s = projection; // [B, L, D]
                 // Initial routing logits: fixed noise, tiled over batch.
                 let init_vec = routing_init.narrow(1, 0, l).to_vec(); // [K, L]
                 let mut logits_data = Vec::with_capacity(b * *k * l);
@@ -123,7 +140,7 @@ impl InterestExtractor {
                 let mut c = logits.masked_fill(&blocked_t, -1e9).softmax_lastdim(); // [B, K, L]
                 let mut z = Tensor::zeros([b, *k, d]);
                 for iter in 0..*iters {
-                    z = squash(&c.bmm(&s)); // [B, K, D]
+                    z = squash(&c.bmm(s)); // [B, K, D]
                     if iter + 1 < *iters {
                         // logits += <s_l, z_k> ; agreement [B, K, L].
                         logits = logits.add(&z.bmm(&s.transpose_last()));

@@ -97,10 +97,13 @@ impl Mbmissl {
     }
 
     /// Behavior-specific interests plus per-user validity (1.0 when the
-    /// user has at least one event of that behavior).
+    /// user has at least one event of that behavior). `projection` is the
+    /// extractor's [`project`](InterestExtractor::project)ion of `h`, which
+    /// every mask over `h` shares.
     pub fn behavior_interests(
         &self,
         h: &Tensor,
+        projection: &Tensor,
         batch: &Batch,
         behavior_tag: usize,
     ) -> (Tensor, Vec<f32>) {
@@ -116,7 +119,7 @@ impl Mbmissl {
                 }
             }
         }
-        (self.extractor.forward(h, &allowed), user_valid)
+        (self.extractor.pool(h, projection, &allowed), user_valid)
     }
 
     /// Scores each candidate list entry via `max_k ⟨z_k, e_i⟩`.
@@ -186,7 +189,10 @@ impl Mbmissl {
 
         let mut mode = Mode::Train(rng);
         let h = self.encode(batch, &mut mode);
-        let z_pred = self.interests(&h, batch);
+        // One extractor projection serves the prediction interests and
+        // every behavior's alignment interests.
+        let projection = self.extractor.project(&h);
+        let z_pred = self.extractor.pool(&h, &projection, &batch.valid);
 
         // --- Main loss: sampled softmax over [target ; negatives]. ---
         let c = 1 + n;
@@ -202,9 +208,10 @@ impl Mbmissl {
         // --- SSL: cross-behavior interest alignment. ---
         if self.config.lambda_align > 0.0 {
             let (z_target, target_valid) =
-                self.behavior_interests(&h, &batch, self.schema.target.index());
+                self.behavior_interests(&h, &projection, batch, self.schema.target.index());
             for aux in self.schema.auxiliaries() {
-                let (z_aux, aux_valid) = self.behavior_interests(&h, &batch, aux.index());
+                let (z_aux, aux_valid) =
+                    self.behavior_interests(&h, &projection, batch, aux.index());
                 let both: Vec<f32> = aux_valid
                     .iter()
                     .zip(target_valid.iter())
@@ -613,8 +620,9 @@ mod tests {
         s.push(2, Behavior::Click);
         let batch = Batch::encode_histories(&[&s]);
         let h = no_grad(|| model.encode(&batch, &mut Mode::Eval));
-        let (_, click_valid) = model.behavior_interests(&h, &batch, Behavior::Click.index());
-        let (_, buy_valid) = model.behavior_interests(&h, &batch, Behavior::Purchase.index());
+        let p = model.extractor.project(&h);
+        let (_, click_valid) = model.behavior_interests(&h, &p, &batch, Behavior::Click.index());
+        let (_, buy_valid) = model.behavior_interests(&h, &p, &batch, Behavior::Purchase.index());
         assert_eq!(click_valid, vec![1.0]);
         assert_eq!(buy_valid, vec![0.0]);
     }

@@ -266,6 +266,36 @@ mod tests {
     }
 
     #[test]
+    fn manifest_integers_are_exact() {
+        // A seed above 2^53 comes back as written, not rounded to an f64.
+        let seed = 9_007_199_254_740_993;
+        let config = ModelConfig {
+            seed,
+            ..ModelConfig::default()
+        };
+        let mut buf = Vec::new();
+        save_params(&config, &sample_params(), &mut buf).unwrap();
+        assert_eq!(Checkpoint::from_bytes(&buf).unwrap().config().seed, seed);
+        // A fractional dimension is refused, not truncated to 16.
+        let config = serde_json::to_string(&ModelConfig::default()).unwrap();
+        assert!(config.contains("\"dim\":48,"));
+        let manifest = format!(
+            "{{\"config\":{},\"params\":[[\"w\",[2,2]],[\"b\",[2]]]}}",
+            config.replace("\"dim\":48,", "\"dim\":16.5,")
+        );
+        let mut buf = Vec::new();
+        let values = [0.5f32; 6];
+        let sections = [Source::Bytes(manifest.as_bytes()), Source::Bytes(as_bytes(&values))];
+        container::write(&mut buf, &SPEC, &sections).unwrap();
+        match Checkpoint::from_bytes(&buf) {
+            Err(CheckpointError::Format(FormatError::Corrupt(msg))) => {
+                assert!(msg.contains("16.5"), "{msg}")
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|c| c.config().dim)),
+        }
+    }
+
+    #[test]
     fn bad_magic_rejected() {
         let bytes = b"NOPE\x01\x00\x00\x00\x00\x00\x00\x00".to_vec();
         let err = Checkpoint::from_bytes(&bytes).err().unwrap();

@@ -8,32 +8,33 @@ use mbssl_tensor::{no_grad, Tensor};
 ///
 /// `anchors` and `positives` are `[N, D]`; row `i`'s positive is
 /// `positives[i]` and its negatives are every other row of `positives`.
-/// `row_valid[i] == 0` removes row `i` from the loss (its column still
-/// serves as a negative — harmless). Returns a scalar; zero when no row is
-/// valid.
+/// `row_valid[i]` is 0 or 1; 0 removes anchor row `i` from the loss, but
+/// its column `positives[i]` still serves as a negative for the valid
+/// rows (ROADMAP item 7 asks whether it should). Returns the mean over
+/// valid rows of `-log softmax(â·p̂ᵀ/τ)[i, i]` (`â`, `p̂` row-normalized),
+/// or zero when no row is valid.
+///
+/// Only the valid anchor rows are scored, and the log-softmax and
+/// diagonal pick are one fused cross-entropy node, so the loss builds no
+/// `[N, N]` mask and its backward is `softmax − onehot` on the logits.
 pub fn info_nce(anchors: &Tensor, positives: &Tensor, temperature: f32, row_valid: &[f32]) -> Tensor {
     let n = anchors.dims()[0];
     assert_eq!(positives.dims()[0], n, "anchor/positive count mismatch");
     assert_eq!(row_valid.len(), n, "row_valid length mismatch");
-    let valid_count: f32 = row_valid.iter().sum();
-    if valid_count == 0.0 {
+    assert!(
+        row_valid.iter().all(|&v| v == 0.0 || v == 1.0),
+        "row_valid must be 0 or 1"
+    );
+    // Each valid row's target is its own column.
+    let rows: Vec<usize> = (0..n).filter(|&i| row_valid[i] != 0.0).collect();
+    if rows.is_empty() {
         return Tensor::scalar(0.0);
     }
-    let a = anchors.l2_normalize_lastdim(1e-8);
+    let a = anchors.index_select0(&rows).l2_normalize_lastdim(1e-8);
     let p = positives.l2_normalize_lastdim(1e-8);
-    let logits = a.matmul(&p.transpose_last()).into_mul_scalar(1.0 / temperature); // [N, N]
-    let log_probs = logits.log_softmax_lastdim();
-    // Extract the diagonal via an identity mask.
-    let mut eye = vec![0.0f32; n * n];
-    for i in 0..n {
-        eye[i * n + i] = 1.0;
-    }
-    let eye_t = Tensor::from_vec(eye, [n, n]);
-    let diag = log_probs.mul(&eye_t).sum_axis(-1, false); // [N]
-    let weights = Tensor::from_vec(row_valid.to_vec(), [n]);
-    diag.mul(&weights)
-        .sum_all()
-        .mul_scalar(-1.0 / valid_count)
+    a.matmul(&p.transpose_last())
+        .into_mul_scalar(1.0 / temperature) // [V, N]
+        .cross_entropy_logits(&rows)
 }
 
 /// Cross-behavior interest alignment.

@@ -1,10 +1,12 @@
 //! The interest extractor's `forward` and `attention_weights` share one
 //! computation; both must stay bit-identical to the two separate passes
 //! they replaced, for the self-attentive extractor and for dynamic routing
-//! at 0, 1 and 3 iterations.
+//! at 0, 1 and 3 iterations. Pooling several masks over one shared
+//! projection must give each mask's own `forward`, bit for bit.
 
 use mbssl_core::config::{ExtractorKind, ModelConfig};
 use mbssl_core::interest::InterestExtractor;
+use mbssl_tensor::nn::Module;
 use mbssl_tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -69,15 +71,16 @@ fn two_pass_reference(ex: &InterestExtractor, h: &Tensor, allowed: &[f32]) -> (T
     }
 }
 
-#[test]
-fn shared_computation_matches_two_pass_reference_bitwise() {
+fn demo_h() -> Tensor {
     let (b, l, d) = (2, 5, 8);
-    let h = Tensor::from_vec(
+    Tensor::from_vec(
         (0..b * l * d).map(|i| ((i * 13 % 17) as f32) * 0.1 - 0.8).collect(),
         [b, l, d],
-    );
-    // The second history has a single allowed position.
-    let allowed = [1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0];
+    )
+}
+
+/// Both extractor kinds; dynamic routing at 0, 1 and 3 iterations.
+fn all_configs() -> Vec<ModelConfig> {
     let mut cases = vec![config(ExtractorKind::SelfAttentive)];
     for iters in [0, 1, 3] {
         cases.push(ModelConfig {
@@ -85,11 +88,91 @@ fn shared_computation_matches_two_pass_reference_bitwise() {
             ..config(ExtractorKind::DynamicRouting)
         });
     }
-    for cfg in cases {
+    cases
+}
+
+#[test]
+fn shared_computation_matches_two_pass_reference_bitwise() {
+    let h = demo_h();
+    // The second history has a single allowed position.
+    let allowed = [1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0];
+    for cfg in all_configs() {
         let ex = InterestExtractor::new(&cfg, &mut StdRng::seed_from_u64(6));
         let (z, weights) = two_pass_reference(&ex, &h, &allowed);
         let what = format!("{:?} iters={}", cfg.extractor, cfg.routing_iters);
         assert_eq!(ex.forward(&h, &allowed).to_vec(), z.to_vec(), "{what}");
         assert_eq!(ex.attention_weights(&h, &allowed).to_vec(), weights.to_vec(), "{what}");
+    }
+}
+
+/// The masks `compute_loss` pools one batch with: every valid position,
+/// two behavior subsets, and a mask that leaves a row with no position
+/// (uniform attention over the whole padded row).
+const MASKS: [[f32; 10]; 4] = [
+    [1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0],
+    [1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0],
+    [0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+];
+
+#[test]
+fn pools_over_one_projection_match_each_masks_own_forward_bitwise() {
+    let h = demo_h();
+    for cfg in all_configs() {
+        let ex = InterestExtractor::new(&cfg, &mut StdRng::seed_from_u64(6));
+        let projection = ex.project(&h);
+        for (m, allowed) in MASKS.iter().enumerate() {
+            let what = format!("{:?} iters={} mask {m}", cfg.extractor, cfg.routing_iters);
+            let (reference, _) = two_pass_reference(&ex, &h, allowed);
+            let pooled = ex.pool(&h, &projection, allowed).to_vec();
+            assert_eq!(pooled, reference.to_vec(), "{what}");
+            assert_eq!(pooled, ex.forward(&h, allowed).to_vec(), "{what}");
+        }
+    }
+}
+
+/// A loss over several masks gets the same gradients through one shared
+/// projection as through one projection per mask (to rounding: the shared
+/// node sums its consumers' gradients before the matmul backward).
+#[test]
+fn shared_projection_keeps_the_gradients_of_one_projection_per_mask() {
+    let grads = |ex: &InterestExtractor, shared: bool| {
+        let h = demo_h().requires_grad();
+        let projection = ex.project(&h);
+        let mut loss = Tensor::scalar(0.0);
+        for (m, allowed) in MASKS.iter().enumerate() {
+            let z = if shared {
+                ex.pool(&h, &projection, allowed)
+            } else {
+                ex.forward(&h, allowed)
+            };
+            loss = loss.add(&z.square().sum_all().mul_scalar(1.0 + m as f32));
+        }
+        for t in ex.param_map("ex").tensors() {
+            t.zero_grad();
+        }
+        loss.backward();
+        let mut all = vec![h.grad().unwrap()];
+        all.extend(
+            ex.param_map("ex")
+                .tensors()
+                .iter()
+                .map(|t| t.grad().unwrap()),
+        );
+        all
+    };
+    // Zero routing iterations give constant interests: no gradient.
+    for cfg in all_configs().into_iter().filter(|c| c.routing_iters > 0) {
+        let ex = InterestExtractor::new(&cfg, &mut StdRng::seed_from_u64(6));
+        let (shared, separate) = (grads(&ex, true), grads(&ex, false));
+        for (g1, g2) in shared.iter().zip(&separate) {
+            for (a, b) in g1.iter().zip(g2) {
+                assert!(
+                    (a - b).abs() <= 1e-5 * (1.0 + b.abs()),
+                    "{:?}: {a} vs {b}",
+                    cfg.extractor
+                );
+            }
+        }
     }
 }

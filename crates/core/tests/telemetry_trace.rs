@@ -78,10 +78,7 @@ fn as_str<'a>(v: &'a Value) -> Option<&'a str> {
 }
 
 fn as_num(v: &Value) -> Option<f64> {
-    match v {
-        Value::Num(n) => Some(*n),
-        _ => None,
-    }
+    v.as_f64()
 }
 
 /// The tentpole contract in one test: training with `MBSSL_TRACE=off` and

@@ -114,8 +114,6 @@ pub struct BatchIncidence {
     /// Row-major `[batch, num_edges]` edge-type embedding ids (padded slots
     /// keep their slot's type id; they are fully masked anyway).
     pub edge_type_ids: Vec<usize>,
-    /// Row-major `[batch, num_edges]` flag for non-empty edges.
-    pub edge_valid: Vec<f32>,
     pub batch: usize,
     pub num_edges: usize,
     pub seq_len: usize,
@@ -130,8 +128,7 @@ pub struct BatchIncidence {
 /// behavior tag, then `num_temporal_edges(seq_len)` temporal slots, then
 /// `max_item_edges` item slots. A row's behavior edges take their tag's
 /// slot and its temporal and item edges fill the leading slots of their
-/// kind in build order. Empty slots have all-zero membership and
-/// `edge_valid == 0`.
+/// kind in build order. Empty slots have all-zero membership.
 pub fn build_batch_incidence(
     config: &HypergraphConfig,
     items: &[usize],
@@ -158,7 +155,6 @@ pub fn build_batch_incidence(
     slot_types.resize(num_edges, type_id(EdgeType::Item));
 
     let mut membership = vec![0.0f32; batch * num_edges * seq_len];
-    let mut edge_valid = vec![0.0f32; batch * num_edges];
     for b in 0..batch {
         let row = b * seq_len;
         let valid_row = &valid[row..][..seq_len];
@@ -188,7 +184,6 @@ pub fn build_batch_incidence(
                     item - 1
                 }
             } + b * num_edges;
-            edge_valid[slot] = 1.0;
             for &t in hg.edge_members(e) {
                 membership[slot * seq_len + t] = 1.0;
             }
@@ -198,7 +193,6 @@ pub fn build_batch_incidence(
     BatchIncidence {
         membership,
         edge_type_ids: slot_types.repeat(batch),
-        edge_valid,
         batch,
         num_edges,
         seq_len,
@@ -311,10 +305,12 @@ mod tests {
                 );
             }
         }
-        // Every valid slot's membership row is nonzero and vice versa.
-        for e in 0..bi.num_edges {
-            let any = (0..10).any(|t| bi.membership[e * 10 + t] != 0.0);
-            assert_eq!(any, bi.edge_valid[e] != 0.0, "slot {e}");
+        // Every other slot is empty.
+        for e in slots.len()..bi.num_edges {
+            assert!(
+                bi.membership[e * 10..][..10].iter().all(|&m| m == 0.0),
+                "slot {e}"
+            );
         }
     }
 
@@ -333,10 +329,10 @@ mod tests {
         all_valid.extend([0.0; 7].iter().chain(&valid));
         let bi = build_batch_incidence(&cfg, &all_items, &all_behaviors, &all_valid, 2, 10, 5);
         let n_b = cfg.behavior_tags.len();
-        let temporal_valid: Vec<f32> = (0..cfg.num_temporal_edges(10))
-            .map(|s| bi.edge_valid[n_b + s])
+        let temporal_used: Vec<bool> = (0..cfg.num_temporal_edges(10))
+            .map(|s| bi.membership[(n_b + s) * 10..][..10].contains(&1.0))
             .collect();
-        assert_eq!(temporal_valid, vec![1.0, 0.0, 0.0, 0.0]);
+        assert_eq!(temporal_used, vec![true, false, false, false]);
         assert_eq!(
             &bi.membership[n_b * 10..][..10],
             &[1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]
@@ -345,7 +341,6 @@ mod tests {
         let alone = build_batch_incidence(&cfg, &items, &behaviors, &valid, 1, 10, 5);
         let per_row = bi.num_edges * 10;
         assert_eq!(&bi.membership[per_row..], &alone.membership[..]);
-        assert_eq!(&bi.edge_valid[bi.num_edges..], &alone.edge_valid[..]);
     }
 
     #[test]
@@ -374,7 +369,8 @@ mod tests {
         let n_b = cfg.behavior_tags.len();
         let n_t = cfg.num_temporal_edges(6);
         for s in 0..cfg.max_item_edges {
-            assert_eq!(bi.edge_valid[n_b + n_t + s], 0.0);
+            let slot = n_b + n_t + s;
+            assert!(bi.membership[slot * 6..][..6].iter().all(|&m| m == 0.0));
         }
     }
 }

@@ -59,6 +59,28 @@ pub fn edge_to_node_mask(incidence: &BatchIncidence, heads: usize) -> Tensor {
     Tensor::from_vec(data, [b * heads, l, e])
 }
 
+/// A batch's incidence with its two attention masks, built once per
+/// encoder forward and shared by every layer.
+pub struct IncidenceMasks<'a> {
+    /// The incidence the masks were built from.
+    pub incidence: &'a BatchIncidence,
+    /// [`node_to_edge_mask`] `[B*H, E, L]`.
+    pub node_to_edge: Tensor,
+    /// [`edge_to_node_mask`] `[B*H, L, E]`.
+    pub edge_to_node: Tensor,
+}
+
+impl<'a> IncidenceMasks<'a> {
+    /// Builds both masks of `incidence` for `heads` attention heads.
+    pub fn new(incidence: &'a BatchIncidence, heads: usize) -> Self {
+        IncidenceMasks {
+            incidence,
+            node_to_edge: node_to_edge_mask(incidence, heads),
+            edge_to_node: edge_to_node_mask(incidence, heads),
+        }
+    }
+}
+
 /// One hypergraph transformer layer.
 pub struct HypergraphTransformerLayer {
     edge_type_emb: Embedding,
@@ -92,11 +114,14 @@ impl HypergraphTransformerLayer {
         }
     }
 
-    /// `nodes: [B, L, D]` → `[B, L, D]`.
-    pub fn forward(&self, nodes: &Tensor, incidence: &BatchIncidence, mode: &mut Mode) -> Tensor {
+    /// `nodes: [B, L, D]` → `[B, L, D]`, over `masks` built for this
+    /// layer's head count.
+    pub fn forward(&self, nodes: &Tensor, masks: &IncidenceMasks, mode: &mut Mode) -> Tensor {
+        let incidence = masks.incidence;
         let (b, l, d) = (nodes.dims()[0], nodes.dims()[1], nodes.dims()[2]);
         debug_assert_eq!(b, incidence.batch);
         debug_assert_eq!(l, incidence.seq_len);
+        debug_assert_eq!(masks.node_to_edge.dims()[0], b * self.heads);
         let e = incidence.num_edges;
 
         let normed = self.ln_in.forward(nodes);
@@ -106,15 +131,12 @@ impl HypergraphTransformerLayer {
             .forward(&incidence.edge_type_ids)
             .reshape([b, e, d]);
 
-        let n2e = node_to_edge_mask(incidence, self.heads);
-        let edges = self
-            .node_to_edge
-            .forward(&edge_q, &normed, &normed, Some(&n2e), mode);
-
-        let e2n = edge_to_node_mask(incidence, self.heads);
-        let update = self
-            .edge_to_node
-            .forward(&normed, &edges, &edges, Some(&e2n), mode);
+        let edges =
+            self.node_to_edge
+                .forward(&edge_q, &normed, &normed, Some(&masks.node_to_edge), mode);
+        let update =
+            self.edge_to_node
+                .forward(&normed, &edges, &edges, Some(&masks.edge_to_node), mode);
 
         // The residual+LN and the final three-way sum are each one fused
         // node; element order matches the node-per-op composition, so
@@ -173,10 +195,15 @@ impl HypergraphEncoder {
         }
     }
 
+    /// Runs every layer over `incidence`, whose masks are built once.
     pub fn forward(&self, nodes: &Tensor, incidence: &BatchIncidence, mode: &mut Mode) -> Tensor {
+        let Some(first) = self.layers.first() else {
+            return nodes.clone();
+        };
+        let masks = IncidenceMasks::new(incidence, first.heads);
         let mut x = nodes.clone();
         for layer in &self.layers {
-            x = layer.forward(&x, incidence, mode);
+            x = layer.forward(&x, &masks, mode);
         }
         x
     }
@@ -253,7 +280,7 @@ mod tests {
         let layer = HypergraphTransformerLayer::new(8, 2, 16, 0.0, 5, &mut rng);
         let inc = demo_incidence(2);
         let nodes = Tensor::ones([2, 8, 8]);
-        let y = layer.forward(&nodes, &inc, &mut Mode::Eval);
+        let y = layer.forward(&nodes, &IncidenceMasks::new(&inc, 2), &mut Mode::Eval);
         assert_eq!(y.dims(), &[2, 8, 8]);
         assert!(y.to_vec().iter().all(|v| v.is_finite()));
     }
@@ -276,7 +303,7 @@ mod tests {
         let inc = demo_incidence(1);
         let nodes = Tensor::ones([1, 8, 4]);
         layer
-            .forward(&nodes, &inc, &mut Mode::Eval)
+            .forward(&nodes, &IncidenceMasks::new(&inc, 1), &mut Mode::Eval)
             .sum_all()
             .backward();
         for (name, t) in layer.param_map("hg").iter() {
@@ -310,10 +337,15 @@ mod tests {
         for i in 0..4 {
             perturbed[(len - 1) * 4 + i] += ((i + 1) as f32) * 0.8;
         }
-        let ya = layer.forward(&Tensor::from_vec(base, [1, len, 4]), &inc, &mut Mode::Eval);
+        let masks = IncidenceMasks::new(&inc, 1);
+        let ya = layer.forward(
+            &Tensor::from_vec(base, [1, len, 4]),
+            &masks,
+            &mut Mode::Eval,
+        );
         let yb = layer.forward(
             &Tensor::from_vec(perturbed, [1, len, 4]),
-            &inc,
+            &masks,
             &mut Mode::Eval,
         );
         let d: f32 = (0..4)
@@ -329,7 +361,8 @@ mod tests {
         let inc = demo_incidence(2);
         let nodes = Tensor::ones([2, 8, 8]);
         let mut drop_rng = StdRng::seed_from_u64(3);
-        let y = layer.forward(&nodes, &inc, &mut Mode::Train(&mut drop_rng));
+        let masks = IncidenceMasks::new(&inc, 2);
+        let y = layer.forward(&nodes, &masks, &mut Mode::Train(&mut drop_rng));
         assert!(y.to_vec().iter().all(|v| v.is_finite()));
     }
 }

@@ -15,4 +15,4 @@ pub mod layers;
 
 pub use build::{build_batch_incidence, BatchIncidence, HypergraphConfig};
 pub use incidence::{EdgeType, Hypergraph};
-pub use layers::{HypergraphEncoder, HypergraphTransformerLayer};
+pub use layers::{HypergraphEncoder, HypergraphTransformerLayer, IncidenceMasks};

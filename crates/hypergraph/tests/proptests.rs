@@ -88,8 +88,10 @@ proptest! {
         }
     }
 
+    /// The non-empty slots of a one-row layout are exactly the row's
+    /// hypergraph edges, and they cover only valid positions.
     #[test]
-    fn batch_incidence_consistent_with_edge_valid(
+    fn batch_incidence_slots_hold_the_built_edges(
         (items, behaviors, valid) in arb_sequence(),
         window in 1usize..8
     ) {
@@ -97,9 +99,16 @@ proptest! {
         let cfg = config(window, 3);
         let bi = build_batch_incidence(&cfg, &items, &behaviors, &valid, 1, len, 5);
         prop_assert_eq!(bi.num_edges, cfg.num_edge_slots(len));
-        for e in 0..bi.num_edges {
-            let any = (0..len).any(|t| bi.membership[e * len + t] != 0.0);
-            prop_assert_eq!(any, bi.edge_valid[e] != 0.0);
+        let last = valid.iter().rposition(|&v| v != 0.0).map_or(0, |t| t + 1);
+        let hg = cfg.build(&items[..last], &behaviors[..last], &valid[..last]);
+        let used = (0..bi.num_edges)
+            .filter(|&e| bi.membership[e * len..][..len].contains(&1.0))
+            .count();
+        prop_assert_eq!(used, hg.num_edges());
+        for (t, &v) in valid.iter().enumerate() {
+            if v == 0.0 {
+                prop_assert!((0..bi.num_edges).all(|e| bi.membership[e * len + t] == 0.0));
+            }
         }
         // Edge-type ids in range for the embedding table.
         for &id in &bi.edge_type_ids {
@@ -151,14 +160,12 @@ proptest! {
                 let bs = slot_of(s);
                 mapped[bs] = true;
                 prop_assert_eq!(bi.edge_type_ids[b * e + bs], alone.edge_type_ids[s]);
-                prop_assert_eq!(bi.edge_valid[b * e + bs], alone.edge_valid[s]);
                 let row = &bi.membership[(b * e + bs) * l..][..l];
                 prop_assert_eq!(&row[..l1.min(l)], &alone.membership[s * l1..][..l1.min(l)], "row {} slot {}", b, bs);
                 prop_assert!(row[l1.min(l)..].iter().all(|&m| m == 0.0));
             }
             for bs in (0..e).filter(|&bs| !mapped[bs]) {
                 prop_assert!((n_b + t1..n_b + t1 + extra).contains(&bs));
-                prop_assert_eq!(bi.edge_valid[b * e + bs], 0.0);
                 prop_assert!(bi.membership[(b * e + bs) * l..][..l].iter().all(|&m| m == 0.0));
             }
         }

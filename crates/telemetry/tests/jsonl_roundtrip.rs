@@ -40,10 +40,10 @@ fn get_str(v: &Value, key: &str) -> String {
 }
 
 fn get_num(v: &Value, key: &str) -> f64 {
-    match obj_get(v, key) {
-        Some(Value::Num(n)) => *n,
-        other => panic!("field {key} is not a number: {other:?}"),
-    }
+    let field = obj_get(v, key);
+    field
+        .and_then(Value::as_f64)
+        .unwrap_or_else(|| panic!("field {key} is not a number: {field:?}"))
 }
 
 fn span_stats(label: String, parent: String, count: u64, total_ns: u64, bytes: u64) -> LabelStats {

@@ -14,18 +14,58 @@ pub use serde_derive::{Deserialize, Serialize};
 
 pub mod value {
     /// An in-memory JSON document.
-    #[derive(Clone, Debug, PartialEq)]
+    #[derive(Clone, Debug)]
     pub enum Value {
         Null,
         Bool(bool),
-        /// All numbers are carried as `f64` (ample for this workspace:
-        /// counts, metrics, and ids all fit in 53 bits).
+        /// An integer, exact over the whole `i64` and `u64` ranges (an
+        /// `f64` would round a `u64` seed above 2^53).
+        Int(i128),
+        /// Any other number.
         Num(f64),
         Str(String),
         Arr(Vec<Value>),
         /// Insertion-ordered key/value pairs.
         Obj(Vec<(String, Value)>),
     }
+
+    impl Value {
+        /// The number this value holds, integer or not, as an `f64`.
+        pub fn as_f64(&self) -> Option<f64> {
+            match self {
+                Value::Int(i) => Some(*i as f64),
+                Value::Num(n) => Some(*n),
+                _ => None,
+            }
+        }
+    }
+
+    /// Numbers compare by value, so `Int(1) == Num(1.0)`: JSON text does
+    /// not say which of the two `1` was.
+    impl PartialEq for Value {
+        fn eq(&self, other: &Value) -> bool {
+            match (self, other) {
+                (Value::Null, Value::Null) => true,
+                (Value::Bool(a), Value::Bool(b)) => a == b,
+                (Value::Int(a), Value::Int(b)) => a == b,
+                (Value::Num(a), Value::Num(b)) => a == b,
+                (Value::Int(i), Value::Num(n)) | (Value::Num(n), Value::Int(i)) => {
+                    super::integral(*n) == Some(*i)
+                }
+                (Value::Str(a), Value::Str(b)) => a == b,
+                (Value::Arr(a), Value::Arr(b)) => a == b,
+                (Value::Obj(a), Value::Obj(b)) => a == b,
+                _ => false,
+            }
+        }
+    }
+}
+
+/// `n` as an integer when it is one exactly (finite, no fraction, inside
+/// the `i128` range).
+fn integral(n: f64) -> Option<i128> {
+    // 2^127: every integral f64 below it converts to i128 exactly.
+    (n.fract() == 0.0 && n.abs() < 1.7014118346046923e38).then_some(n as i128)
 }
 
 use value::Value;
@@ -58,7 +98,19 @@ impl Deserialize for Value {
 // Serialize impls for std types
 // ----------------------------------------------------------------------
 
-macro_rules! serialize_num {
+macro_rules! serialize_int {
+    ($($t:ty),*) => {$(
+        impl Serialize for $t {
+            fn to_value(&self) -> Value {
+                Value::Int(*self as i128)
+            }
+        }
+    )*};
+}
+
+serialize_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+macro_rules! serialize_float {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn to_value(&self) -> Value {
@@ -68,7 +120,7 @@ macro_rules! serialize_num {
     )*};
 }
 
-serialize_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+serialize_float!(f32, f64);
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
@@ -153,20 +205,42 @@ impl<V: Serialize, S> Serialize for std::collections::HashMap<String, V, S> {
 // Deserialize impls for std types
 // ----------------------------------------------------------------------
 
-macro_rules! deserialize_num {
+/// An integer type takes an integer, or a number written with a fraction
+/// or exponent whose value is integral (`16.0`, `1e3`), inside its range;
+/// anything else (`16.5`, `-1` for a `u32`, `2^64` for a `u64`) is an
+/// error, never a rounding or wrapping cast.
+macro_rules! deserialize_int {
     ($($t:ty),*) => {$(
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, String> {
-                match v {
-                    Value::Num(n) => Ok(*n as $t),
-                    _ => Err(format!("expected number, found {v:?}")),
-                }
+                let i = match v {
+                    Value::Int(i) => *i,
+                    Value::Num(n) => integral(*n)
+                        .ok_or_else(|| format!("expected integer, found {n}"))?,
+                    _ => return Err(format!("expected integer, found {v:?}")),
+                };
+                <$t>::try_from(i)
+                    .map_err(|_| format!("{i} is out of range for {}", stringify!($t)))
             }
         }
     )*};
 }
 
-deserialize_num!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+deserialize_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+macro_rules! deserialize_float {
+    ($($t:ty),*) => {$(
+        impl Deserialize for $t {
+            fn from_value(v: &Value) -> Result<Self, String> {
+                v.as_f64()
+                    .map(|n| n as $t)
+                    .ok_or_else(|| format!("expected number, found {v:?}"))
+            }
+        }
+    )*};
+}
+
+deserialize_float!(f32, f64);
 
 impl Deserialize for bool {
     fn from_value(v: &Value) -> Result<Self, String> {
@@ -278,6 +352,29 @@ mod tests {
             let back = Kind::from_value(&v).unwrap();
             assert_eq!(k, back);
         }
+    }
+
+    #[test]
+    fn integers_are_exact_over_u64_and_i64() {
+        for n in [0, 1, 9_007_199_254_740_993, u64::MAX] {
+            assert_eq!(u64::from_value(&n.to_value()), Ok(n));
+        }
+        for n in [i64::MIN, -9_007_199_254_740_993, -1] {
+            assert_eq!(i64::from_value(&n.to_value()), Ok(n));
+        }
+    }
+
+    #[test]
+    fn fractional_or_out_of_range_integers_are_errors() {
+        assert!(usize::from_value(&Value::Num(16.5)).is_err());
+        assert!(u32::from_value(&Value::Num(f64::NAN)).is_err());
+        assert!(u32::from_value(&Value::Int(-1)).is_err());
+        assert!(u8::from_value(&Value::Int(256)).is_err());
+        assert!(u64::from_value(&Value::Int(u64::MAX as i128 + 1)).is_err());
+        assert!(i64::from_value(&Value::Num(1e300)).is_err());
+        // An integral value written as a float is still that integer.
+        assert_eq!(usize::from_value(&Value::Num(16.0)), Ok(16));
+        assert_eq!(f32::from_value(&Value::Int(3)), Ok(3.0));
     }
 
     #[test]

@@ -44,6 +44,7 @@ fn write_value(v: &Value, out: &mut String, indent: Option<usize>, level: usize)
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => out.push_str(&i.to_string()),
         Value::Num(n) => write_num(*n, out),
         Value::Str(s) => write_str(s, out),
         Value::Arr(items) => {
@@ -207,6 +208,12 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|e| Error(e.to_string()))?;
+        // An integer literal stays exact; one beyond i128 is a float.
+        if !text.contains(['.', 'e', 'E']) {
+            if let Ok(i) = text.parse::<i128>() {
+                return Ok(Value::Int(i));
+            }
+        }
         text.parse::<f64>()
             .map(Value::Num)
             .map_err(|e| Error(format!("invalid number `{text}`: {e}")))
@@ -366,6 +373,25 @@ mod tests {
         assert_eq!(f, 2500.0);
         let s: String = from_str("\"caf\\u00e9\"").unwrap();
         assert_eq!(s, "café");
+    }
+
+    #[test]
+    fn integers_round_trip_exactly_through_text() {
+        let text = to_string(&9_007_199_254_740_993u64).unwrap();
+        assert_eq!(text, "9007199254740993");
+        assert_eq!(from_str::<u64>(&text).unwrap(), 9_007_199_254_740_993);
+        assert_eq!(from_str::<u64>(&u64::MAX.to_string()).unwrap(), u64::MAX);
+        assert_eq!(from_str::<i64>(&i64::MIN.to_string()).unwrap(), i64::MIN);
+        assert_eq!(from_str::<usize>("1e3").unwrap(), 1000);
+    }
+
+    #[test]
+    fn fractional_or_out_of_range_integers_are_refused() {
+        assert!(from_str::<usize>("16.5").is_err());
+        assert!(from_str::<u32>("-1").is_err());
+        assert!(from_str::<u64>("18446744073709551616").is_err());
+        assert!(from_str::<u64>("1e400").is_err());
+        assert!(from_str::<f64>("18446744073709551616").is_ok());
     }
 
     #[test]

@@ -44,10 +44,7 @@ fn obj_get<'a>(v: &'a Value, key: &str) -> Option<&'a Value> {
 }
 
 fn get_num(v: &Value, key: &str) -> f64 {
-    match obj_get(v, key) {
-        Some(Value::Num(n)) => *n,
-        _ => 0.0,
-    }
+    obj_get(v, key).and_then(Value::as_f64).unwrap_or(0.0)
 }
 
 fn get_bool(v: &Value, key: &str) -> bool {
@@ -113,9 +110,9 @@ pub fn render(snapshot: &Value, source: &str, qps: &[Option<f64>]) -> String {
         get_num(&counters, "cache_misses") as u64,
         get_num(snapshot, "sessions") as u64,
     ));
-    let budget = match obj_get(snapshot, "ann_budget_us") {
-        Some(Value::Num(b)) => format!("budget {}µs", *b as u64),
-        _ => "no budget".to_string(),
+    let budget = match obj_get(snapshot, "ann_budget_us").and_then(Value::as_f64) {
+        Some(b) => format!("budget {}µs", b as u64),
+        None => "no budget".to_string(),
     };
     out.push_str(&format!(
         "  ann      ewma {}µs, {budget}{}, {} degraded requests\n",
@@ -143,9 +140,9 @@ pub fn render(snapshot: &Value, source: &str, qps: &[Option<f64>]) -> String {
         let sizes: Vec<String> = buckets
             .iter()
             .filter_map(|b| match b {
-                Value::Arr(t) if t.len() == 3 => match (&t[0], &t[2]) {
-                    (Value::Num(lower), Value::Num(count)) => {
-                        Some(format!("{}:{}", *lower as u64, *count as u64))
+                Value::Arr(t) if t.len() == 3 => match (t[0].as_f64(), t[2].as_f64()) {
+                    (Some(lower), Some(count)) => {
+                        Some(format!("{}:{}", lower as u64, count as u64))
                     }
                     _ => None,
                 },

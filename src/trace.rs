@@ -20,6 +20,7 @@
 use std::collections::BTreeMap;
 
 use serde::value::Value;
+use serde::Deserialize;
 
 // ---------------------------------------------------------------------------
 // Trace model and parsing
@@ -75,10 +76,7 @@ fn get_str(v: &Value, key: &str) -> Option<String> {
 }
 
 fn get_u64(v: &Value, key: &str) -> Option<u64> {
-    match obj_get(v, key) {
-        Some(Value::Num(n)) if *n >= 0.0 => Some(*n as u64),
-        _ => None,
-    }
+    obj_get(v, key).and_then(|n| u64::from_value(n).ok())
 }
 
 impl Trace {

@@ -5,7 +5,9 @@ use mbssl::data::preprocess::{leave_one_out, SplitConfig};
 use mbssl::data::sampler::{Batch, NegativeSampler};
 use mbssl::data::synthetic::SyntheticConfig;
 use mbssl::data::Behavior;
-use mbssl::hypergraph::{build_batch_incidence, HypergraphConfig, HypergraphTransformerLayer};
+use mbssl::hypergraph::{
+    build_batch_incidence, HypergraphConfig, HypergraphTransformerLayer, IncidenceMasks,
+};
 use mbssl::tensor::nn::{Mode, Module};
 use mbssl::tensor::Tensor;
 use rand::rngs::StdRng;
@@ -27,6 +29,7 @@ fn hypergraph_layer_gradcheck() {
         max_item_edges: 2,
     };
     let incidence = build_batch_incidence(&cfg, &items, &behaviors, &valid, 1, len, 5);
+    let masks = IncidenceMasks::new(&incidence, 1);
 
     let x0: Vec<f32> = (0..len * 4).map(|i| ((i * 13 % 17) as f32) * 0.1 - 0.8).collect();
     let weight: Vec<f32> = (0..len * 4).map(|i| ((i * 7 % 11) as f32) * 0.2 - 1.0).collect();
@@ -35,7 +38,7 @@ fn hypergraph_layer_gradcheck() {
     let f = |data: Vec<f32>| -> f32 {
         let x = Tensor::from_vec(data, [1, len, 4]);
         layer
-            .forward(&x, &incidence, &mut Mode::Eval)
+            .forward(&x, &masks, &mut Mode::Eval)
             .mul(&w)
             .sum_all()
             .item()
@@ -43,7 +46,7 @@ fn hypergraph_layer_gradcheck() {
 
     let x = Tensor::from_vec(x0.clone(), [1, len, 4]).requires_grad();
     layer
-        .forward(&x, &incidence, &mut Mode::Eval)
+        .forward(&x, &masks, &mut Mode::Eval)
         .mul(&w)
         .sum_all()
         .backward();
@@ -147,12 +150,13 @@ fn optimizer_updates_hypergraph_parameters() {
         max_item_edges: 0,
     };
     let incidence = build_batch_incidence(&cfg, &items, &behaviors, &valid, 1, len, 5);
+    let masks = IncidenceMasks::new(&incidence, 2);
     let x: Vec<f32> = (0..len * 8).map(|i| (i % 5) as f32 * 0.1).collect();
     let x = Tensor::from_vec(x, [1, len, 8]);
     for _ in 0..3 {
         opt.zero_grad();
         layer
-            .forward(&x, &incidence, &mut Mode::Eval)
+            .forward(&x, &masks, &mut Mode::Eval)
             .square()
             .mean_all()
             .backward();
