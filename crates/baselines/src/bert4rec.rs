@@ -81,10 +81,6 @@ impl SequentialRecommender for Bert4Rec {
 }
 
 impl TrainableRecommender for Bert4Rec {
-    fn params(&self) -> Vec<Tensor> {
-        self.named_params().tensors()
-    }
-
     fn named_params(&self) -> ParamMap {
         let mut map = ParamMap::new();
         self.item_emb.collect_params("bert4rec.item", &mut map);

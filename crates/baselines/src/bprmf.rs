@@ -58,10 +58,6 @@ impl SequentialRecommender for BprMf {
 }
 
 impl TrainableRecommender for BprMf {
-    fn params(&self) -> Vec<Tensor> {
-        self.named_params().tensors()
-    }
-
     fn named_params(&self) -> ParamMap {
         let mut map = ParamMap::new();
         self.user_emb.collect_params("bprmf.user", &mut map);

@@ -91,10 +91,6 @@ impl SequentialRecommender for Cl4SRec {
 }
 
 impl TrainableRecommender for Cl4SRec {
-    fn params(&self) -> Vec<Tensor> {
-        self.named_params().tensors()
-    }
-
     fn named_params(&self) -> ParamMap {
         let mut map = ParamMap::new();
         self.item_emb.collect_params("cl4srec.item", &mut map);

@@ -100,10 +100,6 @@ impl SequentialRecommender for ComiRec {
 }
 
 impl TrainableRecommender for ComiRec {
-    fn params(&self) -> Vec<Tensor> {
-        self.named_params().tensors()
-    }
-
     fn named_params(&self) -> ParamMap {
         let mut map = ParamMap::new();
         self.item_emb.collect_params("comirec.item", &mut map);

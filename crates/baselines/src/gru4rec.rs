@@ -54,10 +54,6 @@ impl SequentialRecommender for Gru4Rec {
 }
 
 impl TrainableRecommender for Gru4Rec {
-    fn params(&self) -> Vec<Tensor> {
-        self.named_params().tensors()
-    }
-
     fn named_params(&self) -> ParamMap {
         let mut map = ParamMap::new();
         self.item_emb.collect_params("gru4rec.item", &mut map);

@@ -59,10 +59,6 @@ impl SequentialRecommender for MbGru {
 }
 
 impl TrainableRecommender for MbGru {
-    fn params(&self) -> Vec<Tensor> {
-        self.named_params().tensors()
-    }
-
     fn named_params(&self) -> ParamMap {
         let mut map = ParamMap::new();
         self.item_emb.collect_params("mbgru.item", &mut map);

@@ -105,10 +105,6 @@ impl SequentialRecommender for Mbt {
 }
 
 impl TrainableRecommender for Mbt {
-    fn params(&self) -> Vec<Tensor> {
-        self.named_params().tensors()
-    }
-
     fn named_params(&self) -> ParamMap {
         let mut map = ParamMap::new();
         self.item_emb.collect_params("mbt.item", &mut map);

@@ -79,10 +79,6 @@ impl SequentialRecommender for SasRec {
 }
 
 impl TrainableRecommender for SasRec {
-    fn params(&self) -> Vec<Tensor> {
-        self.named_params().tensors()
-    }
-
     fn named_params(&self) -> ParamMap {
         let mut map = ParamMap::new();
         self.item_emb.collect_params("sasrec.item", &mut map);

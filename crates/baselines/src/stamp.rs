@@ -91,10 +91,6 @@ impl SequentialRecommender for Stamp {
 }
 
 impl TrainableRecommender for Stamp {
-    fn params(&self) -> Vec<Tensor> {
-        self.named_params().tensors()
-    }
-
     fn named_params(&self) -> ParamMap {
         let mut map = ParamMap::new();
         self.item_emb.collect_params("stamp.item", &mut map);

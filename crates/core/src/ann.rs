@@ -29,17 +29,18 @@
 //!   against the packed transposed centroids. Runs under an
 //!   `index.build` span with `index.iterations`, `index.assign_exact` and
 //!   `index.assign_fallbacks` counters ([`BuildStats`]).
-//! - **Serialization** is a [`mbssl_data::container`] file written next
-//!   to the checkpoint (conventionally `<ckpt>.ivf`), loadable without
+//! - **Serialization** is a [`mbssl_data::container`] file (`mbssl index
+//!   build` writes `<ckpt>.ivf` by default), loadable without
 //!   retraining and published atomically (temp file, sync, rename).
 //!   Corrupt, truncated, or version-mismatched files fail with a clear
 //!   [`AnnError`]; consumers degrade to exhaustive scoring (warn-and-
 //!   degrade, like the run ledger's IO handling).
-//! - **Gating**: `MBSSL_ANN=off` disables probing everywhere even when an
-//!   index is attached, restoring the exhaustive path bit-for-bit: a user
-//!   choice between recall and latency, not a debugging fallback.
-//!   `MBSSL_ANN_NLIST` / `MBSSL_ANN_NPROBE` override the built/probed list
-//!   counts.
+//! - **Gating**: an engine probes exactly when an index is attached
+//!   ([`crate::infer::InferenceModel::attach_index`]); without one it
+//!   ranks the catalog exhaustively. The CLI attaches the file its
+//!   `--index` flag names and no other. `index build --nlist` sets the
+//!   list count and `attach_index_with` the probe width; otherwise
+//!   [`default_nlist`] and [`default_nprobe`] apply.
 //!
 //! Retrieval is approximate: recall@10 of the ANN path against the
 //! exhaustive top-10 is the pinned metric (`tests/ann.rs` gates it at the
@@ -51,7 +52,6 @@
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 use mbssl_data::container::{self, as_bytes, corrupt, Container, FormatError, Source, Spec};
 use mbssl_data::ItemId;
@@ -83,45 +83,20 @@ const ASSIGN_CHUNK: usize = 512;
 /// independent `vpdpbusd` chains per centroid block.
 const SCREEN_ITEMS: usize = 4;
 
-/// Whether ANN probing is allowed. Defaults to on; `MBSSL_ANN=off` (or
-/// `0` / `none`) keeps every consumer on the exhaustive path even when an
-/// index is attached. Read once and cached for the process lifetime.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| {
-        !matches!(
-            std::env::var("MBSSL_ANN").as_deref(),
-            Ok("off") | Ok("0") | Ok("none")
-        )
-    })
-}
-
 /// Default number of inverted lists for a catalog of `num_items`:
-/// `MBSSL_ANN_NLIST` if set, else `4 * sqrt(num_items)` (finer-grained than
-/// the classic `sqrt(N)` so each probe retrieves a tighter neighborhood),
-/// clamped so every list can hold at least a couple of items.
+/// `4 * sqrt(num_items)` (finer-grained than the classic `sqrt(N)` so each
+/// probe retrieves a tighter neighborhood), clamped so every list can hold
+/// at least a couple of items.
 pub fn default_nlist(num_items: usize) -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    let from_env = *ENV.get_or_init(|| {
-        std::env::var("MBSSL_ANN_NLIST")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    });
-    let nlist = from_env.unwrap_or_else(|| (4.0 * (num_items as f64).sqrt()).round() as usize);
+    let nlist = (4.0 * (num_items as f64).sqrt()).round() as usize;
     nlist.clamp(1, (num_items / 2).max(1))
 }
 
-/// Default number of lists probed per interest vector: `MBSSL_ANN_NPROBE`
-/// if set, else `nlist / 16` (≈6% of the lists per interest; the union
-/// across interests widens actual coverage), at least 1.
+/// Default number of lists probed per interest vector: `nlist / 16` (≈6%
+/// of the lists per interest; the union across interests widens actual
+/// coverage), at least 1.
 pub fn default_nprobe(nlist: usize) -> usize {
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    let from_env = *ENV.get_or_init(|| {
-        std::env::var("MBSSL_ANN_NPROBE")
-            .ok()
-            .and_then(|v| v.parse().ok())
-    });
-    from_env.unwrap_or(nlist / 16).clamp(1, nlist)
+    (nlist / 16).clamp(1, nlist)
 }
 
 /// Errors arising from index IO or attaching an index to a model it was

@@ -58,7 +58,7 @@
 //! items through the gathered pass. Re-ranked scores are bit-identical
 //! to the exhaustive scores of the same items, so the output is exactly the
 //! exhaustive ranking restricted to the retrieved set — recall is the only
-//! approximation. `MBSSL_ANN=off` ignores any attached index.
+//! approximation.
 
 use std::cell::{Cell, UnsafeCell};
 use std::cmp::Reverse;
@@ -947,7 +947,7 @@ impl InferenceModel {
     }
 
     /// Builds an IVF index over this engine's item table with the default
-    /// (env-overridable) `nlist` and the given k-means seed.
+    /// `nlist` and the given k-means seed.
     pub fn build_index(&self, seed: u64) -> IvfIndex {
         self.build_index_with(ann::default_nlist(self.num_items), seed)
     }
@@ -958,7 +958,7 @@ impl InferenceModel {
         IvfIndex::build(&self.item_table, self.num_items, self.dim, nlist, seed)
     }
 
-    /// Attaches `index` with the default (env-overridable) `nprobe`.
+    /// Attaches `index` with the default `nprobe`.
     /// Fails with [`AnnError::Mismatch`] if the index geometry does not
     /// match this engine's item table.
     pub fn attach_index(&mut self, index: IvfIndex) -> Result<(), AnnError> {
@@ -1006,11 +1006,6 @@ impl InferenceModel {
         if let Some(screen) = &mut self.screen {
             screen.relay(order);
         }
-    }
-
-    /// Whether an IVF index is attached (regardless of `MBSSL_ANN`).
-    pub fn has_index(&self) -> bool {
-        self.ann.is_some()
     }
 
     /// Scores `history` against an explicit candidate subset of the item
@@ -1256,7 +1251,7 @@ impl InferenceModel {
         let mut score_sp = telemetry::span("infer.score_catalog");
         let mut tops: Vec<TopN<'_>> = queries.iter().map(|q| TopN::new(q, num_items)).collect();
         let mut used_ann = vec![false; queries.len()];
-        match self.ann.as_ref().filter(|_| ann::enabled()) {
+        match &self.ann {
             // One exhaustive call for the whole batch.
             None => score_sp.add_bytes(self.rank_exhaustive(z_all, &mut tops, num_items, arena)),
             Some(st) => {

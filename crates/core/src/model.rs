@@ -147,31 +147,7 @@ impl Mbmissl {
         self.interests(h, batch).mean_axis(1, false)
     }
 
-    /// Full training loss on a batch of instances.
-    ///
-    /// Prepares the batch (truncation + negative sampling + encoding) and
-    /// computes the loss on a single RNG stream. The trainer's prefetch
-    /// pipeline instead calls the two halves separately so preparation
-    /// overlaps the previous step's forward/backward.
-    pub fn compute_loss(
-        &self,
-        instances: &[&TrainInstance],
-        sampler: &NegativeSampler,
-        num_negatives: usize,
-        rng: &mut StdRng,
-    ) -> Tensor {
-        let prepared = PreparedBatch::build(
-            instances,
-            sampler,
-            num_negatives,
-            NegativeStrategy::Uniform,
-            Some(self.config.max_seq_len),
-            rng,
-        );
-        self.compute_loss_prepared(&prepared, sampler, num_negatives, rng)
-    }
-
-    /// Graph half of [`Mbmissl::compute_loss`]: the main sampled-softmax loss plus
+    /// The training loss on a prepared batch: the main sampled-softmax loss plus
     /// the three SSL terms, with the augmented views re-encoded through the
     /// same parameters. `rng` drives dropout, augmentation, and the aux
     /// objective's in-loss negative sampling.
@@ -412,10 +388,6 @@ impl SequentialRecommender for Mbmissl {
 }
 
 impl TrainableRecommender for Mbmissl {
-    fn params(&self) -> Vec<Tensor> {
-        self.param_map("mbmissl").tensors()
-    }
-
     fn named_params(&self) -> ParamMap {
         self.param_map("mbmissl")
     }
@@ -483,7 +455,7 @@ mod tests {
         let sampler = NegativeSampler::from_dataset(&dataset);
         let mut rng = StdRng::seed_from_u64(0);
         let refs: Vec<&TrainInstance> = split.train.iter().take(8).collect();
-        let loss = model.compute_loss(&refs, &sampler, 8, &mut rng);
+        let loss = model.loss_on_batch(&refs, &sampler, 8, &mut rng);
         assert!(loss.item().is_finite());
         assert!(loss.item() > 0.0);
     }
@@ -496,7 +468,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let refs: Vec<&TrainInstance> = split.train.iter().take(8).collect();
         model
-            .compute_loss(&refs, &sampler, 8, &mut rng)
+            .loss_on_batch(&refs, &sampler, 8, &mut rng)
             .backward();
         let mut missing = Vec::new();
         for (name, t) in model.param_map("m").iter() {
@@ -555,10 +527,10 @@ mod tests {
         let sampler = NegativeSampler::from_dataset(&g.dataset);
         let refs: Vec<&TrainInstance> = split.train.iter().take(8).collect();
         let l1 = with_ssl
-            .compute_loss(&refs, &sampler, 8, &mut StdRng::seed_from_u64(3))
+            .loss_on_batch(&refs, &sampler, 8, &mut StdRng::seed_from_u64(3))
             .item();
         let l2 = without
-            .compute_loss(&refs, &sampler, 8, &mut StdRng::seed_from_u64(3))
+            .loss_on_batch(&refs, &sampler, 8, &mut StdRng::seed_from_u64(3))
             .item();
         // Same seed → same parameters and same sampled negatives; the SSL
         // terms must move the total.
@@ -594,17 +566,17 @@ mod tests {
         let sampler = NegativeSampler::from_dataset(&g.dataset);
         let refs: Vec<&TrainInstance> = split.train.iter().take(8).collect();
         let l1 = with_aux
-            .compute_loss(&refs, &sampler, 8, &mut StdRng::seed_from_u64(5))
+            .loss_on_batch(&refs, &sampler, 8, &mut StdRng::seed_from_u64(5))
             .item();
         let l2 = without
-            .compute_loss(&refs, &sampler, 8, &mut StdRng::seed_from_u64(5))
+            .loss_on_batch(&refs, &sampler, 8, &mut StdRng::seed_from_u64(5))
             .item();
         assert!(l1.is_finite() && l2.is_finite());
         assert!((l1 - l2).abs() > 1e-6, "aux loss had no effect");
 
         // Gradients still reach every parameter with the aux loss on.
         with_aux
-            .compute_loss(&refs, &sampler, 8, &mut StdRng::seed_from_u64(6))
+            .loss_on_batch(&refs, &sampler, 8, &mut StdRng::seed_from_u64(6))
             .backward();
         for (name, t) in with_aux.param_map("m").iter() {
             assert!(t.grad().is_some(), "{name} missing grad with aux loss");

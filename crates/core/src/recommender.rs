@@ -3,7 +3,6 @@
 //! method" fairness contract of the evaluation.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
 
 use mbssl_data::preprocess::EvalInstance;
 use mbssl_data::sampler::EvalCandidates;
@@ -73,7 +72,8 @@ pub trait SequentialRecommender: Sync {
 /// Evaluates a recommender on instances with prebuilt candidate lists
 /// (index 0 = positive), processing `batch_size` instances per scoring
 /// call. Returns the per-instance ranks for aggregation and significance
-/// testing.
+/// testing. The lists must be non-empty and of one length, as
+/// [`EvalCandidates::build`] makes them; anything else panics.
 ///
 /// If the model offers a compiled inference form
 /// ([`SequentialRecommender::prepare_inference`]), scoring runs through it;
@@ -126,43 +126,16 @@ fn evaluate_with<R: SequentialRecommender + ?Sized>(
     if instances.is_empty() {
         return PerInstanceMetrics::from_score_lists(&[]);
     }
+    // One flat buffer for every score in the evaluation, written in place
+    // by the chunk workers through `score_batch_into`: one allocator
+    // request total, independent of the number of chunks.
     let c = candidates.lists[0].len();
-    let uniform = candidates.lists.iter().all(|l| l.len() == c);
-    if uniform && c > 0 {
-        // Fast path (the 1-vs-99 protocol always lands here): one flat
-        // buffer for every score in the evaluation, written in place by
-        // the chunk workers through `score_batch_into`. One allocator
-        // request total, independent of the number of chunks.
-        let mut flat = alloc::zeroed(instances.len() * c);
-        pool::parallel_chunks_mut(&mut flat, batch_size * c, |ci, window| {
-            let chunk_start = ci * batch_size;
-            let chunk_end = (chunk_start + batch_size).min(instances.len());
-            let histories: Vec<&Sequence> = instances[chunk_start..chunk_end]
-                .iter()
-                .map(|i| &i.history)
-                .collect();
-            let cand_refs: Vec<&[ItemId]> = candidates.lists[chunk_start..chunk_end]
-                .iter()
-                .map(|l| l.as_slice())
-                .collect();
-            // no_grad is thread-local, so the guard must live inside the
-            // pool closure: evaluation never records autograd nodes or
-            // allocates gradient buffers regardless of which worker runs
-            // the chunk.
-            let _chunk_sp = telemetry::span("eval.score_chunk");
-            mbssl_tensor::no_grad(|| model.score_batch_into(&histories, &cand_refs, window));
-        });
-        let metrics = PerInstanceMetrics::from_flat_scores(&flat, c);
-        alloc::recycle(flat);
-        return metrics;
-    }
-    // Ragged candidate lists: fall back to per-chunk score lists. One slot
-    // per scoring chunk; the per-slot mutex is uncontended (each chunk
-    // index is claimed by exactly one pool thread) and exists to keep the
-    // indexed writes safe without unsafe code.
-    let n_chunks = instances.len().div_ceil(batch_size);
-    let slots: Vec<Mutex<Vec<Vec<f32>>>> = (0..n_chunks).map(|_| Mutex::new(Vec::new())).collect();
-    pool::parallel_for(n_chunks, |ci| {
+    assert!(
+        c > 0 && candidates.lists.iter().all(|l| l.len() == c),
+        "candidate lists must be non-empty and of one length"
+    );
+    let mut flat = alloc::zeroed(instances.len() * c);
+    pool::parallel_chunks_mut(&mut flat, batch_size * c, |ci, window| {
         let chunk_start = ci * batch_size;
         let chunk_end = (chunk_start + batch_size).min(instances.len());
         let histories: Vec<&Sequence> = instances[chunk_start..chunk_end]
@@ -173,15 +146,16 @@ fn evaluate_with<R: SequentialRecommender + ?Sized>(
             .iter()
             .map(|l| l.as_slice())
             .collect();
+        // no_grad is thread-local, so the guard must live inside the
+        // pool closure: evaluation never records autograd nodes or
+        // allocates gradient buffers regardless of which worker runs
+        // the chunk.
         let _chunk_sp = telemetry::span("eval.score_chunk");
-        *slots[ci].lock().unwrap() =
-            mbssl_tensor::no_grad(|| model.score_batch(&histories, &cand_refs));
+        mbssl_tensor::no_grad(|| model.score_batch_into(&histories, &cand_refs, window));
     });
-    let mut score_lists: Vec<Vec<f32>> = Vec::with_capacity(instances.len());
-    for slot in slots {
-        score_lists.extend(slot.into_inner().unwrap());
-    }
-    PerInstanceMetrics::from_score_lists(&score_lists)
+    let metrics = PerInstanceMetrics::from_flat_scores(&flat, c);
+    alloc::recycle(flat);
+    metrics
 }
 
 /// A ranked recommendation.
@@ -305,6 +279,7 @@ pub fn recommend_top_n_reference<R: SequentialRecommender + ?Sized>(
 mod tests {
     use super::*;
     use mbssl_data::Behavior;
+    use std::sync::Mutex;
 
     /// Oracle that always scores the first candidate (the target) highest.
     struct Oracle;
@@ -359,6 +334,14 @@ mod tests {
             lists.push(vec![5, 6, 7, 8]);
         }
         (instances, EvalCandidates { lists })
+    }
+
+    #[test]
+    #[should_panic(expected = "candidate lists must be non-empty and of one length")]
+    fn evaluate_rejects_ragged_candidate_lists() {
+        let (instances, mut cands) = demo_instances(4);
+        cands.lists[2].pop();
+        evaluate(&Oracle, &instances, &cands, 3);
     }
 
     #[test]

@@ -28,8 +28,12 @@ use crate::recommender::{evaluate, SequentialRecommender};
 /// prefetch thread, and [`loss_on_prepared`](TrainableRecommender::loss_on_prepared)
 /// is the graph half that builds the differentiable loss.
 pub trait TrainableRecommender: SequentialRecommender {
-    /// All trainable parameter handles, in a stable order.
-    fn params(&self) -> Vec<Tensor>;
+    /// All trainable parameter handles, in [`named_params`] order.
+    ///
+    /// [`named_params`]: TrainableRecommender::named_params
+    fn params(&self) -> Vec<Tensor> {
+        self.named_params().tensors()
+    }
 
     /// Parameters with stable names (checkpointing).
     fn named_params(&self) -> ParamMap;
@@ -467,9 +471,6 @@ mod tests {
     }
 
     impl TrainableRecommender for TinyMf {
-        fn params(&self) -> Vec<Tensor> {
-            self.emb.param_map("mf").tensors()
-        }
         fn named_params(&self) -> ParamMap {
             self.emb.param_map("mf")
         }

@@ -16,13 +16,10 @@
 //! - equal-score items order identically (ascending id) across reference
 //!   chunk sizes, the engine's exhaustive path, and the ANN boundary
 //!   (property-tested with duplicated embedding rows).
-//!
-//! Every assertion also holds under ambient `MBSSL_ANN=off` (the probe is
-//! skipped and both sides become the exhaustive path), so CI can run this
-//! suite under both settings.
 
 use std::collections::HashSet;
 
+use mbssl_core::infer::CatalogQuery;
 use mbssl_core::{
     ann, recommend_top_n_reference, AnnError, BehaviorSchema, EncoderKind, ExtractorKind,
     InferenceModel, IvfIndex, Mbmissl, ModelConfig, SequentialRecommender, TrainableRecommender,
@@ -415,9 +412,17 @@ fn out_of_range_item_id_is_rejected() {
     }
 }
 
+/// Whether `engine` ranks user 0's 10-item query through an index probe.
+fn ranks_by_probe(engine: &InferenceModel, dataset: &Dataset) -> bool {
+    let z = engine.encode_interests(&[&dataset.sequences[0]]);
+    let none = HashSet::new();
+    let query = [CatalogQuery { n: 10, exclude: &none }];
+    engine.rank_from_interests(&z, &query, dataset.num_items, None)[0].used_ann
+}
+
 #[test]
 fn geometry_mismatch_is_rejected_at_attach() {
-    let (model, _) = tiny_model(EncoderKind::Transformer, ExtractorKind::SelfAttentive);
+    let (model, dataset) = tiny_model(EncoderKind::Transformer, ExtractorKind::SelfAttentive);
     let mut engine = InferenceModel::compile(&model);
     // An index over a different (smaller) catalog with a different dim.
     let foreign_table = vec![0.25f32; (50 + 1) * 8];
@@ -426,7 +431,10 @@ fn geometry_mismatch_is_rejected_at_attach() {
         Err(AnnError::Mismatch { .. }) => {}
         other => panic!("expected Mismatch, got {other:?}"),
     }
-    assert!(!engine.has_index(), "failed attach must not leave an index");
+    assert!(!ranks_by_probe(&engine, &dataset), "failed attach must not leave an index");
+    let index = engine.build_index(1);
+    engine.attach_index(index).unwrap();
+    assert!(ranks_by_probe(&engine, &dataset), "an attached index must be probed");
 }
 
 #[test]
@@ -440,7 +448,7 @@ fn load_failure_degrades_to_exhaustive() {
     if let Ok(index) = IvfIndex::load(&mut buf.as_slice()) {
         engine.attach_index(index).ok();
     }
-    assert!(!engine.has_index());
+    assert!(!ranks_by_probe(&engine, &dataset));
     let history = &dataset.sequences[0];
     let recs = engine
         .recommend_catalog(history, dataset.num_items, 10, &HashSet::new())

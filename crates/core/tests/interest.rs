@@ -105,7 +105,7 @@ fn shared_computation_matches_two_pass_reference_bitwise() {
     }
 }
 
-/// The masks `compute_loss` pools one batch with: every valid position,
+/// The masks `compute_loss_prepared` pools one batch with: every valid position,
 /// two behavior subsets, and a mask that leaves a row with no position
 /// (uniform attention over the whole padded row).
 const MASKS: [[f32; 10]; 4] = [

@@ -236,9 +236,6 @@ fn hot_swap_redirects_new_requests_to_the_new_engine() {
 
 #[test]
 fn ann_budget_degrades_probe_width_but_responses_stay_well_formed() {
-    if !mbssl_core::ann::enabled() {
-        return; // MBSSL_ANN=off: the policy has nothing to degrade
-    }
     let (model, dataset) = tiny_model(EncoderKind::Transformer, ExtractorKind::DynamicRouting);
     let mut engine = InferenceModel::compile(&model);
     let index = engine.build_index_with(8, 7);

@@ -134,7 +134,6 @@ fn jsonl_trace_is_valid_and_does_not_perturb_training() {
                 for key in [
                     "MBSSL_THREADS",
                     "MBSSL_SIMD",
-                    "MBSSL_ANN",
                     "MBSSL_DATA_MMAP",
                     "MBSSL_TRACE",
                 ] {

@@ -78,10 +78,8 @@ pub fn corrupt(msg: impl Into<String>) -> FormatError {
 
 /// Whether files open through `mmap` (`MBSSL_DATA_MMAP`, default on;
 /// `off` / `0` / `none` read them into an owned aligned buffer instead).
-/// Also governs whether the CLI auto-discovers `.mbds` siblings next to
-/// TSV logs. The switch stays because the buffered read is a production
-/// path (non-unix targets have no `mmap`) and this is how CI covers it on
-/// unix.
+/// The switch stays because the buffered read is a production path
+/// (non-unix targets have no `mmap`) and this is how CI covers it on unix.
 pub fn mmap_enabled() -> bool {
     static ENABLED: OnceLock<bool> = OnceLock::new();
     *ENABLED.get_or_init(|| {

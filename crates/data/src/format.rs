@@ -16,9 +16,8 @@
 //! handed out by [`MbdsFile`] are plain aligned reinterpret-casts of the
 //! mapping — no copies, no decoding pass. This module keeps the semantic
 //! checks: [`MbdsFile::open`] validates offsets, item ids and behavior
-//! codes and rejects anything suspect with a typed [`FormatError`] —
-//! callers are expected to warn-and-degrade to the TSV path, never to
-//! trust a partially validated mapping. A hostile or truncated file must
+//! codes and rejects anything suspect with a typed [`FormatError`], never
+//! a partially validated mapping. A hostile or truncated file must
 //! produce an error, never UB.
 //!
 //! Writing goes through [`MbdsStreamWriter`], which buffers only O(users)
@@ -70,7 +69,6 @@ pub struct MbdsFile {
     num_events: usize,
     behaviors: Vec<Behavior>,
     target_behavior: Behavior,
-    kcore: (u8, u8),
 }
 
 impl MbdsFile {
@@ -84,7 +82,7 @@ impl MbdsFile {
 
     fn validate(file: Container) -> Result<MbdsFile, FormatError> {
         let [num_items] = file.fixed::<u64, 1>(CATALOG)?;
-        let [target_code, behavior_mask, k_user, k_item] = file.fixed::<u8, 4>(CODES)?;
+        let [target_code, behavior_mask, ..] = file.fixed::<u8, 4>(CODES)?;
         if num_items >= u64::from(u32::MAX) {
             return Err(corrupt(format!(
                 "num_items {num_items} exceeds the u32 item-id space"
@@ -161,7 +159,6 @@ impl MbdsFile {
             num_events,
             behaviors,
             target_behavior,
-            kcore: (k_user, k_item),
         })
     }
 
@@ -193,18 +190,6 @@ impl MbdsFile {
     /// The prediction-target behavior recorded at write time.
     pub fn target_behavior(&self) -> Behavior {
         self.target_behavior
-    }
-
-    /// The `(k_user, k_item)` k-core thresholds recorded at write time
-    /// (the `codes` section's last two bytes), or `None` when the writer left them
-    /// unspecified. Loaders that assume a particular preprocessing (the
-    /// CLI's sibling auto-discovery expects the default 5/3-core) use this
-    /// to detect a file converted with different thresholds.
-    pub fn kcore_thresholds(&self) -> Option<(usize, usize)> {
-        match self.kcore {
-            (0, _) | (_, 0) => None,
-            (ku, ki) => Some((ku as usize, ki as usize)),
-        }
     }
 
     /// True when backed by an `mmap` mapping rather than an owned buffer.
@@ -390,9 +375,8 @@ impl MbdsStreamWriter {
         })
     }
 
-    /// Records the k-core thresholds the events were filtered with; they
-    /// are stored in the `codes` section so loaders can detect a `.mbds`
-    /// file converted with different thresholds than they expect. `0`
+    /// Records the k-core thresholds the events were filtered with in the
+    /// `codes` section, as provenance for tools that read the header. `0`
     /// means unspecified (the default); values above `u8::MAX` are also
     /// stored as unspecified rather than saturated, so a reader never
     /// sees a wrong threshold.
@@ -569,17 +553,23 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("kcore.mbds");
         let ds = sample();
+        // The `codes` section's last two bytes, 0 for unspecified.
+        let kcore = |path: &Path| {
+            let file = Container::open(path, &SPEC).unwrap();
+            let [.., k_user, k_item] = file.fixed::<u8, 4>(CODES).unwrap();
+            (k_user, k_item)
+        };
 
         write_mbds(&ds, &path, 0, 0).unwrap();
-        assert_eq!(MbdsFile::open(&path).unwrap().kcore_thresholds(), None);
+        assert_eq!(kcore(&path), (0, 0));
 
         write_mbds(&ds, &path, 5, 3).unwrap();
-        assert_eq!(MbdsFile::open(&path).unwrap().kcore_thresholds(), Some((5, 3)));
+        assert_eq!(kcore(&path), (5, 3));
 
         // Thresholds above the u8 range are stored as unspecified, never
         // saturated to a wrong value.
         write_mbds(&ds, &path, 300, 3).unwrap();
-        assert_eq!(MbdsFile::open(&path).unwrap().kcore_thresholds(), None);
+        assert_eq!(kcore(&path), (0, 3));
 
         std::fs::remove_file(&path).unwrap();
         let _ = std::fs::remove_dir(&dir);

@@ -19,46 +19,31 @@ use crate::types::{Behavior, Dataset, Interaction, ItemId, Sequence, UserId};
 /// This is the standard k-core cleanup of recommendation pipelines; it also
 /// guarantees every surviving user has enough history to split.
 pub fn k_core(dataset: &Dataset, k_user: usize, k_item: usize) -> Dataset {
-    let mut keep_user = vec![true; dataset.num_users];
-    let mut keep_item = vec![true; dataset.num_items + 1];
-    loop {
-        let mut changed = false;
-        // Count events restricted to kept users/items.
-        let mut item_counts = vec![0usize; dataset.num_items + 1];
-        let mut user_counts = vec![0usize; dataset.num_users];
-        for (u, seq) in dataset.sequences.iter().enumerate() {
-            if !keep_user[u] {
-                continue;
-            }
-            for &it in &seq.items {
-                if keep_item[it as usize] {
-                    user_counts[u] += 1;
-                    item_counts[it as usize] += 1;
-                }
+    // Counts over the kept users' kept items; item `it` is slot `it - 1`.
+    let count = |keep_user: &[bool],
+                 keep_item: &[bool],
+                 users: &mut [usize],
+                 items: &mut [usize]| {
+        for (u, seq) in dataset.sequences.iter().enumerate().filter(|&(u, _)| keep_user[u]) {
+            for &it in seq.items.iter().filter(|&&it| keep_item[it as usize - 1]) {
+                users[u] += 1;
+                items[it as usize - 1] += 1;
             }
         }
-        for u in 0..dataset.num_users {
-            if keep_user[u] && user_counts[u] < k_user {
-                keep_user[u] = false;
-                changed = true;
-            }
-        }
-        for it in 1..=dataset.num_items {
-            if keep_item[it] && item_counts[it] < k_item {
-                keep_item[it] = false;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+        Ok::<(), std::convert::Infallible>(())
+    };
+    let (num_users, num_items) = (dataset.num_users, dataset.num_items);
+    let (mut user_counts, mut item_counts) = (vec![0; num_users], vec![0; num_items]);
+    let all = |n| vec![true; n];
+    let Ok(()) = count(&all(num_users), &all(num_items), &mut user_counts, &mut item_counts);
+    let Ok((keep_user, keep_item)) =
+        k_core_fixpoint(&mut user_counts, &mut item_counts, k_user, k_item, count);
 
     // Dense remap of surviving items (1-based) and users.
     let mut item_map: HashMap<ItemId, ItemId> = HashMap::new();
     let mut next_item: ItemId = 1;
     for it in 1..=dataset.num_items {
-        if keep_item[it] {
+        if keep_item[it - 1] {
             item_map.insert(it as ItemId, next_item);
             next_item += 1;
         }
@@ -85,6 +70,43 @@ pub fn k_core(dataset: &Dataset, k_user: usize, k_item: usize) -> Dataset {
         behaviors: dataset.behaviors.clone(),
         target_behavior: dataset.target_behavior,
         sequences,
+    }
+}
+
+/// The k-core fixpoint of [`k_core`] and [`convert_tsv_streaming`], over
+/// per-user and per-item event counts that start out counting the whole
+/// log. Each round drops the users under `k_user`, then the items under
+/// `k_item`; after a round that dropped any, the counts are zeroed and
+/// `recount` fills them again over the kept users' kept items. Returns the
+/// `(users, items)` keep sets; the counts are then those of the kept
+/// events.
+fn k_core_fixpoint<E>(
+    user_counts: &mut [usize],
+    item_counts: &mut [usize],
+    k_user: usize,
+    k_item: usize,
+    mut recount: impl FnMut(&[bool], &[bool], &mut [usize], &mut [usize]) -> Result<(), E>,
+) -> Result<(Vec<bool>, Vec<bool>), E> {
+    let mut keep_user = vec![true; user_counts.len()];
+    let mut keep_item = vec![true; item_counts.len()];
+    loop {
+        let mut changed = false;
+        for (keep, counts, k) in
+            [(&mut keep_user, &*user_counts, k_user), (&mut keep_item, &*item_counts, k_item)]
+        {
+            for (keep, &count) in keep.iter_mut().zip(counts) {
+                if *keep && count < k {
+                    *keep = false;
+                    changed = true;
+                }
+            }
+        }
+        if !changed {
+            return Ok((keep_user, keep_item));
+        }
+        user_counts.fill(0);
+        item_counts.fill(0);
+        recount(&keep_user, &keep_item, user_counts, item_counts)?;
     }
 }
 
@@ -260,32 +282,14 @@ pub fn convert_tsv_streaming(
     let num_users_in = user_raw.len();
     let num_items_in = item_index.len();
 
-    // k-core fixpoint, mirroring `k_core` exactly: update keeps from the
-    // current counts (users first, then items); when an update changes
-    // nothing the counts are consistent with the final keep sets. Each
-    // changed round re-counts with one sequential pass over the TSV.
-    let mut keep_user = vec![true; num_users_in];
-    let mut keep_item = vec![true; num_items_in];
+    // The k-core fixpoint; each changed round re-counts with one
+    // sequential pass over the TSV.
     let mut passes = 1usize;
-    loop {
-        let mut changed = false;
-        for u in 0..num_users_in {
-            if keep_user[u] && user_counts[u] < k_user {
-                keep_user[u] = false;
-                changed = true;
-            }
-        }
-        for i in 0..num_items_in {
-            if keep_item[i] && item_counts[i] < k_item {
-                keep_item[i] = false;
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-        user_counts.iter_mut().for_each(|c| *c = 0);
-        item_counts.iter_mut().for_each(|c| *c = 0);
+    let recount = |keep_user: &[bool],
+                   keep_item: &[bool],
+                   users: &mut [usize],
+                   items: &mut [usize]| {
+        passes += 1;
         let mut cursor = usize::MAX; // advances through user runs in order
         let mut cur_raw: Option<UserId> = None;
         scan_tsv(tsv, |lineno, inter| {
@@ -301,13 +305,14 @@ pub fn convert_tsv_streaming(
             }
             let idx = item_index[&inter.item] as usize;
             if keep_user[cursor] && keep_item[idx] {
-                user_counts[cursor] += 1;
-                item_counts[idx] += 1;
+                users[cursor] += 1;
+                items[idx] += 1;
             }
             Ok(())
-        })?;
-        passes += 1;
-    }
+        })
+    };
+    let (keep_user, keep_item) =
+        k_core_fixpoint(&mut user_counts, &mut item_counts, k_user, k_item, recount)?;
 
     // Dense remap of survivors: items in first-appearance order (their old
     // dense order), users in file order — matching `k_core`'s remap of

@@ -475,12 +475,11 @@ pub fn drain() -> Vec<LabelStats> {
 // ---------------------------------------------------------------------------
 
 /// The `MBSSL_*` variables stamped into every meta record: the pool size,
-/// the three path selectors (SIMD kernels, IVF retrieval, mmap'd `.mbds`
-/// reads) and the run's own trace settings.
-const META_ENV_KEYS: [&str; 7] = [
+/// the two path selectors (SIMD kernels, mmap'd container reads) and the
+/// run's own trace settings.
+const META_ENV_KEYS: [&str; 6] = [
     "MBSSL_THREADS",
     "MBSSL_SIMD",
-    "MBSSL_ANN",
     "MBSSL_DATA_MMAP",
     "MBSSL_TRACE",
     "MBSSL_RUN_DIR",

@@ -52,9 +52,8 @@
 #                             through the scalar tile kernel and the portable
 #                             screen kernels too), and the two-stage
 #                             retrieval suite (recall gate +
-#                             serialization rejection + tie-break parity)
-#                             under ambient ANN and MBSSL_ANN=off. The
-#                             SIMD microkernel parity proptests also run
+#                             serialization rejection + tie-break parity).
+#                             The SIMD microkernel parity proptests also run
 #                             inside the pool-size loop of stage 2.
 #   7. traced tests         — full workspace tests with MBSSL_TRACE=jsonl:…
 #                             so every suite also passes with live telemetry
@@ -68,15 +67,17 @@
 #                             wall never gate),
 #                             an `mbssl report` smoke over two run dirs, and
 #                             the index workflow: `mbssl index build` /
-#                             `index stats` / two-stage `recommend`, with an
-#                             MBSSL_ANN=off bit-parity diff against the
+#                             `index stats` / two-stage `recommend --index`,
+#                             and a bit-parity diff of `recommend` without
+#                             --index, the .ivf on disk, against the
 #                             pre-index exhaustive output; the trained
 #                             checkpoint and its .ivf must leave no `*.tmp`
 #                             or `*.part` sibling (atomic publication).
 #                             Scoring commands take no --dim/--interests:
 #                             the checkpoint records its model config. Then the serve
 #                             smoke: a fixed replay served micro-batched
-#                             (batch 16, cache on) must be byte-identical to
+#                             through the index (batch 16, cache on) must be
+#                             byte-identical to
 #                             the single-request run (batch 1, cache off) and
 #                             to offline `recommend`, report zero allocator
 #                             misses after the steady-state mark, and shut
@@ -98,9 +99,9 @@
 #   9. data substrate       — `mbssl convert` on the trace-workflow TSV,
 #                             `dataset stats` agreement between the .mbds
 #                             and TSV paths, then the bit-parity gate:
-#                             training from the mmap'd .mbds sibling must
-#                             produce a checkpoint byte-identical to the
-#                             MBSSL_DATA_MMAP=off TSV-parsed run. Also a
+#                             training from the mmap'd .mbds (named by
+#                             --data) must produce a checkpoint
+#                             byte-identical to the TSV-parsed run. Also a
 #                             direct-to-.mbds `synth --preset scale` smoke;
 #                             `convert` and `synth` must leave no temp file.
 #                             The shard_parity suite runs in the stage-2
@@ -196,11 +197,8 @@ MBSSL_THREADS=1 cargo test --release --test catalog_screen -q
 MBSSL_SIMD=off cargo test --release --test ann_screen -q
 MBSSL_THREADS=1 cargo test --release --test ann_screen -q
 
-echo "==> two-stage retrieval (IVF index + rerank, ambient ANN)"
+echo "==> two-stage retrieval (IVF index + rerank)"
 cargo test --release -p mbssl-core --test ann -q
-
-echo "==> ANN escape hatch (MBSSL_ANN=off restores exhaustive ranking)"
-MBSSL_ANN=off cargo test --release -p mbssl-core --test ann -q
 
 trace_file=$(mktemp -t mbssl_ci_trace.XXXXXX.jsonl)
 trace_dir=$(mktemp -d -t mbssl_ci_tracewf.XXXXXX)
@@ -242,7 +240,7 @@ no_temp_siblings "$trace_dir/model.ckpt"
     --run-dir "$trace_dir/run1"
 "$mbssl" report "$trace_dir/run0" "$trace_dir/run1"
 
-echo "==> index workflow (build → stats → two-stage recommend → ANN-off parity)"
+echo "==> index workflow (build → stats → two-stage recommend → unnamed-index parity)"
 # Exhaustive ranking of record, captured before any index exists.
 "$mbssl" recommend --data "$trace_dir/log.tsv" --target purchase \
     --model "$trace_dir/model.ckpt" --user 3 --top 5 \
@@ -251,16 +249,16 @@ echo "==> index workflow (build → stats → two-stage recommend → ANN-off pa
     --model "$trace_dir/model.ckpt"
 no_temp_siblings "$trace_dir/model.ckpt.ivf"
 "$mbssl" index stats "$trace_dir/model.ckpt.ivf"
-# Two-stage smoke: the sibling .ivf is picked up automatically.
+# Two-stage smoke: --index attaches the index.
 "$mbssl" recommend --data "$trace_dir/log.tsv" --target purchase \
     --model "$trace_dir/model.ckpt" --user 3 --top 5 \
-    > /dev/null
-# Escape-hatch parity: with the index on disk but MBSSL_ANN=off, the
-# output must be bit-for-bit the pre-index exhaustive ranking.
-MBSSL_ANN=off "$mbssl" recommend --data "$trace_dir/log.tsv" --target purchase \
+    --index "$trace_dir/model.ckpt.ivf" > /dev/null
+# Unnamed-index parity: with the index on disk but not named, the output
+# must be bit-for-bit the pre-index exhaustive ranking.
+"$mbssl" recommend --data "$trace_dir/log.tsv" --target purchase \
     --model "$trace_dir/model.ckpt" --user 3 --top 5 \
-    > "$trace_dir/recs_ann_off.txt"
-diff "$trace_dir/recs_exhaustive.txt" "$trace_dir/recs_ann_off.txt"
+    > "$trace_dir/recs_unnamed_index.txt"
+diff "$trace_dir/recs_exhaustive.txt" "$trace_dir/recs_unnamed_index.txt"
 
 echo "==> serve smoke (replay parity, offline cross-check, metrics snapshot, zero steady-state allocs, clean shutdown)"
 # Fixed replay: a warmup wave, then `mark` opens the steady-state window
@@ -280,17 +278,17 @@ metrics json $trace_dir/metrics.json
 metrics prom $trace_dir/metrics.prom
 quit
 REPLAY
-# Micro-batched run (cache on, the serving default; the sibling .ivf is
-# picked up, so this also smokes two-stage retrieval under batching).
+# Micro-batched run (cache on, the serving default; --index names the
+# index, so this also smokes two-stage retrieval under batching).
 MBSSL_SERVE_BATCH=16 MBSSL_SERVE_WORKERS=1 "$mbssl" serve \
     --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model.ckpt" \
+    --model "$trace_dir/model.ckpt" --index "$trace_dir/model.ckpt.ivf" \
     --replay "$trace_dir/replay.txt" \
     > "$trace_dir/serve_b16.txt" 2> "$trace_dir/serve_b16.err"
 # Single-request run (no batching, no cache): stdout must be bit-identical.
 MBSSL_SERVE_BATCH=1 MBSSL_SERVE_WORKERS=1 MBSSL_SERVE_CACHE=off "$mbssl" serve \
     --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model.ckpt" \
+    --model "$trace_dir/model.ckpt" --index "$trace_dir/model.ckpt.ivf" \
     --replay "$trace_dir/replay.txt" \
     > "$trace_dir/serve_b1.txt" 2> /dev/null
 diff "$trace_dir/serve_b16.txt" "$trace_dir/serve_b1.txt"
@@ -298,7 +296,7 @@ diff "$trace_dir/serve_b16.txt" "$trace_dir/serve_b1.txt"
 # `mbssl recommend` prints for the same user, model, and index.
 "$mbssl" recommend --data "$trace_dir/log.tsv" --target purchase \
     --model "$trace_dir/model.ckpt" --user 3 --top 5 \
-    | tail -5 > "$trace_dir/offline_user3.txt"
+    --index "$trace_dir/model.ckpt.ivf" | tail -5 > "$trace_dir/offline_user3.txt"
 head -6 "$trace_dir/serve_b16.txt" | tail -5 > "$trace_dir/served_user3.txt"
 diff "$trace_dir/offline_user3.txt" "$trace_dir/served_user3.txt"
 # Steady-state serving must not allocate (arena + size-class recycling),
@@ -411,15 +409,12 @@ grep -E "users|items|interactions|click|cart|favorite|avg|density|gini|purchase:
 grep -E "users|items|interactions|click|cart|favorite|avg|density|gini|purchase:" \
     "$trace_dir/stats_tsv.txt" > "$trace_dir/stats_tsv_core.txt"
 diff "$trace_dir/stats_mbds_core.txt" "$trace_dir/stats_tsv_core.txt"
-# Training from the mmap'd .mbds (sibling auto-discovery) must be
-# bit-for-bit the TSV-parsed run: compare checkpoints, not logs (metrics
-# files carry wall-clock timings).
-MBSSL_DATA_MMAP=off "$mbssl" train --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model_tsv.ckpt" --epochs 1 --dim 16 --interests 2
+# Training from the mmap'd .mbds must be bit-for-bit the TSV-parsed run:
+# compare checkpoints, not logs (metrics files carry wall-clock timings).
 "$mbssl" train --data "$trace_dir/log.tsv" --target purchase \
-    --model "$trace_dir/model_mbds.ckpt" --epochs 1 --dim 16 --interests 2 \
-    2> "$trace_dir/train_mbds.err"
-grep -q "data: using $trace_dir/log.tsv.mbds" "$trace_dir/train_mbds.err"
+    --model "$trace_dir/model_tsv.ckpt" --epochs 1 --dim 16 --interests 2
+"$mbssl" train --data "$trace_dir/log.tsv.mbds" --target purchase \
+    --model "$trace_dir/model_mbds.ckpt" --epochs 1 --dim 16 --interests 2
 cmp "$trace_dir/model_tsv.ckpt" "$trace_dir/model_mbds.ckpt"
 # Direct-to-.mbds synthesis at the scale regime's smallest preset.
 "$mbssl" synth --out "$trace_dir/scale.mbds" --preset scale --users 1000 --seed 5

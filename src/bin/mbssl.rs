@@ -5,10 +5,10 @@
 //! ```text
 //! mbssl train     --data log.tsv --target favorite --model out.ckpt [--epochs N] [--dim D] [--interests K] [--run-dir DIR]
 //! mbssl evaluate  --data log.tsv --target favorite --model out.ckpt
-//! mbssl recommend --data log.tsv --target favorite --model out.ckpt --user 42 --top 10
-//! mbssl serve     --data log.tsv --target favorite --model out.ckpt [--replay FILE] [--rerank SPEC] [--top N] [--metrics-out FILE]
+//! mbssl recommend --data log.tsv --target favorite --model out.ckpt --user 42 --top 10 [--index out.ckpt.ivf]
+//! mbssl serve     --data log.tsv --target favorite --model out.ckpt [--replay FILE] [--rerank SPEC] [--top N] [--index out.ckpt.ivf] [--metrics-out FILE]
 //! mbssl top       snapshot.json [--interval MS] [--frames N] [--no-clear]
-//! mbssl stats     --data log.tsv --target favorite
+//! mbssl dataset stats log.tsv|log.mbds [--target favorite]
 //! mbssl synth     --out log.tsv [--preset taobao|yelp] [--scale F] [--seed S]
 //! mbssl index build --data log.tsv --target favorite --model out.ckpt [--out out.ckpt.ivf] [--nlist N]
 //! mbssl index stats INDEX.ivf
@@ -19,6 +19,12 @@
 //!
 //! TSV format: `user \t item \t behavior \t timestamp` with behaviors in
 //! {click, cart, favorite, purchase}; a header line is allowed.
+//!
+//! A command reads only the files its flags name. `--data` is parsed as a
+//! TSV log and 5/3-core filtered, or opened as is when it names a `.mbds`
+//! file (from `mbssl convert`). `recommend` and `serve` rank through an
+//! IVF index only when `--index` names one; a serve `swap` attaches that
+//! same index to the new checkpoint.
 //!
 //! A checkpoint records the model config it was trained with, so
 //! `--dim` / `--interests` are `train` flags only: every scoring command
@@ -57,7 +63,7 @@ use mbssl::core::{
     evaluate, recommend_top_n, BehaviorSchema, InferenceModel, IvfIndex, Mbmissl, ModelConfig,
     TrainConfig, Trainer,
 };
-use mbssl::data::container::{mmap_enabled, write_atomic};
+use mbssl::data::container::write_atomic;
 use mbssl::data::format::MbdsFile;
 use mbssl::data::io::load_tsv;
 use mbssl::data::preprocess::{
@@ -134,7 +140,6 @@ fn usage() {
          mbssl recommend --data LOG.tsv --target BEHAVIOR --model IN.ckpt --user U [--top N] [--index PATH.ivf]\n  \
          mbssl serve     --data LOG.tsv --target BEHAVIOR --model IN.ckpt [--replay FILE] [--rerank SPEC] [--top N] [--index PATH.ivf] [--metrics-out FILE [--metrics-interval MS]]\n  \
          mbssl top       SNAPSHOT.json [--interval MS] [--frames N] [--no-clear]\n  \
-         mbssl stats     --data LOG.tsv --target BEHAVIOR\n  \
          mbssl synth     --out LOG.tsv|OUT.mbds [--preset taobao|yelp|tmall|scale-10k|scale-100k|scale-1m] [--users N] [--scale F] [--seed S]\n  \
          mbssl convert   --data LOG.tsv --target BEHAVIOR [--out PATH.mbds] [--k-user N] [--k-item N]\n  \
          mbssl dataset stats PATH.mbds|LOG.tsv [--target BEHAVIOR]\n  \
@@ -144,29 +149,38 @@ fn usage() {
          mbssl trace diff BASE.jsonl NEW.jsonl [--tol PCT] [--metric mean|total|share] [--min-share PCT] [--section S]\n  \
          mbssl report RUN_DIR [RUN_DIR...]\n\n\
          BEHAVIOR ∈ {{click, cart, favorite, purchase}}\n\
-         --data also accepts a .mbds file (mmap'd columnar, from `mbssl convert`); a `LOG.tsv.mbds`\n\
-         sibling is auto-discovered next to a TSV unless MBSSL_DATA_MMAP=off\n\
+         --data LOG.tsv is parsed and 5/3-core filtered; --data PATH.mbds (from `mbssl convert`) is opened as is\n\
+         --index PATH.ivf (from `mbssl index build`) turns on two-stage retrieval; without it ranking is exhaustive\n\
          --dim/--interests are train-only: a checkpoint records its model config\n\
          all commands accept --trace off|summary|jsonl:PATH (telemetry; see also MBSSL_TRACE);\n\
          train writes a run ledger when --run-dir or MBSSL_RUN_DIR is set (read back by `mbssl report`)"
     );
 }
 
-/// Opens a `.mbds` file the user named explicitly (hard error on any
-/// rejection — there is no TSV to degrade to). `.mbds` files store the
-/// target behavior, so `--target` is optional and cross-checked when given.
-fn load_mbds(path: &str, requested: Option<Behavior>) -> Result<(Dataset, Behavior), String> {
+/// Parses a `--target` token.
+fn behavior(token: &str) -> Result<Behavior, String> {
+    Behavior::from_token(token).ok_or_else(|| "unknown --target behavior".to_string())
+}
+
+/// Loads `--data`, exactly the file it names: a `.mbds` file is opened,
+/// any other path is parsed as a TSV log and 5/3-core filtered. A `.mbds`
+/// file records its target behavior, so `--target` is optional for it and
+/// cross-checked when given.
+fn load_dataset(args: &Args) -> Result<(Dataset, Behavior), String> {
+    let path = args.require("data")?;
+    let requested = args.get("target").map(behavior).transpose()?;
+    if !path.ends_with(".mbds") {
+        return load_plain_tsv(path, requested.ok_or("missing --target")?);
+    }
     let file =
         MbdsFile::open(std::path::Path::new(path)).map_err(|e| format!("loading {path}: {e}"))?;
     let target = file.target_behavior();
-    if let Some(req) = requested {
-        if req != target {
-            return Err(format!(
-                "--target {} but {path} was converted for target {}",
-                req.token(),
-                target.token()
-            ));
-        }
+    if let Some(req) = requested.filter(|&req| req != target) {
+        return Err(format!(
+            "--target {} but {path} was converted for target {}",
+            req.token(),
+            target.token()
+        ));
     }
     let dataset = file.to_dataset();
     if dataset.num_users == 0 {
@@ -175,79 +189,7 @@ fn load_mbds(path: &str, requested: Option<Behavior>) -> Result<(Dataset, Behavi
     Ok((dataset, target))
 }
 
-/// Loads `--data`: a `.mbds` file directly, a TSV with an auto-discovered
-/// `<data>.mbds` sibling (produced by `mbssl convert`; skipped under
-/// `MBSSL_DATA_MMAP=off`, warn-and-degrade on any mismatch), or a plain TSV
-/// parsed and 5/3-core filtered. A sibling is only trusted when it is
-/// provably equivalent to parsing the named TSV: it must not be older than
-/// the TSV (staleness by mtime), must record the default 5/3 k-core
-/// thresholds in its header, and must match the requested target — anything
-/// else warns and parses the TSV. Under those checks the result is
-/// identical to the TSV path because k-core is idempotent.
-fn load_dataset(args: &Args) -> Result<(Dataset, Behavior), String> {
-    let path = args.require("data")?;
-    let requested = match args.get("target") {
-        Some(tok) => Some(
-            Behavior::from_token(tok).ok_or_else(|| "unknown --target behavior".to_string())?,
-        ),
-        None => None,
-    };
-    if path.ends_with(".mbds") {
-        return load_mbds(path, requested);
-    }
-    let target = requested.ok_or_else(|| "missing --target".to_string())?;
-    let sibling = format!("{path}.mbds");
-    if mmap_enabled() && std::path::Path::new(&sibling).exists() {
-        let mtime = |p: &str| std::fs::metadata(p).and_then(|m| m.modified()).ok();
-        let stale = matches!(
-            (mtime(path), mtime(&sibling)),
-            (Some(tsv_t), Some(sib_t)) if tsv_t > sib_t
-        );
-        if stale {
-            eprintln!(
-                "warning: ignoring {sibling}: {path} was modified after it was converted \
-                 (re-run `mbssl convert` to refresh); parsing {path}"
-            );
-            return load_plain_tsv(path, target);
-        }
-        match MbdsFile::open(std::path::Path::new(&sibling)) {
-            Ok(file) if file.target_behavior() == target
-                && file.kcore_thresholds() != Some((5, 3)) =>
-            {
-                eprintln!(
-                    "warning: ignoring {sibling}: converted with {} k-core thresholds, \
-                     auto-discovery requires the default 5/3; parsing {path}",
-                    match file.kcore_thresholds() {
-                        Some((ku, ki)) => format!("{ku}/{ki}"),
-                        None => "unspecified".to_string(),
-                    }
-                );
-            }
-            Ok(file) if file.target_behavior() == target => {
-                eprintln!(
-                    "data: using {sibling} ({} events, {}; delete it or set MBSSL_DATA_MMAP=off to parse the TSV)",
-                    file.num_events(),
-                    if file.is_mmap() { "mmap" } else { "buffered" },
-                );
-                let dataset = file.to_dataset();
-                if dataset.num_users == 0 {
-                    return Err(format!("{sibling} contains no users"));
-                }
-                return Ok((dataset, target));
-            }
-            Ok(file) => eprintln!(
-                "warning: ignoring {sibling}: converted for target {}, requested {}; parsing {path}",
-                file.target_behavior().token(),
-                target.token()
-            ),
-            Err(e) => eprintln!("warning: ignoring {sibling}: {e}; parsing {path}"),
-        }
-    }
-    load_plain_tsv(path, target)
-}
-
-/// Parses a TSV log and applies the default 5/3-core filtering (the
-/// fallback for every rejected or absent `.mbds` sibling).
+/// Parses a TSV log and applies the default 5/3-core filtering.
 fn load_plain_tsv(path: &str, target: Behavior) -> Result<(Dataset, Behavior), String> {
     let raw = load_tsv(path, target).map_err(|e| format!("loading {path}: {e}"))?;
     let dataset = k_core(&raw, 5, 3);
@@ -325,37 +267,29 @@ fn model_config(args: &Args) -> Result<ModelConfig, String> {
 
 /// Loads the checkpoint `ckpt` for `dataset`, as the model its recorded
 /// config describes, and compiles it into the inference engine that every
-/// scoring command runs. With `attach_index`,
-/// the IVF index named by `--index`, or a `<ckpt>.ivf` sibling, is
-/// attached unless `MBSSL_ANN=off`; a missing, corrupt or mismatched
-/// index warns and leaves the engine ranking exhaustively.
+/// scoring command runs. The IVF index `--index` names, if any, is
+/// attached; a missing, corrupt or mismatched index warns and leaves the
+/// engine ranking exhaustively.
 fn load_engine(
     args: &Args,
     dataset: &Dataset,
     target: Behavior,
     ckpt: &str,
-    attach_index: bool,
 ) -> Result<InferenceModel, String> {
     let schema = BehaviorSchema::new(dataset.behaviors.clone(), target);
     let model = Mbmissl::from_checkpoint(ckpt, dataset.num_items, schema)
         .map_err(|e| format!("loading {ckpt}: {e}"))?;
     let mut engine = InferenceModel::compile(&model);
-    if !attach_index || !mbssl::core::ann::enabled() {
+    let Some(path) = args.get("index") else {
         return Ok(engine);
-    }
-    let sibling = format!("{ckpt}.ivf");
-    let path = match args.get("index") {
-        Some(path) => path.to_string(),
-        None if std::path::Path::new(&sibling).exists() => sibling,
-        None => return Ok(engine),
     };
-    let attached = IvfIndex::load_from_file(&path).and_then(|index| {
+    let attached = IvfIndex::load_from_file(path).and_then(|index| {
         let nlist = index.nlist();
         engine.attach_index(index).map(|()| nlist)
     });
     match attached {
         Ok(nlist) => eprintln!(
-            "two-stage retrieval via {path} (nlist={nlist}, nprobe={}; set MBSSL_ANN=off for exhaustive)",
+            "two-stage retrieval via {path} (nlist={nlist}, nprobe={})",
             mbssl::core::ann::default_nprobe(nlist)
         ),
         Err(e) => eprintln!("warning: ignoring index {path}: {e}; ranking exhaustively"),
@@ -363,7 +297,7 @@ fn load_engine(
     Ok(engine)
 }
 
-/// The dataset-shape lines of `stats` and `dataset stats`; `target` is
+/// The dataset-shape lines of `dataset stats`; `target` is
 /// the behavior a `.mbds` header records.
 fn print_dataset_stats(stats: &DatasetStats, target: Option<Behavior>, gini: f64) {
     println!("  users        : {}", stats.users);
@@ -419,7 +353,7 @@ fn serve_command(args: &Args) -> Result<(), String> {
         .map_err(|_| "bad --metrics-interval")?;
 
     let server = Server::start(
-        load_engine(args, &dataset, target, args.require("model")?, true)?,
+        load_engine(args, &dataset, target, args.require("model")?)?,
         Arc::new(SessionStore::from_dataset(&dataset)),
         chain,
         config.clone(),
@@ -520,7 +454,7 @@ fn serve_command(args: &Args) -> Result<(), String> {
                 // A checkpoint that cannot be loaded leaves the old engine
                 // serving, as a bad index leaves it ranking exhaustively.
                 Some(Request::Swap(path)) => {
-                    match load_engine(args, &dataset, target, &path, true) {
+                    match load_engine(args, &dataset, target, &path) {
                         Ok(engine) => {
                             let epoch = server.swap_engine(engine);
                             eprintln!("serve: swapped to {path} (epoch {epoch})");
@@ -566,12 +500,38 @@ fn serve_command(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Retired environment variables: a retired option left in the
+/// environment must not pass silently. Each entry names the variable, the
+/// values refused and the reason given.
+type Retired = (&'static str, fn(&str) -> bool, &'static str);
+const RETIRED_ENV: [Retired; 4] = [
+    (
+        "MBSSL_QUANT",
+        |v| !matches!(v, "" | "off"),
+        "the engine always ranks the exact catalog through its i8 screen (DESIGN.md §13)",
+    ),
+    (
+        "MBSSL_ANN",
+        |v| matches!(v, "off" | "0" | "none"),
+        "ranking is exhaustive unless --index names an IVF index (DESIGN.md §14)",
+    ),
+    (
+        "MBSSL_ANN_NLIST",
+        |_| true,
+        "`mbssl index build --nlist N` sets the list count (DESIGN.md §14)",
+    ),
+    (
+        "MBSSL_ANN_NPROBE",
+        |_| true,
+        "an attached index probes nlist/16 lists per interest (DESIGN.md §14)",
+    ),
+];
+
 fn run() -> Result<(), String> {
-    // A retired option left in the environment must not pass silently.
-    if !matches!(std::env::var("MBSSL_QUANT").as_deref(), Err(_) | Ok("" | "off")) {
-        return Err("MBSSL_QUANT is retired: the engine always ranks the exact catalog \
-                    through its i8 screen (DESIGN.md §13); unset it"
-            .into());
+    for (name, refused, reason) in RETIRED_ENV {
+        if std::env::var(name).is_ok_and(|v| refused(&v)) {
+            return Err(format!("{name} is retired: {reason}; unset it"));
+        }
     }
     let Some(args) = Args::parse() else {
         usage();
@@ -585,12 +545,6 @@ fn run() -> Result<(), String> {
     }
 
     let result = match args.command.as_str() {
-        "stats" => {
-            let (dataset, _) = load_dataset(&args)?;
-            println!("dataset: {}", dataset.name);
-            print_dataset_stats(&dataset.stats(), None, dataset.popularity_gini());
-            Ok(())
-        }
         "train" => {
             let (dataset, target) = load_dataset(&args)?;
             let out = args.require("model")?;
@@ -624,7 +578,7 @@ fn run() -> Result<(), String> {
         }
         "evaluate" => {
             let (dataset, target) = load_dataset(&args)?;
-            let engine = load_engine(&args, &dataset, target, args.require("model")?, false)?;
+            let engine = load_engine(&args, &dataset, target, args.require("model")?)?;
             let split = leave_one_out(&dataset, &SplitConfig::default());
             let sampler = NegativeSampler::from_dataset(&dataset);
             let candidates = EvalCandidates::build(&split.test, &sampler, 99, seed);
@@ -645,9 +599,9 @@ fn run() -> Result<(), String> {
                     dataset.num_users
                 ));
             }
-            // Two-stage retrieval when an index is attached; any index
+            // Two-stage retrieval when --index names an index; any index
             // problem degrades to exhaustive ranking with a warning.
-            let engine = load_engine(&args, &dataset, target, ckpt, true)?;
+            let engine = load_engine(&args, &dataset, target, ckpt)?;
             let history = &dataset.sequences[user];
             let seen: HashSet<_> = history.items.iter().copied().collect();
             eprintln!("{ENGINE_BANNER}");
@@ -743,8 +697,7 @@ fn run() -> Result<(), String> {
         }
         "convert" => {
             let path = args.require("data")?.to_string();
-            let target = Behavior::from_token(args.require("target")?)
-                .ok_or_else(|| "unknown --target behavior".to_string())?;
+            let target = behavior(args.require("target")?)?;
             let out = args
                 .get("out")
                 .map(String::from)
@@ -803,9 +756,7 @@ fn run() -> Result<(), String> {
                     print_dataset_stats(&stats, target, file.popularity_gini());
                     println!("  open+validate: {load_ms:.1} ms");
                 } else {
-                    let target = Behavior::from_token(args.require("target")?)
-                        .ok_or_else(|| "unknown --target behavior".to_string())?;
-                    let (dataset, _) = load_plain_tsv(path, target)?;
+                    let (dataset, _) = load_plain_tsv(path, behavior(args.require("target")?)?)?;
                     let load_ms = started.elapsed().as_secs_f64() * 1e3;
                     println!("dataset {path} (TSV + 5/3-core):");
                     print_dataset_stats(&dataset.stats(), None, dataset.popularity_gini());
@@ -826,7 +777,7 @@ fn run() -> Result<(), String> {
                     .get("out")
                     .map(String::from)
                     .unwrap_or_else(|| format!("{ckpt}.ivf"));
-                let engine = load_engine(&args, &dataset, target, ckpt, false)?;
+                let engine = load_engine(&args, &dataset, target, ckpt)?;
                 let nlist = match args.get("nlist") {
                     Some(v) => v.parse().map_err(|_| "bad --nlist")?,
                     None => mbssl::core::ann::default_nlist(dataset.num_items),

@@ -18,7 +18,7 @@ use std::sync::{Mutex, MutexGuard};
 use common::{
     bits, exact_scores, item_table, model_with, near_ties, rankable, spread_norms, unscreenable,
 };
-use mbssl::core::ann::{self, IvfIndex, ProbeScratch};
+use mbssl::core::ann::{IvfIndex, ProbeScratch};
 use mbssl::core::infer::{CatalogQuery, RankedQuery};
 use mbssl::core::screen::CatalogScreen;
 use mbssl::core::{InferenceModel, Mbmissl};
@@ -69,7 +69,7 @@ fn candidates(
 /// The reference fill rule: the probe serves a query iff its candidates can fill
 /// the reply (the rankable catalog counts only ids in `1..=num_items`).
 fn fills(cands: &[ItemId], n: usize, exclude: &HashSet<ItemId>, num_items: usize) -> bool {
-    ann::enabled() && cands.len() >= n.min(rankable(exclude, num_items))
+    cands.len() >= n.min(rankable(exclude, num_items))
 }
 
 /// The top `n` of `cands` by `scores`: score descending, then id.
@@ -220,7 +220,7 @@ fn assert_matches_reference(model: &Mbmissl, dataset: &Dataset, label: &str) {
             }
         }
         assert!(
-            served > 0 || !ann::enabled(),
+            served > 0,
             "{label} nlist={nlist} nprobe={nprobe}: no query was served by the probe"
         );
     }
@@ -328,10 +328,6 @@ fn nan_interest_takes_the_gather_route_and_counters_follow_the_route() {
 
     let mut screened: Vec<RankedQuery> = Vec::new();
     let records = traced(|| screened = engine.rank_from_interests(&z, &query, num_items, None));
-    if !ann::enabled() {
-        assert!(span_bytes(&records, "index.rerank").is_none());
-        return;
-    }
     let cands = candidates(&oracle, &z, nprobe, num_items, &none);
     assert!(
         screened[0].used_ann,
@@ -437,7 +433,6 @@ fn detach_and_reattach_keep_replies_exact() {
         // The second round attaches over an attached index.
         if round != 1 {
             engine.detach_index();
-            assert!(!engine.has_index());
             exhaustive(&engine, &format!("detached before round {round}"));
         }
         let (index, oracle) = index_pair(&engine, nlist);

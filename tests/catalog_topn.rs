@@ -266,5 +266,5 @@ fn short_probe_fallback_counts_only_rankable_exclusions() {
     let exclude: HashSet<ItemId> = std::iter::once(0).chain(outside.iter().copied()).collect();
     let got = rank(&exclude);
     assert_eq!(got.recs.len(), probed.len());
-    assert_eq!(got.used_ann, mbssl::core::ann::enabled());
+    assert!(got.used_ann);
 }

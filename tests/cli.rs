@@ -1,5 +1,5 @@
-//! End-to-end tests of the `mbssl` CLI binary: stats → train → evaluate →
-//! recommend on a generated TSV log.
+//! End-to-end tests of the `mbssl` CLI binary: dataset stats → train →
+//! evaluate → recommend on a generated TSV log.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -40,8 +40,8 @@ fn cli_full_workflow() {
     let ckpt = dir.join("model.ckpt");
     let ckpt_s = ckpt.to_str().unwrap();
 
-    // stats
-    let (ok, text) = run(&["stats", "--data", log_s, "--target", "favorite"]);
+    // dataset stats
+    let (ok, text) = run(&["dataset", "stats", log_s, "--target", "favorite"]);
     assert!(ok, "stats failed: {text}");
     assert!(text.contains("users"));
     assert!(text.contains("favorite"));
@@ -294,69 +294,72 @@ fn cli_trace_and_report_workflow() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A `.mbds` sibling next to a TSV is only trusted when provably
-/// equivalent to parsing the TSV: non-default k-core thresholds in its
-/// header and a TSV modified after conversion must both warn-and-degrade
-/// to the TSV parse, while a fresh default-threshold sibling is used.
+/// A command reads only the files its flags name: an `.ivf` next to the
+/// checkpoint and a `.mbds` next to the log change nothing until `--index`
+/// or `--data` names them, and the retired ANN variables are refused.
 #[test]
-fn cli_sibling_trust_checks() {
-    let dir = std::env::temp_dir().join("mbssl_cli_sibling_test");
+fn cli_reads_only_named_inputs() {
+    let dir = std::env::temp_dir().join("mbssl_cli_named_inputs_test");
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let log = setup_log(&dir);
-    let log_s = log.to_str().unwrap();
-    let sibling = dir.join("log.tsv.mbds");
-    let sibling_s = sibling.to_str().unwrap();
+    let ckpt = dir.join("model.ckpt");
+    let ckpt_s = ckpt.to_str().unwrap();
+    let common = ["--data", log.to_str().unwrap(), "--target", "favorite", "--model", ckpt_s];
+    let output = |args: &[&str], env: &[(&str, &str)]| {
+        let out = Command::new(bin())
+            .args(args)
+            .envs(env.iter().copied())
+            .output()
+            .expect("spawn mbssl CLI");
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        (out.status.success(), String::from_utf8_lossy(&out.stdout).into_owned(), err)
+    };
+    let train = ["train", "--epochs", "1", "--dim", "16", "--interests", "2"];
+    let (ok, text) = run(&[&train[..], &common].concat());
+    assert!(ok, "train failed: {text}");
+    let recommend = [&["recommend", "--user", "3", "--top", "5"][..], &common].concat();
+    let (ok, before, err) = output(&recommend, &[]);
+    assert!(ok, "recommend failed: {err}");
 
-    // Converted with non-default thresholds: discovered but refused.
-    let (ok, text) = run(&[
-        "convert", "--data", log_s, "--target", "favorite", "--out", sibling_s,
-        "--k-user", "2", "--k-item", "2",
-    ]);
+    // Next to the inputs: the checkpoint's index, and a `.mbds` of another log.
+    let (ok, text) = run(&[&["index", "build", "--nlist", "6"][..], &common].concat());
+    assert!(ok, "index build failed: {text}");
+    let other = dir.join("other.tsv");
+    save_tsv(&SyntheticConfig::tmall_like(6).scaled(0.05).generate().dataset, &other).unwrap();
+    let sibling = format!("{}.mbds", log.to_str().unwrap());
+    let convert = ["convert", "--data", other.to_str().unwrap(), "--target", "favorite"];
+    let (ok, text) = run(&[&convert[..], &["--out", &sibling]].concat());
     assert!(ok, "convert failed: {text}");
-    let (ok, text) = run(&["stats", "--data", log_s, "--target", "favorite"]);
-    assert!(ok, "stats failed: {text}");
-    assert!(
-        text.contains("2/2 k-core thresholds"),
-        "expected threshold warning: {text}"
-    );
+    let (ok, after, err) = output(&recommend, &[]);
+    assert!(ok, "recommend failed: {err}");
+    assert_eq!(after, before, "an unnamed file changed the reply: {err}");
+    assert!(!err.contains("two-stage") && !err.contains(".mbds"), "{err}");
 
-    // Re-converted with the defaults: used.
-    let (ok, text) = run(&[
-        "convert", "--data", log_s, "--target", "favorite", "--out", sibling_s,
-    ]);
-    assert!(ok, "convert failed: {text}");
-    let (ok, text) = run(&["stats", "--data", log_s, "--target", "favorite"]);
-    assert!(ok, "stats failed: {text}");
-    assert!(text.contains("data: using"), "expected sibling pickup: {text}");
+    // Named, the index is attached, and a serve `swap` attaches it again.
+    let ivf = format!("{ckpt_s}.ivf");
+    let (ok, _, err) = output(&[&recommend[..], &["--index", &ivf]].concat(), &[]);
+    assert!(ok && err.contains(&format!("two-stage retrieval via {ivf}")), "{err}");
+    let replay = dir.join("replay.txt");
+    std::fs::write(&replay, format!("rec 3 5\nswap {ckpt_s}\nrec 3 5\n")).unwrap();
+    let serve = ["serve", "--replay", replay.to_str().unwrap(), "--index", &ivf];
+    let (ok, _, err) = output(&[&serve[..], &common].concat(), &[]);
+    assert!(ok && err.matches("two-stage retrieval via").count() == 2, "{err}");
 
-    // A version-1 sibling is refused by version, and the TSV parsed.
-    let v2 = std::fs::read(&sibling).unwrap();
-    let mut v1 = v2.clone();
-    v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&sibling, &v1).unwrap();
-    let (ok, text) = run(&["stats", "--data", log_s, "--target", "favorite"]);
-    assert!(ok, "stats failed: {text}");
-    assert!(
-        text.contains("warning: ignoring")
-            && text.contains("unsupported format version 1; parsing"),
-        "expected a version warning: {text}"
-    );
-    std::fs::write(&sibling, &v2).unwrap();
-
-    // TSV touched after conversion: stale, parse the TSV again.
-    let newer = std::time::SystemTime::now() + std::time::Duration::from_secs(60);
-    std::fs::OpenOptions::new()
-        .append(true)
-        .open(&log)
-        .unwrap()
-        .set_modified(newer)
-        .unwrap();
-    let (ok, text) = run(&["stats", "--data", log_s, "--target", "favorite"]);
-    assert!(ok, "stats failed: {text}");
-    assert!(
-        text.contains("modified after it was converted"),
-        "expected staleness warning: {text}"
-    );
+    for (var, value) in [
+        ("MBSSL_ANN", "off"),
+        ("MBSSL_ANN", "0"),
+        ("MBSSL_ANN", "none"),
+        ("MBSSL_ANN_NLIST", "8"),
+        ("MBSSL_ANN_NPROBE", "2"),
+    ] {
+        let (ok, _, err) = output(&recommend, &[(var, value)]);
+        assert!(!ok, "{var}={value} was accepted");
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.contains(&format!("{var} is retired: ")), "{err}");
+    }
+    let (ok, again, err) = output(&recommend, &[("MBSSL_ANN", "on")]);
+    assert!(ok && again == before, "MBSSL_ANN=on: {err}");
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -430,7 +433,7 @@ fn cli_refuses_retired_quant_option() {
     let log = setup_log(&dir);
     let stats = |quant: &str| {
         let out = Command::new(bin())
-            .args(["stats", "--data", log.to_str().unwrap(), "--target", "favorite"])
+            .args(["dataset", "stats", log.to_str().unwrap(), "--target", "favorite"])
             .env("MBSSL_QUANT", quant)
             .output()
             .expect("spawn mbssl CLI");
